@@ -16,8 +16,9 @@
 //!   `sketch` command), and — for memory-mode loads — the full
 //!   dataset. The cache is sharded by key hash (read hits take one
 //!   shared lock), LRU-evicts under a configurable byte budget,
-//!   persists built artifacts to a cache directory so restarts warm up
-//!   without re-scanning sources, and stats the source file on every
+//!   persists each key as one checksummed binary [`artifact`] in a
+//!   cache directory so restarts warm up without re-scanning sources,
+//!   and stats the source file on every
 //!   hit so in-place rewrites trigger a rebuild instead of a stale
 //!   answer. Concurrent cold lookups (and cold sketch queries)
 //!   collapse onto one build.
@@ -64,15 +65,15 @@
 //!   test with tracing, slow detection, the metrics listener and two
 //!   live poller shards all on.
 //! * [`wal`] — the **durability tier**: a write-ahead journal of
-//!   registry lifecycle events plus a periodic snapshot and a
-//!   checksummed counter checkpoint under `--cache-dir`, fsync'd off
-//!   the request path by a background flusher. On startup the journal
+//!   registry lifecycle events and counter records plus a periodic
+//!   snapshot under `--cache-dir`, fsync'd off the request path by a
+//!   background flusher. On startup the journal
 //!   is replayed: cumulative counters resume (dashboards survive
 //!   restarts — `qid_restarts_total` counts prior lives), the previous
 //!   resident set is eagerly re-admitted in preserved LRU order, and a
 //!   journal without a clean-shutdown record is crash evidence that
 //!   unlocks the immediate `*.tmp` orphan sweep. `qid wal <dir>`
-//!   dumps/verifies the journal.
+//!   dumps/verifies the journal and every artifact.
 //! * [`pool`] — a fixed worker thread pool over `mpsc` channels;
 //!   shutdown drains in-flight work before the process exits.
 //! * [`server`] — the `std::net::TcpListener` accept loop and request
@@ -170,6 +171,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod client;
 pub mod fastpath;
 pub mod json;

@@ -23,11 +23,13 @@
 //!   entries until the total fits again. The entry being returned is
 //!   never evicted, so a single over-budget dataset still works.
 //! * **Disk persistence.** With [`RegistryConfig::cache_dir`] set,
-//!   every sample built from a source scan is persisted (sample CSV +
-//!   params + source stat) and a later miss — in this process or after
-//!   a restart — restores the sketch from disk instead of re-scanning
-//!   the (possibly multi-GB) source. Samples are `Θ(m/√ε)`, so the
-//!   warm tier is tiny.
+//!   every entry built from a source scan is persisted as one
+//!   checksummed binary artifact per key (see [`crate::artifact`]):
+//!   key, source stamp, ingest checkpoint, column sketches, the typed
+//!   sample and, once built, the pair sample. A later miss — in this
+//!   process or after a restart — restores from disk instead of
+//!   re-scanning the (possibly multi-GB) source. Samples are
+//!   `Θ(m/√ε)`, so the warm tier is tiny.
 //! * **File-change invalidation.** Every hit re-stamps the source file
 //!   ([`SourceStamp`]: length, mtime, an FNV-64 fingerprint over a
 //!   fixed prefix, *and* an FNV-64 over the whole content) and
@@ -61,15 +63,15 @@
 //!   zero-alloc fast path never falls back), and absorbs/rebuilds
 //!   changed ones ahead of traffic (`cache_sweep_refreshes`).
 //! * **Warm-tier GC.** With [`RegistryConfig::cache_disk_bytes`] set,
-//!   persisted artifacts are garbage-collected oldest-first (grouped
-//!   by key stem) whenever a persist pushes the directory over budget,
+//!   persisted artifacts (one file per key) are garbage-collected
+//!   oldest-first whenever a persist pushes the directory over budget,
 //!   so never-again-requested keys cannot grow the cache dir forever.
 //!
 //! The full state machine (also documented in `docs/ARCHITECTURE.md`):
 //!
 //! ```text
 //!            ┌────── restore hit ──────────────┐
-//!  miss ──▶ building ── scan ok ──▶ cached ──▶ persisted (sample on disk)
+//!  miss ──▶ building ── scan ok ──▶ cached ──▶ persisted (artifact on disk)
 //!            │                       │  ▲ ▲
 //!            └─ error (slot dropped) │  │ └ absorb suffix ◀─ appended
 //!                                    │  └── rebuild (miss) ◀─ stale
@@ -90,11 +92,11 @@ use std::time::{Instant, UNIX_EPOCH};
 
 use qid_core::filter::{FilterParams, SeparationFilter, TupleSampleFilter};
 use qid_core::sketch::{DistinctSketch, NonSeparationSketch, SketchParams};
-use qid_core::stream::{sketch_from_stream, IngestCheckpoint, PairIngest, SkipState, TupleIngest};
-use qid_dataset::csv::{read_csv_path, read_csv_str, write_csv, CsvOptions, CsvTupleSource};
-use qid_dataset::{AttrId, Dataset, DatasetError, DatasetTupleSource, TupleSource, Value};
+use qid_core::stream::{sketch_from_stream, PairIngest, TupleIngest};
+use qid_dataset::csv::{read_csv_path, CsvOptions, CsvTupleSource};
+use qid_dataset::{AttrId, Dataset, DatasetError, DatasetTupleSource, TupleSource};
 
-use crate::json::{self, obj, s, Json};
+use crate::artifact::{self, Artifact};
 use crate::proto::{sketch_params, DatasetRef, LoadMode};
 
 /// Retention parameter `k` of the per-column [`DistinctSketch`]s built
@@ -151,8 +153,8 @@ impl CacheKey {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// How many leading bytes of the source file the content fingerprint
 /// covers. Large enough that any realistic header + early rows are
@@ -591,14 +593,15 @@ pub struct RegistryConfig {
     /// LRU memory budget in bytes over every entry's
     /// [`Entry::stored_bytes`]; `None` disables eviction.
     pub cache_bytes: Option<u64>,
-    /// Directory for the persistent warm tier (sample CSV + metadata
-    /// per entry); `None` disables persistence.
+    /// Directory for the persistent warm tier (one checksummed binary
+    /// artifact per key, plus the registry journal); `None` disables
+    /// persistence.
     pub cache_dir: Option<PathBuf>,
     /// Byte budget for the persistent warm tier; `None` disables disk
     /// GC. When a persist pushes the directory's artifact total over
-    /// this, whole key-stem groups (sample + meta + pairs together)
-    /// are removed oldest-first until it fits — so keys that are never
-    /// requested again cannot grow the cache dir without bound.
+    /// this, whole artifacts (one file per key) are removed
+    /// oldest-first until it fits — so keys that are never requested
+    /// again cannot grow the cache dir without bound.
     pub cache_disk_bytes: Option<u64>,
     /// How long (milliseconds) a freshness check stays valid for the
     /// allocation-free [`Registry::peek`] fast path. Within this window
@@ -686,8 +689,8 @@ pub enum RegistryEvent {
         bytes: u64,
     },
     /// A non-separation witness sketch was built and admitted for a
-    /// resident entry (persisted alongside the sample as the `.pairs`
-    /// artifacts).
+    /// resident entry (persisted as the pair section of the key's
+    /// artifact).
     SketchBuilt {
         /// FNV-1a hash of the entry's cache key.
         key: u64,
@@ -761,7 +764,7 @@ pub struct Registry {
     clock: AtomicU64,
     resident_bytes: AtomicU64,
     /// The cumulative lifecycle counters, in an `Arc` because the
-    /// journal's flusher thread checkpoints them independently of the
+    /// journal's flusher thread journals them independently of the
     /// registry's lifetime (see [`crate::wal`]).
     counters: Arc<crate::wal::LifecycleCounters>,
     /// The write-ahead journal, when persistence is configured and
@@ -782,8 +785,8 @@ impl Default for Registry {
 
 impl Drop for Registry {
     /// A dropped registry is a **clean** shutdown: the journal writes
-    /// its final counter checkpoint and the clean-shutdown record,
-    /// syncs, and joins its flusher thread. A killed process never
+    /// the clean-shutdown record with the final counters, syncs, and
+    /// joins its flusher thread. A killed process never
     /// runs this — the record's absence is exactly the crash evidence
     /// the next boot's recovery keys off.
     fn drop(&mut self) {
@@ -831,7 +834,7 @@ impl Registry {
             Some(w) => {
                 let r = w.recovery();
                 counters.seed(&r.counters);
-                (r.restarts, r.replayed_events, r.resident.clone())
+                (r.restarts, r.events, r.resident.clone())
             }
             None => (0, 0, Vec::new()),
         };
@@ -864,49 +867,32 @@ impl Registry {
     /// for state it merely remembers. Each successful re-admission is
     /// a disk hit and is journaled like any other restore.
     fn readmit(&self, resident: &[u64]) {
-        if resident.is_empty() {
-            return;
-        }
         let Some(dir) = self.config.cache_dir.clone() else {
             return;
         };
         for &stem in resident {
-            let Some(meta) = read_meta(&dir.join(format!("{stem:016x}.meta.json"))) else {
+            let Ok(bytes) = std::fs::read(artifact::path(&dir, stem)) else {
                 continue;
             };
-            // The meta carries the key's full identity; trusting it is
-            // gated on the stem round-tripping (a collision or foreign
-            // artifact fails here).
-            let key = CacheKey {
-                path: meta.header.path.clone(),
-                eps_bits: meta.header.eps_bits,
-                seed: meta.header.seed,
+            let Ok(art) = artifact::parse(&bytes) else {
+                continue;
             };
+            // The artifact carries the key's full identity; trusting it
+            // is gated on the stem round-tripping (a collision or
+            // foreign file fails here).
+            let key = art.header.key.clone();
             if key.fnv64() != stem {
                 continue;
             }
-            let ds = DatasetRef {
-                path: key.path.clone(),
-                eps: f64::from_bits(key.eps_bits),
-                seed: key.seed,
-            };
-            let Some(entry) = self.try_restore(&key, &ds) else {
+            let Some(entry) = restore_entry(&art, &key) else {
                 continue;
             };
-            let entry = Arc::new(entry);
             let slot: Slot = Arc::new(SlotInner::default());
             self.touch(&slot);
-            let _ = slot.cell.set(Ok(Arc::clone(&entry)));
-            self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-            self.resident_bytes
-                .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
-            // try_restore proved the current source stamp matches the
+            let _ = slot.cell.set(Ok(self.admit_restored(&key, entry)));
+            // The restore proved the current source stamp matches the
             // persisted one, so the peek window opens immediately.
             self.stamp_validated(&slot);
-            self.emit(RegistryEvent::Restored {
-                key: stem,
-                bytes: entry.stored_bytes as u64,
-            });
             self.shard(&key)
                 .write()
                 .expect("shard lock")
@@ -1061,7 +1047,16 @@ impl Registry {
                                     self.refresh_appended(&key, ds, &slot, entry, new, true);
                                 return (result, true);
                             }
-                            _ => return self.rebuild(&key, ds, mode, &slot, allow_restore),
+                            _ => {
+                                return self.refresh_stale(
+                                    &key,
+                                    ds,
+                                    mode,
+                                    &slot,
+                                    allow_restore,
+                                    true,
+                                )
+                            }
                         }
                     }
                     self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -1181,7 +1176,7 @@ impl Registry {
                 if entry.dataset.is_none() {
                     if let Some(sk) = self.try_restore_sketch(&key, entry, params) {
                         self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(self.admit_sketch(entry, sk, &key, false, params));
+                        return Ok(self.admit_sketch(entry, sk, &key));
                     }
                 }
                 let built = match &entry.dataset {
@@ -1225,7 +1220,8 @@ impl Registry {
                         sk
                     }
                 };
-                Ok(self.admit_sketch(entry, built, &key, true, params))
+                self.persist(&key, entry, Some(&built));
+                Ok(self.admit_sketch(entry, built, &key))
             })
             .clone();
         self.enforce_budget(&key);
@@ -1254,10 +1250,10 @@ impl Registry {
     }
 
     /// Books a freshly built (or restored) sketch into the byte
-    /// accounting, persists it if configured, and wraps it for the
-    /// cell. The resident total is bumped *before* the per-entry byte
-    /// count becomes visible, so a concurrent `forget_bytes` can never
-    /// subtract bytes that were not yet added. The charge includes the
+    /// accounting and wraps it for the cell. The resident total is
+    /// bumped *before* the per-entry byte count becomes visible, so a
+    /// concurrent `forget_bytes` can never subtract bytes that were
+    /// not yet added. The charge includes the
     /// paused pair-sample tuples retained alongside the sketch (set on
     /// `entry.pair_ingest` before this call), so LRU eviction sees the
     /// full cost of keeping the sketch append-resumable.
@@ -1266,8 +1262,6 @@ impl Registry {
         entry: &Entry,
         sketch: NonSeparationSketch,
         key: &CacheKey,
-        persist: bool,
-        params: SketchParams,
     ) -> Arc<NonSeparationSketch> {
         let sketch = Arc::new(sketch);
         let bytes = sketch.stored_bytes()
@@ -1282,17 +1276,10 @@ impl Registry {
             key: key.fnv64(),
             bytes: bytes as u64,
         });
-        if persist {
-            if let Some(dir) = &self.config.cache_dir {
-                // Best-effort, like sample persistence.
-                let _ = persist_sketch(dir, key, entry, &sketch, params);
-                self.enforce_disk_budget(key);
-            }
-        }
         sketch
     }
 
-    /// Drops the resident entry and its persisted files, if any.
+    /// Drops the resident entry and its persisted artifact, if any.
     /// Returns `true` iff something was removed. An entry mid-build is
     /// left alone (it will be admitted normally; unload it again once
     /// it is resident).
@@ -1309,17 +1296,11 @@ impl Registry {
                 _ => false,
             }
         };
-        let mut removed_disk = false;
-        if let Some(dir) = &self.config.cache_dir {
-            for path in [
-                meta_path(dir, &key),
-                sample_path(dir, &key),
-                pairs_meta_path(dir, &key),
-                pairs_path(dir, &key),
-            ] {
-                removed_disk |= std::fs::remove_file(path).is_ok();
-            }
-        }
+        let removed_disk = self
+            .config
+            .cache_dir
+            .as_ref()
+            .is_some_and(|dir| std::fs::remove_file(artifact::path(dir, key.fnv64())).is_ok());
         if removed_resident || removed_disk {
             self.emit(RegistryEvent::Unloaded { key: key.fnv64() });
         }
@@ -1331,7 +1312,7 @@ impl Registry {
     /// [`Registry::unload`] — and removes every persisted cache
     /// artifact in the cache dir, whether or not a resident entry
     /// references it (this is the GC path for keys that will never be
-    /// requested again). Returns dropped entries + removed files.
+    /// requested again). Returns dropped entries + removed artifacts.
     pub fn unload_all(&self) -> u64 {
         let mut entries = 0u64;
         for shard in &self.shards {
@@ -1347,18 +1328,12 @@ impl Registry {
                 entries += 1;
             }
         }
-        let mut files = 0u64;
-        if let Some(dir) = &self.config.cache_dir {
-            if let Ok(listing) = std::fs::read_dir(dir) {
-                for dirent in listing.flatten() {
-                    let name = dirent.file_name();
-                    let is_artifact = name.to_str().is_some_and(is_cache_artifact);
-                    if is_artifact && std::fs::remove_file(dirent.path()).is_ok() {
-                        files += 1;
-                    }
-                }
-            }
-        }
+        let files = self.config.cache_dir.as_deref().map_or(0, |dir| {
+            artifact::list(dir)
+                .into_iter()
+                .filter(|(_, path, _)| std::fs::remove_file(path).is_ok())
+                .count() as u64
+        });
         self.emit(RegistryEvent::Purged { entries, files });
         entries + files
     }
@@ -1431,8 +1406,8 @@ impl Registry {
     }
 
     /// Test hook: tears the journal down the way a kill -9 would — no
-    /// shutdown record, no final checkpoint — so unit tests can
-    /// simulate a crash without killing the test process.
+    /// shutdown record — so unit tests can simulate a crash without
+    /// killing the test process.
     #[cfg(test)]
     fn crash_for_test(&self) {
         if let Some(wal) = &self.wal {
@@ -1515,20 +1490,6 @@ impl Registry {
     /// answering queries.
     fn stamp_mismatch(entry: &Entry, now: Option<SourceStamp>) -> bool {
         matches!((entry.source, now), (Some(then), Some(n)) if then != n)
-    }
-
-    /// Replaces the slot for `key` with a fresh one and builds into it
-    /// (the stale path, from the request path). See
-    /// [`Registry::refresh_stale`].
-    fn rebuild(
-        &self,
-        key: &CacheKey,
-        ds: &DatasetRef,
-        mode: LoadMode,
-        observed: &Slot,
-        allow_restore: bool,
-    ) -> (Result<Arc<Entry>, String>, bool) {
-        self.refresh_stale(key, ds, mode, observed, allow_restore, true)
     }
 
     /// The stale path: swaps in a fresh slot (unless a racer already
@@ -1622,12 +1583,9 @@ impl Registry {
                         key: key.fnv64(),
                         bytes: new.len - old.source.map_or(0, |s| s.len),
                     });
-                    if let Some(dir) = &self.config.cache_dir {
-                        // Re-persist so a restart resumes from the
-                        // absorbed state, not the pre-append sample.
-                        let _ = persist_entry(dir, key, &entry);
-                        self.enforce_disk_budget(key);
-                    }
+                    // Re-persist so a restart resumes from the absorbed
+                    // state, not the pre-append sample.
+                    self.persist(key, &entry, entry.sketch().as_deref());
                     Ok(entry)
                 }
                 Err(_) => {
@@ -1709,12 +1667,11 @@ impl Registry {
         if let Some(pair) = pair {
             // The old entry had an in-process sketch: advance it over
             // the suffix too, so `sketch` stays warm across appends.
-            let sketch_params = sketch_params();
-            if let Ok(sk) = pair.to_sketch(sketch_params) {
+            if let Ok(sk) = pair.to_sketch(sketch_params()) {
                 // Pair state goes on the entry *before* admission so
                 // the sketch byte charge covers its retained tuples.
                 let _ = entry.pair_ingest.set(pair);
-                let sk = self.admit_sketch(&entry, sk, key, true, sketch_params);
+                let sk = self.admit_sketch(&entry, sk, key);
                 let _ = entry.sketch_cell.set(Ok(sk));
             }
         }
@@ -1771,15 +1728,8 @@ impl Registry {
             .cell
             .get_or_init(|| {
                 if allow_restore {
-                    if let Some(entry) = self.try_restore(key, ds) {
-                        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        self.resident_bytes
-                            .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
-                        self.emit(RegistryEvent::Restored {
-                            key: key.fnv64(),
-                            bytes: entry.stored_bytes as u64,
-                        });
-                        return Ok(Arc::new(entry));
+                    if let Some(entry) = self.try_restore(key) {
+                        return Ok(self.admit_restored(key, entry));
                     }
                 }
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
@@ -1788,6 +1738,19 @@ impl Registry {
             .clone();
         self.finish_build(key, slot, &result);
         result
+    }
+
+    /// Books a disk-restored entry: a disk hit, its resident bytes, and
+    /// the journaled `restore` event.
+    fn admit_restored(&self, key: &CacheKey, entry: Entry) -> Arc<Entry> {
+        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+        self.resident_bytes
+            .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
+        self.emit(RegistryEvent::Restored {
+            key: key.fnv64(),
+            bytes: entry.stored_bytes as u64,
+        });
+        Arc::new(entry)
     }
 
     /// A full source scan (a miss): builds the entry, books its bytes,
@@ -1806,12 +1769,7 @@ impl Registry {
                 key: key.fnv64(),
                 bytes: entry.stored_bytes as u64,
             });
-            if let Some(dir) = &self.config.cache_dir {
-                // Best-effort: a failed persist only costs the
-                // next restart a re-scan.
-                let _ = persist_entry(dir, key, &entry);
-                self.enforce_disk_budget(key);
-            }
+            self.persist(key, &entry, None);
             Arc::new(entry)
         })
     }
@@ -1884,157 +1842,107 @@ impl Registry {
         }
     }
 
+    /// Publishes `entry` as `key`'s artifact — with `sketch`'s pair
+    /// sample, or else with the pair section of the artifact it
+    /// replaces when that describes the very same data (a materialising
+    /// upgrade or a memory-mode load re-persists an unchanged source
+    /// and must not drop the persisted pair sample) — then enforces the
+    /// warm-tier budget. Best-effort: a failed persist only costs the
+    /// next restart a re-scan. Entries built from an unstattable source
+    /// cannot be validated on restore, so they are not persisted.
+    fn persist(&self, key: &CacheKey, entry: &Entry, sketch: Option<&NonSeparationSketch>) {
+        let (Some(dir), Some(source)) = (&self.config.cache_dir, entry.source) else {
+            return;
+        };
+        let header = artifact::Header {
+            key: key.clone(),
+            rows: entry.rows,
+            attrs: entry.attrs,
+            source,
+            ingest: entry.ingest.as_ref().map(TupleIngest::checkpoint),
+        };
+        let old = match sketch {
+            Some(_) => None,
+            None => std::fs::read(artifact::path(dir, key.fnv64())).ok(),
+        };
+        let kept = old
+            .as_deref()
+            .and_then(|bytes| artifact::parse(bytes).ok())
+            .filter(|old| {
+                let h = &old.header;
+                h.key == *key && (h.rows, h.attrs, h.source) == (entry.rows, entry.attrs, source)
+            })
+            .and_then(|old| old.pairs().ok().flatten());
+        let pairs = sketch
+            .map(|sk| (sk.params(), sk.pairs()))
+            .or(kept.as_ref().map(|(params, table)| (*params, table)));
+        let bytes = artifact::encode(&header, &entry.cols, entry.filter.sample(), pairs);
+        let _ = artifact::publish(dir, key, &bytes);
+        self.enforce_disk_budget(key);
+    }
+
     /// Garbage-collects the persistent warm tier down to
-    /// [`RegistryConfig::cache_disk_bytes`]: artifacts are grouped by
-    /// their 16-hex key stem (a key's sample, meta, and pairs files
-    /// live and die together — removing a sample while keeping its
-    /// meta would poison restores) and whole groups are removed
-    /// least-recently-*used* first, `protect` (the key just persisted)
-    /// last of all. Recency comes from the journal's per-key
-    /// last-access order (restores touch it; they never touch the
-    /// files' mtime, which is why mtime alone once evicted a hot
-    /// restored key ahead of a cold never-requested one). Keys the
-    /// journal has never seen sort before all known ones — they are
-    /// exactly the never-requested artifacts the budget should drop
-    /// first; mtime breaks ties and carries the whole ordering when
-    /// the journal is disabled. Runs after every persist; best-effort
-    /// like persistence itself.
+    /// [`RegistryConfig::cache_disk_bytes`], removing whole artifacts
+    /// (one file per key) least-recently-*used* first, `protect` (the
+    /// key just persisted) last of all. Recency comes from the
+    /// journal's per-key last-access order (restores touch it; they
+    /// never touch the file's mtime, which is why mtime alone once
+    /// evicted a hot restored key ahead of a cold never-requested one).
+    /// Keys the journal has never seen sort before all known ones —
+    /// they are exactly the never-requested artifacts the budget should
+    /// drop first; mtime breaks ties and carries the whole ordering
+    /// when the journal is disabled. Runs after every persist;
+    /// best-effort like persistence itself.
     fn enforce_disk_budget(&self, protect: &CacheKey) {
         let (Some(dir), Some(budget)) = (&self.config.cache_dir, self.config.cache_disk_bytes)
         else {
             return;
         };
-        let Ok(listing) = std::fs::read_dir(dir) else {
-            return;
-        };
-        // stem → (newest artifact mtime, total bytes, paths)
-        let mut groups: HashMap<String, (std::time::SystemTime, u64, Vec<PathBuf>)> =
-            HashMap::new();
-        let mut total: u64 = 0;
-        for dirent in listing.flatten() {
-            let name = dirent.file_name();
-            let Some(stem) = name.to_str().and_then(artifact_stem) else {
-                continue;
-            };
-            let Ok(meta) = dirent.metadata() else {
-                continue;
-            };
-            let mtime = meta.modified().unwrap_or(UNIX_EPOCH);
-            let bytes = meta.len();
-            total += bytes;
-            let group = groups
-                .entry(stem.to_string())
-                .or_insert((UNIX_EPOCH, 0, Vec::new()));
-            group.0 = group.0.max(mtime);
-            group.1 += bytes;
-            group.2.push(dirent.path());
-        }
+        let artifacts = artifact::list(dir);
+        let mut total: u64 = artifacts.iter().map(|(_, _, meta)| meta.len()).sum();
         if total <= budget {
             return;
         }
-        let protect_stem = format!("{:016x}", protect.fnv64());
+        let protect = protect.fnv64();
         let access = self
             .wal
             .as_ref()
             .map(|w| w.last_access())
             .unwrap_or_default();
-        let mut victims: Vec<(u64, std::time::SystemTime, String, u64, Vec<PathBuf>)> = groups
+        let mut victims: Vec<(u64, std::time::SystemTime, u64, PathBuf, u64)> = artifacts
             .into_iter()
-            .filter(|(stem, _)| *stem != protect_stem)
-            .map(|(stem, (mtime, bytes, paths))| {
-                let seq = u64::from_str_radix(&stem, 16)
-                    .ok()
-                    .and_then(|k| access.get(&k).copied())
-                    .unwrap_or(0);
-                (seq, mtime, stem, bytes, paths)
+            .filter(|&(stem, _, _)| stem != protect)
+            .map(|(stem, path, meta)| {
+                let seq = access.get(&stem).copied().unwrap_or(0);
+                let mtime = meta.modified().unwrap_or(UNIX_EPOCH);
+                (seq, mtime, stem, path, meta.len())
             })
             .collect();
-        victims.sort_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
-        for (_, _, stem, bytes, paths) in victims {
+        victims.sort_by_key(|v| (v.0, v.1, v.2));
+        for (_, _, stem, path, bytes) in victims {
             if total <= budget {
                 break;
             }
-            for path in paths {
-                let _ = std::fs::remove_file(path);
-            }
+            let _ = std::fs::remove_file(path);
             total = total.saturating_sub(bytes);
-            self.emit(RegistryEvent::DiskEvicted {
-                key: u64::from_str_radix(&stem, 16).unwrap_or(0),
-                bytes,
-            });
+            self.emit(RegistryEvent::DiskEvicted { key: stem, bytes });
         }
     }
 
-    /// Attempts to restore `key` from the persistence directory.
-    /// Succeeds only if the metadata matches the key exactly, the
-    /// source file's current stamp matches the recorded one, and the
-    /// sample file holds exactly the shape the metadata promises (a
-    /// truncated or externally modified sample must re-scan, not
-    /// silently change filter answers). Pre-version-2 metas (no
-    /// content fingerprint, no column sketches, no checkpoint) are
-    /// rejected wholesale by the version gate — the entry re-scans
-    /// rather than silently materialising on the next `stats`.
-    fn try_restore(&self, key: &CacheKey, ds: &DatasetRef) -> Option<Entry> {
+    /// Attempts to restore `key` from its artifact (see
+    /// [`restore_entry`]).
+    fn try_restore(&self, key: &CacheKey) -> Option<Entry> {
         let dir = self.config.cache_dir.as_ref()?;
-        let meta = read_meta(&meta_path(dir, key))?;
-        if !meta.header.matches_key(key) {
-            return None; // file-stem hash collision
-        }
-        let now = SourceStamp::capture(&key.path)?;
-        if now != meta.header.source {
-            return None; // the source changed since the sample was taken
-        }
-        let sample = read_csv_path(sample_path(dir, key), &CsvOptions::default()).ok()?;
-        if sample.n_rows() != meta.sample_rows || sample.n_attrs() != meta.header.attrs {
-            return None;
-        }
-        if meta.cols.len() != meta.header.attrs {
-            return None;
-        }
-        // Resume the paused ingest, if the meta carries a checkpoint:
-        // the persisted sample rows *are* the reservoir items in slot
-        // order (the roundtrip guard at persist time proved they read
-        // back value-exact). A checkpoint that does not cohere with
-        // the header drops the resume — the entry still restores, it
-        // just rebuilds fully on the next append.
-        let ingest = meta
-            .ingest
-            .filter(|ck| ck.skip.seen == meta.header.rows)
-            .and_then(|ck| {
-                let names: Vec<String> = sample.schema().names().map(str::to_string).collect();
-                let items: Vec<Vec<Value>> = (0..sample.n_rows())
-                    .map(|row| {
-                        (0..sample.n_attrs())
-                            .map(|a| sample.value(row, AttrId::new(a)).clone())
-                            .collect()
-                    })
-                    .collect();
-                TupleIngest::resume(names, ck, items)
-            });
-        let params = FilterParams::new(ds.eps);
-        let filter = TupleSampleFilter::from_sample(sample, params);
-        let cols = meta
-            .cols
-            .into_iter()
-            .map(|minima| DistinctSketch::from_minima(COLUMN_SKETCH_K, minima))
-            .collect();
-        Some(Entry::new(
-            filter,
-            None,
-            cols,
-            meta.header.rows,
-            meta.header.attrs,
-            Some(now),
-            ingest,
-        ))
+        let bytes = std::fs::read(artifact::path(dir, key.fnv64())).ok()?;
+        restore_entry(&artifact::parse(&bytes).ok()?, key)
     }
 
     /// Attempts to restore the entry's non-separation sketch from the
-    /// persistence directory. Succeeds only if the sidecar metadata
-    /// matches the key, the protocol's current sketch parameters, the
-    /// entry's shape, and the source stat the *entry* was built
-    /// against — so a sketch from an older file version can never be
-    /// paired with a newer sample.
+    /// pair section of its artifact. Succeeds only if the artifact
+    /// names this key, describes the entry's shape and the source stamp
+    /// the *entry* was built against, and was built with the server's
+    /// current sketch parameters — so a sketch from an older file
+    /// version can never be paired with a newer sample.
     fn try_restore_sketch(
         &self,
         key: &CacheKey,
@@ -2042,29 +1950,26 @@ impl Registry {
         params: SketchParams,
     ) -> Option<NonSeparationSketch> {
         let dir = self.config.cache_dir.as_ref()?;
-        let meta = read_pairs_meta(&pairs_meta_path(dir, key))?;
-        if !meta.header.matches_key(key) {
-            return None; // file-stem hash collision
-        }
-        if meta.alpha_bits != params.alpha.to_bits()
-            || meta.rel_eps_bits != params.eps.to_bits()
-            || meta.k != params.k
-            || meta.multiplier_bits != params.multiplier.to_bits()
+        let bytes = std::fs::read(artifact::path(dir, key.fnv64())).ok()?;
+        let art = artifact::parse(&bytes).ok()?;
+        let h = &art.header;
+        if h.key != *key
+            || (h.rows, h.attrs) != (entry.rows, entry.attrs)
+            || entry.source != Some(h.source)
         {
+            return None; // a stem collision, or sketch and sample describe different data
+        }
+        let (stored, pairs) = art.pairs().ok()??;
+        let bits = |p: SketchParams| {
+            (
+                p.alpha.to_bits(),
+                p.eps.to_bits(),
+                p.k,
+                p.multiplier.to_bits(),
+            )
+        };
+        if bits(stored) != bits(params) {
             return None; // the server's sketch contract changed
-        }
-        if meta.header.rows != entry.rows
-            || meta.header.attrs != entry.attrs
-            || entry.source != Some(meta.header.source)
-        {
-            return None; // sketch and sample describe different data
-        }
-        let pairs = read_csv_path(pairs_path(dir, key), &CsvOptions::default()).ok()?;
-        if pairs.n_rows() != meta.pair_rows
-            || pairs.n_attrs() != entry.attrs
-            || !pairs.n_rows().is_multiple_of(2)
-        {
-            return None;
         }
         Some(NonSeparationSketch::from_pair_rows(
             pairs, entry.rows, params,
@@ -2110,15 +2015,21 @@ fn build_entry(ds: &DatasetRef, canonical_path: &str, mode: LoadMode) -> Result<
         LoadMode::Stream => {
             let mut source_rows = CsvTupleSource::open(&ds.path, &CsvOptions::default())
                 .map_err(|e| format!("reading {}: {e}", ds.path))?;
-            let mut tee = CardinalityTee::new(&mut source_rows);
             // Driven through a TupleIngest (the same computation
             // `tuple_filter_from_stream` runs) so the reservoir + RNG
             // state stays on the entry: a later pure append resumes it
-            // over just the new suffix.
-            let mut ingest = TupleIngest::new(tee.attr_names(), params, ds.seed);
+            // over just the new suffix. The same pass feeds the column
+            // sketches.
+            let mut ingest = TupleIngest::new(source_rows.attr_names(), params, ds.seed);
+            let mut cols: Vec<DistinctSketch> = (0..source_rows.n_attrs())
+                .map(|_| DistinctSketch::new(COLUMN_SKETCH_K))
+                .collect();
             loop {
-                match tee.next_tuple() {
+                match source_rows.next_tuple() {
                     Ok(Some(tuple)) => {
+                        for (sk, v) in cols.iter_mut().zip(&tuple) {
+                            sk.observe(v);
+                        }
                         ingest.push(tuple);
                     }
                     Ok(None) => break,
@@ -2128,7 +2039,6 @@ fn build_entry(ds: &DatasetRef, canonical_path: &str, mode: LoadMode) -> Result<
             let filter = ingest
                 .to_filter(params)
                 .map_err(|e| format!("streaming {}: {e}", ds.path))?;
-            let cols = tee.into_cols();
             let rows = source_rows.rows_read();
             let attrs = source_rows.n_attrs();
             if rows < 2 || attrs == 0 {
@@ -2166,327 +2076,48 @@ fn cols_from_dataset(ds: &Dataset) -> Vec<DistinctSketch> {
         .collect()
 }
 
-/// A pass-through [`TupleSource`] that feeds every tuple's values into
-/// per-column [`DistinctSketch`]s on the way to the sample reservoir,
-/// so one streaming scan produces both artifacts.
-struct CardinalityTee<'a> {
-    inner: &'a mut dyn TupleSource,
-    cols: Vec<DistinctSketch>,
-}
-
-impl<'a> CardinalityTee<'a> {
-    fn new(inner: &'a mut dyn TupleSource) -> Self {
-        let cols = (0..inner.n_attrs())
-            .map(|_| DistinctSketch::new(COLUMN_SKETCH_K))
-            .collect();
-        CardinalityTee { inner, cols }
-    }
-
-    fn into_cols(self) -> Vec<DistinctSketch> {
-        self.cols
-    }
-}
-
-impl TupleSource for CardinalityTee<'_> {
-    fn attr_names(&self) -> Vec<String> {
-        self.inner.attr_names()
-    }
-
-    fn n_attrs(&self) -> usize {
-        self.inner.n_attrs()
-    }
-
-    fn next_tuple(&mut self) -> Result<Option<Vec<Value>>, DatasetError> {
-        let tuple = self.inner.next_tuple()?;
-        if let Some(tuple) = &tuple {
-            for (sk, v) in self.cols.iter_mut().zip(tuple) {
-                sk.observe(v);
-            }
-        }
-        Ok(tuple)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        self.inner.size_hint()
-    }
-}
-
 // ---------------------------------------------------- persistence tier
 
-/// On-disk format version; bump on any layout change so old files are
-/// ignored, not misread. Version 2 added the source content
-/// fingerprint, made the column-sketch state mandatory (so a restored
-/// entry can never silently materialise on `stats`), and added the
-/// optional ingest checkpoint. Version 3 added the whole-content FNV
-/// (the append path's integrity gate) and the stamp's capture time
-/// (the racy-stat discipline) to the source stat. Older metas are
-/// rejected by the version gate and simply re-scan.
-const PERSIST_VERSION: i64 = 3;
-
-fn meta_path(dir: &Path, key: &CacheKey) -> PathBuf {
-    dir.join(format!("{:016x}.meta.json", key.fnv64()))
-}
-
-fn sample_path(dir: &Path, key: &CacheKey) -> PathBuf {
-    dir.join(format!("{:016x}.sample.csv", key.fnv64()))
-}
-
-fn pairs_meta_path(dir: &Path, key: &CacheKey) -> PathBuf {
-    dir.join(format!("{:016x}.pairs.json", key.fnv64()))
-}
-
-fn pairs_path(dir: &Path, key: &CacheKey) -> PathBuf {
-    dir.join(format!("{:016x}.pairs.csv", key.fnv64()))
-}
-
-/// True iff `name` is one of the registry's persisted artifact files:
-/// a 16-hex-digit key stem followed by a known extension. `unload
-/// --all` uses this to purge the cache dir without touching foreign
-/// files (the dir may be shared, and in-flight `.tmp-*` files belong
-/// to the tmp sweeper, not the purge).
-fn is_cache_artifact(name: &str) -> bool {
-    artifact_stem(name).is_some()
-}
-
-/// The 16-hex-digit key stem of a persisted artifact file name, or
-/// `None` for foreign files. The disk-budget GC groups artifacts by
-/// this stem so a key's files are removed together.
-fn artifact_stem(name: &str) -> Option<&str> {
-    const SUFFIXES: [&str; 4] = [".meta.json", ".sample.csv", ".pairs.json", ".pairs.csv"];
-    SUFFIXES.iter().find_map(|suffix| {
-        name.strip_suffix(suffix)
-            .filter(|stem| stem.len() == 16 && stem.bytes().all(|b| b.is_ascii_hexdigit()))
-    })
-}
-
-/// The cache-key identity and source stat every persisted artifact's
-/// metadata carries. One writer ([`header_fields`]) and one reader
-/// ([`read_header`]) serve both the sample meta and the pairs sidecar,
-/// so the two file formats cannot drift apart field by field.
-struct PersistedHeader {
-    path: String,
-    eps_bits: u64,
-    seed: u64,
-    rows: usize,
-    attrs: usize,
-    source: SourceStamp,
-}
-
-impl PersistedHeader {
-    /// True iff the header names exactly this cache key (a fnv64
-    /// file-stem collision fails here).
-    fn matches_key(&self, key: &CacheKey) -> bool {
-        self.path == key.path && self.eps_bits == key.eps_bits && self.seed == key.seed
+/// Rebuilds an entry from a parsed artifact. Succeeds only if the
+/// artifact names exactly `key` and the source's current stamp matches
+/// the recorded one, so persistence never resurrects stale data. The
+/// pair section stays encoded: it is decoded on the first `sketch`.
+fn restore_entry(art: &Artifact<'_>, key: &CacheKey) -> Option<Entry> {
+    let h = &art.header;
+    if h.key != *key {
+        return None; // file-stem hash collision
     }
-}
-
-/// Renders the shared header (version, key identity, shape, source
-/// stat) for a persisted artifact's metadata file.
-fn header_fields(
-    key: &CacheKey,
-    rows: usize,
-    attrs: usize,
-    source: SourceStamp,
-) -> Vec<(&'static str, Json)> {
-    vec![
-        ("version", Json::Int(PERSIST_VERSION)),
-        ("path", s(&key.path)),
-        ("eps_bits", json::u64_value(key.eps_bits)),
-        ("seed", json::u64_value(key.seed)),
-        ("rows", Json::Int(rows as i64)),
-        ("attrs", Json::Int(attrs as i64)),
-        ("source_len", json::u64_value(source.len)),
-        ("source_mtime_s", json::u64_value(source.mtime_s)),
-        ("source_mtime_ns", Json::Int(i64::from(source.mtime_ns))),
-        ("source_fnv", json::u64_value(source.prefix_fnv)),
-        ("source_full_fnv", json::u64_value(source.full_fnv)),
-        ("source_captured_ms", json::u64_value(source.captured_ms)),
-    ]
-}
-
-/// Parses the shared header, rejecting unknown versions.
-fn read_header(v: &Json) -> Option<PersistedHeader> {
-    if v.get("version").and_then(Json::as_i64) != Some(PERSIST_VERSION) {
-        return None;
+    let now = SourceStamp::capture(&key.path)?;
+    if now != h.source {
+        return None; // the source changed since the sample was taken
     }
-    let u64_field = |name: &str| v.get(name)?.as_u64_lossless();
-    Some(PersistedHeader {
-        path: v.get("path").and_then(Json::as_str)?.to_string(),
-        eps_bits: u64_field("eps_bits")?,
-        seed: u64_field("seed")?,
-        rows: v.get("rows").and_then(Json::as_usize)?,
-        attrs: v.get("attrs").and_then(Json::as_usize)?,
-        source: SourceStamp {
-            len: u64_field("source_len")?,
-            mtime_s: u64_field("source_mtime_s")?,
-            mtime_ns: v.get("source_mtime_ns").and_then(Json::as_u64)? as u32,
-            prefix_fnv: u64_field("source_fnv")?,
-            full_fnv: u64_field("source_full_fnv")?,
-            captured_ms: u64_field("source_captured_ms")?,
-        },
-    })
-}
-
-struct PersistedMeta {
-    header: PersistedHeader,
-    /// Rows in the persisted sample file — restore integrity check.
-    sample_rows: usize,
-    /// Per-column KMV minima (the column sketches' full state),
-    /// mandatory since version 2 so a restored entry always answers
-    /// `stats` without materialising.
-    cols: Vec<Vec<u64>>,
-    /// The paused ingest's scalar state (reservoir skip state + RNG
-    /// words); the retained rows are the sample file itself. Absent
-    /// for memory-mode entries, whose appends rebuild fully.
-    ingest: Option<IngestCheckpoint>,
-}
-
-/// Renders `ds` as CSV and proves the bytes round-trip value-exactly.
-/// CSV typing is re-inferred on read, so two values distinct in a
-/// column can collapse to one textual form (`Int(1)` and `Float(1.0)`
-/// both render "1") — and a merged pair would change filter and sketch
-/// answers. Data that would come back different is not persisted at
-/// all: correctness beats a warm start. Persisted artifacts are
-/// sample-sized, so the check is cheap.
-fn render_if_roundtrips(ds: &Dataset) -> std::io::Result<Option<Vec<u8>>> {
-    let mut buf = Vec::new();
-    write_csv(ds, &mut buf)?;
-    let roundtrips = std::str::from_utf8(&buf)
-        .ok()
-        .and_then(|text| read_csv_str(text, &CsvOptions::default()).ok())
-        .is_some_and(|back| {
-            back.n_rows() == ds.n_rows()
-                && back.n_attrs() == ds.n_attrs()
-                && (0..ds.n_rows()).all(|row| {
-                    (0..ds.n_attrs())
-                        .map(AttrId::new)
-                        .all(|attr| back.value(row, attr) == ds.value(row, attr))
-                })
-        });
-    Ok(roundtrips.then_some(buf))
-}
-
-/// A fresh temp-file suffix, unique per writer (pid + counter): with
-/// several server processes sharing one cache dir, a rename can only
-/// ever publish bytes its own process wrote, so an artifact from
-/// writer A can never end up paired with metadata from writer B.
-fn fresh_tmp_suffix() -> String {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    format!(
-        "{}-{}.tmp",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    )
-}
-
-/// Writes the entry's sample and metadata under `dir`. Both files are
-/// written to a temp path and renamed into place, the sample first and
-/// the metadata last, so a readable `.meta.json` always describes a
-/// complete sample file — even when a re-persist of the same key is
-/// killed mid-write.
-fn persist_entry(dir: &Path, key: &CacheKey, entry: &Entry) -> std::io::Result<()> {
-    // Entries built from an unstattable source cannot be validated on
-    // restore; don't persist them.
-    let Some(source) = entry.source else {
-        return Ok(());
-    };
-    let sample = entry.filter.sample();
-    let Some(buf) = render_if_roundtrips(sample)? else {
-        return Ok(());
-    };
-    std::fs::create_dir_all(dir)?;
-    let tmp_suffix = fresh_tmp_suffix();
-    let sample_final = sample_path(dir, key);
-    let sample_tmp = sample_final.with_extension(&tmp_suffix);
-    publish(&sample_tmp, &buf, &sample_final)?;
-    let mut fields = header_fields(key, entry.rows, entry.attrs, source);
-    fields.push(("sample_rows", Json::Int(sample.n_rows() as i64)));
-    // The column sketches' full state (k minima per column) rides
-    // along, so a restored entry keeps answering `stats` without a
-    // scan. ~8·k·m bytes — still sample-scale.
-    fields.push((
-        "cols",
-        Json::Arr(
-            entry
-                .cols
-                .iter()
-                .map(|sk| Json::Arr(sk.minima().map(json::u64_value).collect()))
-                .collect(),
-        ),
-    ));
-    if let Some(ingest) = &entry.ingest {
-        // The paused build's scalar state. The sample rows written
-        // above are the reservoir items in slot order, so checkpoint +
-        // sample reconstruct the exact mid-stream trajectory — an
-        // append after a restart still absorbs incrementally.
-        let ck = ingest.checkpoint();
-        fields.push((
-            "ingest",
-            obj(vec![
-                ("capacity", Json::Int(ck.skip.capacity as i64)),
-                ("seen", Json::Int(ck.skip.seen as i64)),
-                ("next_accept", json::u64_value(ck.skip.next_accept as u64)),
-                ("w_bits", json::u64_value(ck.skip.w_bits)),
-                (
-                    "rng",
-                    Json::Arr(ck.rng.iter().copied().map(json::u64_value).collect()),
-                ),
-            ]),
-        ));
-    }
-    let meta = obj(fields).render();
-    let final_path = meta_path(dir, key);
-    let tmp_path = final_path.with_extension(tmp_suffix);
-    publish(&tmp_path, format!("{meta}\n").as_bytes(), &final_path)
-}
-
-/// Writes the entry's non-separation pair sample and its sidecar
-/// metadata under `dir` (pairs CSV first, metadata last — same
-/// publish discipline as [`persist_entry`]).
-fn persist_sketch(
-    dir: &Path,
-    key: &CacheKey,
-    entry: &Entry,
-    sketch: &NonSeparationSketch,
-    params: SketchParams,
-) -> std::io::Result<()> {
-    let Some(source) = entry.source else {
-        return Ok(());
-    };
-    let Some(buf) = render_if_roundtrips(sketch.pairs())? else {
-        return Ok(());
-    };
-    std::fs::create_dir_all(dir)?;
-    let tmp_suffix = fresh_tmp_suffix();
-    let pairs_final = pairs_path(dir, key);
-    let pairs_tmp = pairs_final.with_extension(&tmp_suffix);
-    publish(&pairs_tmp, &buf, &pairs_final)?;
-    let mut fields = header_fields(key, entry.rows, entry.attrs, source);
-    fields.extend([
-        ("pair_rows", Json::Int(sketch.pairs().n_rows() as i64)),
-        ("alpha_bits", json::u64_value(params.alpha.to_bits())),
-        ("rel_eps_bits", json::u64_value(params.eps.to_bits())),
-        ("k", Json::Int(params.k as i64)),
-        (
-            "multiplier_bits",
-            json::u64_value(params.multiplier.to_bits()),
-        ),
-    ]);
-    let meta = obj(fields).render();
-    let final_path = pairs_meta_path(dir, key);
-    let tmp_path = final_path.with_extension(tmp_suffix);
-    publish(&tmp_path, format!("{meta}\n").as_bytes(), &final_path)
-}
-
-/// Writes `bytes` to `tmp` and renames it onto `dest`, removing the
-/// temp file if either step fails so failed persists leave no orphans.
-/// (Orphans from a *killed* process are swept at registry creation.)
-fn publish(tmp: &Path, bytes: &[u8], dest: &Path) -> std::io::Result<()> {
-    let result = std::fs::write(tmp, bytes).and_then(|()| std::fs::rename(tmp, dest));
-    if result.is_err() {
-        let _ = std::fs::remove_file(tmp);
-    }
-    result
+    let sample = art.sample().ok()?;
+    // Resume the paused ingest, if the artifact carries a checkpoint:
+    // the persisted sample rows *are* the reservoir items in slot
+    // order. A checkpoint that does not cohere with the header drops
+    // the resume — the entry still restores, it just rebuilds fully on
+    // the next append.
+    let ingest = h.ingest.filter(|ck| ck.skip.seen == h.rows).and_then(|ck| {
+        let names = sample.schema().names().map(str::to_string).collect();
+        let items = sample.rows().map(|row| row.to_vec()).collect();
+        TupleIngest::resume(names, ck, items)
+    });
+    let filter =
+        TupleSampleFilter::from_sample(sample, FilterParams::new(f64::from_bits(key.eps_bits)));
+    let cols = art
+        .cols
+        .iter()
+        .map(|minima| DistinctSketch::from_minima(COLUMN_SKETCH_K, minima.iter().copied()))
+        .collect();
+    Some(Entry::new(
+        filter,
+        None,
+        cols,
+        h.rows,
+        h.attrs,
+        Some(now),
+        ingest,
+    ))
 }
 
 /// How old a `*.tmp` file must be before the startup sweep removes it.
@@ -2496,13 +2127,21 @@ fn publish(tmp: &Path, bytes: &[u8], dest: &Path) -> std::io::Result<()> {
 /// in-flight file when several servers share one cache dir.
 const TMP_SWEEP_MIN_AGE: std::time::Duration = std::time::Duration::from_secs(3600);
 
-/// Removes `*.tmp` files left behind by a writer killed mid-persist
-/// (temp names are never reused: pid + counter).
+/// True iff `name` is a temp file this registry writes: an artifact
+/// publish or a journal rotation.
+fn is_registry_tmp(name: &str) -> bool {
+    artifact::is_tmp(name) || crate::wal::is_tmp(name)
+}
+
+/// Removes temp files left behind by a writer killed mid-persist
+/// (temp names are never reused: pid + counter). Only names the
+/// registry writes are touched ([`is_registry_tmp`]): a shared dir's
+/// foreign `*.tmp` files are never ours to delete.
 ///
 /// With `crashed` — the journal found no clean-shutdown record for the
-/// previous life — every tmp file is known debris and is reclaimed
-/// immediately, so a crash-restart loop faster than the age gate
-/// cannot accumulate orphans inside the disk budget's directory.
+/// previous life — every registry tmp file is known debris and is
+/// reclaimed immediately, so a crash-restart loop faster than the age
+/// gate cannot accumulate orphans inside the disk budget's directory.
 /// Without crash evidence (clean shutdown, first boot, or no journal)
 /// only files past [`TMP_SWEEP_MIN_AGE`] go, preserving a live sibling
 /// process's in-flight persist.
@@ -2511,7 +2150,7 @@ fn sweep_tmp_files(dir: &Path, crashed: bool) {
         return;
     };
     for entry in entries.flatten() {
-        if !entry.file_name().to_string_lossy().ends_with(".tmp") {
+        if !entry.file_name().to_str().is_some_and(is_registry_tmp) {
             continue;
         }
         let old_enough = crashed
@@ -2527,85 +2166,10 @@ fn sweep_tmp_files(dir: &Path, crashed: bool) {
     }
 }
 
-fn read_meta(path: &Path) -> Option<PersistedMeta> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let v = json::parse(text.trim()).ok()?;
-    let header = read_header(&v)?;
-    // Column-sketch state is mandatory since version 2, and must be
-    // well-formed — a corrupt list rejects the whole meta rather than
-    // restoring a half-right entry.
-    let cols = v
-        .get("cols")?
-        .as_arr()?
-        .iter()
-        .map(|col| {
-            col.as_arr()?
-                .iter()
-                .map(Json::as_u64_lossless)
-                .collect::<Option<Vec<u64>>>()
-        })
-        .collect::<Option<Vec<Vec<u64>>>>()?;
-    // The ingest checkpoint is optional (memory-mode entries), but
-    // when present it must be complete.
-    let ingest = match v.get("ingest") {
-        None => None,
-        Some(ck) => Some(IngestCheckpoint {
-            skip: SkipState {
-                capacity: ck.get("capacity").and_then(Json::as_usize)?,
-                seen: ck.get("seen").and_then(Json::as_usize)?,
-                next_accept: usize::try_from(ck.get("next_accept")?.as_u64_lossless()?).ok()?,
-                w_bits: ck.get("w_bits")?.as_u64_lossless()?,
-            },
-            rng: {
-                let words = ck.get("rng")?.as_arr()?;
-                if words.len() != 4 {
-                    return None;
-                }
-                let mut rng = [0u64; 4];
-                for (slot, w) in rng.iter_mut().zip(words) {
-                    *slot = w.as_u64_lossless()?;
-                }
-                rng
-            },
-        }),
-    };
-    Some(PersistedMeta {
-        header,
-        sample_rows: v.get("sample_rows").and_then(Json::as_usize)?,
-        cols,
-        ingest,
-    })
-}
-
-struct PersistedPairsMeta {
-    header: PersistedHeader,
-    /// Rows in the persisted pairs file (`2s`) — restore integrity
-    /// check.
-    pair_rows: usize,
-    alpha_bits: u64,
-    rel_eps_bits: u64,
-    k: usize,
-    multiplier_bits: u64,
-}
-
-fn read_pairs_meta(path: &Path) -> Option<PersistedPairsMeta> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let v = json::parse(text.trim()).ok()?;
-    let header = read_header(&v)?;
-    let u64_field = |name: &str| v.get(name)?.as_u64_lossless();
-    Some(PersistedPairsMeta {
-        header,
-        pair_rows: v.get("pair_rows").and_then(Json::as_usize)?,
-        alpha_bits: u64_field("alpha_bits")?,
-        rel_eps_bits: u64_field("rel_eps_bits")?,
-        k: v.get("k").and_then(Json::as_usize)?,
-        multiplier_bits: u64_field("multiplier_bits")?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qid_dataset::Value;
     use std::io::Write as _;
 
     fn unique_dir(tag: &str) -> PathBuf {
@@ -2678,15 +2242,15 @@ mod tests {
         assert!(reg.snapshot().resident_bytes > 0);
 
         let removed = reg.unload_all();
-        // 2 resident entries + 2 persisted artifacts each (meta + sample).
-        assert_eq!(removed, 6);
+        // 2 resident entries + 1 persisted artifact each.
+        assert_eq!(removed, 4);
         assert!(reg.is_empty());
         assert_eq!(reg.snapshot().resident_bytes, 0);
         assert!(foreign.exists(), "purge must not touch foreign files");
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .flatten()
-            .filter(|d| d.file_name().to_str().is_some_and(is_cache_artifact))
+            .filter(|d| d.file_name().to_str().and_then(artifact::stem).is_some())
             .collect();
         assert!(leftovers.is_empty(), "artifacts left behind: {leftovers:?}");
 
@@ -2700,14 +2264,23 @@ mod tests {
 
     #[test]
     fn cache_artifact_names_are_recognised() {
-        assert!(is_cache_artifact("00c0ffee00c0ffee.meta.json"));
-        assert!(is_cache_artifact("0123456789abcdef.sample.csv"));
-        assert!(is_cache_artifact("0123456789abcdef.pairs.json"));
-        assert!(is_cache_artifact("0123456789abcdef.pairs.csv"));
-        assert!(!is_cache_artifact("0123456789abcdef.tmp-1-2.sample.csv"));
-        assert!(!is_cache_artifact("notes.txt"));
-        assert!(!is_cache_artifact("short.meta.json"));
-        assert!(!is_cache_artifact("0123456789abcdeg.meta.json"));
+        assert_eq!(
+            artifact::stem("00c0ffee00c0ffee"),
+            Some(0x00c0_ffee_00c0_ffee)
+        );
+        assert_eq!(
+            artifact::stem("0123456789abcdef"),
+            Some(0x0123_4567_89ab_cdef)
+        );
+        assert_eq!(artifact::stem("0123456789abcdef.123-4.tmp"), None);
+        assert_eq!(artifact::stem("0123456789abcdef.meta.json"), None);
+        assert_eq!(artifact::stem("notes.txt"), None);
+        assert_eq!(artifact::stem("0123456789abcdeg"), None);
+        assert!(is_registry_tmp("0123456789abcdef.123-4.tmp"));
+        assert!(is_registry_tmp("registry.snapshot.123.tmp"));
+        assert!(!is_registry_tmp("notes.tmp"));
+        assert!(!is_registry_tmp("deadbeef.sample.123-0.tmp"));
+        assert!(!is_registry_tmp("0123456789abcdef"));
     }
 
     #[test]
@@ -3081,11 +2654,10 @@ mod tests {
     }
 
     #[test]
-    fn lossy_float_samples_are_not_persisted() {
-        // "1" parses as Int(1) and "1.0" as Float(1.0) — distinct
-        // values in the column, but both render "1", so a CSV
-        // round-trip would merge them and change filter answers. Such
-        // samples must skip the disk tier entirely.
+    fn int_and_float_spellings_persist_and_restore_exactly() {
+        // "1" parses as Int(1) and "1.0" as Float(1.0): distinct values
+        // in the column that both render "1". The typed artifact keeps
+        // them apart, so such a sample persists and restores exactly.
         let dir = unique_dir("lossy");
         let path = dir.join("floats.csv");
         let mut f = std::fs::File::create(&path).unwrap();
@@ -3106,22 +2678,52 @@ mod tests {
         let first = Registry::with_config(config.clone());
         // m=2, eps=0.01 → r=20 = n: the sample holds every row,
         // including both spellings of 1.
-        let (entry, _) = first.get_or_load(&ds, LoadMode::Stream);
-        assert_eq!(entry.unwrap().filter.sample().n_rows(), 20);
-        let persisted = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .any(|e| e.file_name().to_string_lossy().ends_with(".meta.json"));
-        assert!(!persisted, "a lossy sample must not reach the disk tier");
+        let (built, _) = first.get_or_load(&ds, LoadMode::Stream);
+        let built = built.unwrap();
+        assert_eq!(built.filter.sample().n_rows(), 20);
         drop(first);
 
-        // A restart pays the scan again instead of serving a merged,
-        // wrong sample.
         let second = Registry::with_config(config);
         let (restored, _) = second.get_or_load(&ds, LoadMode::Stream);
-        assert_eq!(second.disk_hits(), 0);
-        assert_eq!(second.misses(), 1);
-        assert_eq!(restored.unwrap().filter.sample().n_rows(), 20);
+        let restored = restored.unwrap();
+        assert_eq!(second.disk_hits(), 1, "the sample reached the disk tier");
+        assert_eq!(second.misses(), 0, "no re-scan");
+        let (b, r) = (built.filter.sample(), restored.filter.sample());
+        assert_eq!(sample_rows(r), sample_rows(b), "value for value");
+        assert!(sample_rows(r).iter().any(|row| row[1] == Value::Int(1)));
+        assert!(sample_rows(r).iter().any(|row| row[1] == Value::float(1.0)));
+        for a in 0..b.n_attrs() {
+            let (bc, rc) = (b.column(AttrId::new(a)), r.column(AttrId::new(a)));
+            assert_eq!(rc.codes(), bc.codes(), "code for code");
+            assert_eq!(rc.dict(), bc.dict(), "dictionary for dictionary");
+        }
+    }
+
+    #[test]
+    fn a_corrupted_artifact_is_a_plain_miss_that_rebuilds() {
+        let dir = unique_dir("corrupt");
+        let path = fixture_csv("corrupt.csv", 300);
+        let ds = dsref(&path);
+        let config = RegistryConfig {
+            cache_dir: Some(dir.clone()),
+            wal_max_bytes: 0,
+            ..RegistryConfig::default()
+        };
+        Registry::with_config(config.clone())
+            .get_or_load(&ds, LoadMode::Stream)
+            .0
+            .unwrap();
+        let file = artifact::path(&dir, CacheKey::of(&ds).fnv64());
+        let good = std::fs::read(&file).unwrap();
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x10;
+        for bad in [flipped, good[..good.len() - 1].to_vec()] {
+            std::fs::write(&file, &bad).unwrap();
+            let reg = Registry::with_config(config.clone());
+            let (entry, _) = reg.get_or_load(&ds, LoadMode::Stream);
+            assert_eq!(entry.unwrap().rows, 300, "rebuilt from the source");
+            assert_eq!((reg.disk_hits(), reg.misses()), (0, 1));
+        }
     }
 
     #[test]
@@ -3175,7 +2777,7 @@ mod tests {
     #[test]
     fn registry_creation_sweeps_only_old_tmp_files() {
         let dir = unique_dir("sweep");
-        let orphan = dir.join("deadbeef.sample.123-0.tmp");
+        let orphan = dir.join("00000000deadbeef.sample.123-0.tmp");
         std::fs::write(&orphan, b"partial").unwrap();
         // Backdate the orphan past the sweep age; leave a fresh tmp
         // (a live sibling's in-flight persist) alone.
@@ -3186,10 +2788,10 @@ mod tests {
             .unwrap()
             .set_modified(backdated)
             .unwrap();
-        let in_flight = dir.join("cafebabe.sample.456-0.tmp");
+        let in_flight = dir.join("00000000cafebabe.sample.456-0.tmp");
         std::fs::write(&in_flight, b"mid-write").unwrap();
-        let keeper = dir.join("deadbeef.sample.csv");
-        std::fs::write(&keeper, b"id\n1\n2\n").unwrap();
+        let keeper = dir.join("00000000deadbeef");
+        std::fs::write(&keeper, b"published").unwrap();
         let _ = Registry::with_config(RegistryConfig {
             cache_dir: Some(dir.clone()),
             ..RegistryConfig::default()
@@ -3343,6 +2945,34 @@ mod tests {
     }
 
     #[test]
+    fn a_rebuild_of_an_unchanged_source_keeps_the_persisted_pair_sample() {
+        let dir = unique_dir("sketch-carry");
+        let path = fixture_csv("sketch-carry.csv", 300);
+        let ds = dsref(&path);
+        let config = RegistryConfig {
+            cache_dir: Some(dir.clone()),
+            wal_max_bytes: 0,
+            ..RegistryConfig::default()
+        };
+        let first = Registry::with_config(config.clone());
+        let (entry, _) = first.get_or_load(&ds, LoadMode::Stream);
+        let built = first.sketch_for(&ds, &entry.unwrap()).unwrap();
+        drop(first);
+        // A memory-mode load re-scans and re-persists the same source
+        // without building a sketch: the pair section must survive.
+        let second = Registry::with_config(config.clone());
+        second.get_or_load(&ds, LoadMode::Memory).0.unwrap();
+        drop(second);
+
+        let third = Registry::with_config(config);
+        let (entry, _) = third.get_or_load(&ds, LoadMode::Stream);
+        let restored = third.sketch_for(&ds, &entry.unwrap()).unwrap();
+        assert_eq!(third.disk_hits(), 2, "sample and pair sample restored");
+        assert_eq!(third.misses(), 0);
+        assert_eq!(sample_rows(restored.pairs()), sample_rows(built.pairs()));
+    }
+
+    #[test]
     fn stale_source_invalidates_the_persisted_sketch() {
         let dir = unique_dir("sketch-stale");
         let path = dir.join("mut.csv");
@@ -3385,13 +3015,16 @@ mod tests {
         let entry = entry.unwrap();
         let sketch = reg.sketch_for(&ds, &entry).unwrap();
         assert!(sketch.stored_bytes() > 0);
-        let key = CacheKey::of(&ds);
-        assert!(pairs_path(&dir, &key).exists());
-        assert!(pairs_meta_path(&dir, &key).exists());
+        let file = artifact::path(&dir, CacheKey::of(&ds).fnv64());
+        let bytes = std::fs::read(&file).unwrap();
+        let persisted = artifact::parse(&bytes).unwrap();
+        assert!(
+            persisted.pairs().unwrap().is_some(),
+            "pair section persisted"
+        );
         assert!(reg.unload(&ds));
         assert_eq!(reg.snapshot().resident_bytes, 0, "sketch bytes released");
-        assert!(!pairs_path(&dir, &key).exists());
-        assert!(!pairs_meta_path(&dir, &key).exists());
+        assert!(!file.exists());
     }
 
     #[test]
@@ -3768,19 +3401,22 @@ mod tests {
             });
             reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
         }
-        // Downgrade the persisted meta to the pre-append v1 marker: a
-        // v1 meta has no column sketches and no fingerprint, so
+        // Downgrade the persisted artifact to the pre-append v1 marker
+        // and re-seal its checksum, so only the version gate can reject
+        // it: a v1 meta had no column sketches and no fingerprint, so
         // restoring it would resurrect the silent-materialise path.
-        let meta_path = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .map(|d| d.path())
-            .find(|p| p.to_str().is_some_and(|s| s.ends_with(".meta.json")))
-            .expect("meta persisted");
-        let text = std::fs::read_to_string(&meta_path).unwrap();
-        let downgraded = text.replacen("\"version\":3", "\"version\":1", 1);
-        assert_ne!(text, downgraded, "fixture drifted: no version field");
-        std::fs::write(&meta_path, downgraded).unwrap();
+        let file = artifact::path(&dir, CacheKey::of(&ds).fnv64());
+        let mut bytes = std::fs::read(&file).expect("artifact persisted");
+        assert_eq!(
+            bytes[4..6],
+            artifact::VERSION.to_le_bytes(),
+            "fixture drifted"
+        );
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = artifact::fnv64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&file, bytes).unwrap();
 
         let reg = Registry::with_config(RegistryConfig {
             cache_dir: Some(dir),
@@ -3810,12 +3446,7 @@ mod tests {
             std::fs::read_dir(dir)
                 .unwrap()
                 .flatten()
-                .filter(|d| {
-                    d.file_name()
-                        .to_str()
-                        .and_then(artifact_stem)
-                        .is_some_and(|s| s == stem)
-                })
+                .filter(|d| d.file_name().to_str() == Some(stem))
                 .map(|d| d.metadata().unwrap().len())
                 .sum()
         };
@@ -3886,11 +3517,11 @@ mod tests {
         });
         assert!(reg.is_empty());
         let removed = reg.unload_all();
-        assert_eq!(removed, 2, "orphaned meta + sample purged");
+        assert_eq!(removed, 1, "the orphaned artifact purged");
         let leftovers = std::fs::read_dir(&dir)
             .unwrap()
             .flatten()
-            .filter(|d| d.file_name().to_str().is_some_and(is_cache_artifact))
+            .filter(|d| d.file_name().to_str().and_then(artifact::stem).is_some())
             .count();
         assert_eq!(leftovers, 0);
     }
@@ -4041,6 +3672,33 @@ mod tests {
     }
 
     #[test]
+    fn crash_evidence_sweep_spares_foreign_tmp_files() {
+        let dir = unique_dir("wal-foreign-tmp");
+        let path = fixture_csv("wal-foreign.csv", 300);
+        let config = RegistryConfig {
+            cache_dir: Some(dir.clone()),
+            ..RegistryConfig::default()
+        };
+        let first = Registry::with_config(config.clone());
+        first
+            .get_or_load(&dsref(&path), LoadMode::Stream)
+            .0
+            .unwrap();
+        // A shared cache dir: someone else's temp file sits beside the
+        // registry's own debris when the crash happens.
+        let foreign = dir.join("notes.tmp");
+        std::fs::write(&foreign, b"not ours").unwrap();
+        let ours = dir.join("cafebabe00000003.123-0.tmp");
+        std::fs::write(&ours, b"partial").unwrap();
+        first.crash_for_test();
+        drop(first);
+
+        let _second = Registry::with_config(config);
+        assert!(!ours.exists(), "the registry's own debris is reclaimed");
+        assert!(foreign.exists(), "a foreign tmp file is never swept");
+    }
+
+    #[test]
     fn disk_gc_protects_journal_recent_keys_over_newer_mtimes() {
         let dir = unique_dir("wal-gc");
         let path_a = fixture_csv("wal-gc-a.csv", 300);
@@ -4051,12 +3709,7 @@ mod tests {
             std::fs::read_dir(dir)
                 .unwrap()
                 .flatten()
-                .filter(|d| {
-                    d.file_name()
-                        .to_str()
-                        .and_then(artifact_stem)
-                        .is_some_and(|s| s == stem)
-                })
+                .filter(|d| d.file_name().to_str() == Some(stem))
                 .map(|d| d.path())
                 .collect()
         };

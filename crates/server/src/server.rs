@@ -54,10 +54,10 @@ pub struct ServerConfig {
     pub cache_dir: Option<String>,
     /// On-disk warm-tier byte budget (`--cache-disk-bytes`); `None`
     /// lets persisted artifacts accumulate without bound. When the
-    /// budget is exceeded, whole artifact groups (sample + sketch +
-    /// metas sharing one cache-key stem) are removed coldest-first,
-    /// ordered by each stem's last lifecycle event in the registry
-    /// journal (file mtime for stems the journal has never seen).
+    /// budget is exceeded, whole artifacts (one file per cache key)
+    /// are removed coldest-first, ordered by each key's last lifecycle
+    /// event in the registry journal (file mtime for keys the journal
+    /// has never seen).
     pub cache_disk_bytes: Option<u64>,
     /// Longest accepted request line in bytes (`--max-line-bytes`).
     /// Longer lines are answered with a structured `line_too_long`

@@ -20,34 +20,35 @@
 //!   cumulative counters, the per-key last-access order, the resident
 //!   set — published write-then-rename, then truncates the journal.
 //!   Replay cost is therefore bounded regardless of uptime.
-//! * **The counter checkpoint** (`registry.counters`): hits are far
-//!   too hot to journal per-event, so the flusher rewrites a single
-//!   checksummed line in place (on an already-open descriptor, with a
-//!   reused buffer — the write is allocation-free, because the flusher
-//!   ticks *during* the zero-alloc steady state) whenever any counter
-//!   moved. A torn checkpoint fails its checksum and replay falls back
-//!   to the journal-derived counters.
+//! * **Counter records**: hits are far too hot to journal per event,
+//!   so whenever any counter moved the flusher appends one `counters`
+//!   record carrying all eight — the same fields as the `shutdown`
+//!   record. It renders into a reused buffer and writes on the
+//!   already-open journal descriptor, so the append is allocation-free:
+//!   the flusher ticks *during* the zero-alloc steady state.
 //!
-//! **Recovery** replays snapshot + journal tail: counters resume as
-//! the elementwise max of every durable source (they are all
-//! monotone), the resident set is re-admitted from the warm tier in
-//! LRU order, and a journal that does not *end* with a clean-shutdown
-//! record is crash evidence — the registry's startup sweep then
-//! reclaims `*.tmp` debris immediately instead of waiting out the
-//! age gate. The clean-shutdown record itself is written when the
-//! [`crate::registry::Registry`] drops (a SIGKILL never runs drop,
-//! which is exactly the signal wanted).
+//! **Recovery** is one replay of snapshot + journal tail: counters
+//! resume as the elementwise max of (snapshot + replayed event deltas)
+//! and the last `counters`/`shutdown` record (all are monotone), the
+//! resident set is re-admitted from the warm tier in LRU order, and a
+//! journal that does not *end* with a clean-shutdown record is crash
+//! evidence — the registry's startup sweep then reclaims its `*.tmp`
+//! debris immediately instead of waiting out the age gate. A torn
+//! final record (a kill mid-write) is tolerated; recovery falls back
+//! to the record before it. The clean-shutdown record itself is
+//! written when the [`crate::registry::Registry`] drops (a SIGKILL
+//! never runs drop, which is exactly the signal wanted).
 //!
 //! The journal assumes a single writer per cache dir, like any WAL;
 //! artifact *files* remain safe to share (publish-by-rename), but two
 //! live servers journaling into one dir interleave sequence numbers.
 //!
-//! `qid wal <dir> [--verify]` dumps and verifies all three files via
-//! [`inspect`].
+//! `qid wal <dir> [--verify]` dumps and verifies the journal, the
+//! snapshot and every artifact via [`inspect`].
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Seek as _, SeekFrom, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -60,8 +61,13 @@ use crate::registry::RegistryEvent;
 pub const WAL_FILE: &str = "registry.wal";
 /// Snapshot file name under the cache dir.
 pub const SNAPSHOT_FILE: &str = "registry.snapshot";
-/// Counter-checkpoint file name under the cache dir.
-pub const COUNTERS_FILE: &str = "registry.counters";
+
+/// True iff `name` is a temp file a snapshot rotation writes
+/// (`registry.snapshot.<pid>.tmp`).
+pub(crate) fn is_tmp(name: &str) -> bool {
+    name.strip_prefix(SNAPSHOT_FILE)
+        .is_some_and(|rest| rest.starts_with('.') && rest.ends_with(".tmp"))
+}
 
 /// Default `--wal-max-bytes`: how large the journal may grow before
 /// the flusher folds it into the snapshot and truncates. Events are
@@ -73,8 +79,8 @@ pub const DEFAULT_WAL_MAX_BYTES: u64 = 4 * 1024 * 1024;
 /// ignored (the journal alone still recovers counters and keys).
 const SNAPSHOT_VERSION: i64 = 1;
 
-/// How often the flusher thread syncs the journal and refreshes the
-/// counter checkpoint. This is the crash-durability window: a kill -9
+/// How often the flusher thread syncs the journal and appends a
+/// counters record. This is the crash-durability window: a kill -9
 /// loses at most this much counter movement (journaled *events* are
 /// written before their effects are observable and synced on the next
 /// tick or event notification).
@@ -104,7 +110,7 @@ pub struct CounterSet {
     pub sweep_refreshes: u64,
 }
 
-/// Field names in checkpoint/snapshot order — one list so the
+/// Field names in record/snapshot order — one list so the
 /// allocation-free writer, the JSON reader, and the docs cannot drift.
 const COUNTER_NAMES: [&str; 8] = [
     "hits",
@@ -155,8 +161,8 @@ impl CounterSet {
     }
 
     /// Reads the eight counter fields out of a JSON object; missing or
-    /// malformed fields reject the whole set (a half-read checkpoint
-    /// must not look authoritative).
+    /// malformed fields reject the whole set (a half-read record must
+    /// not look authoritative).
     fn from_json(v: &Json) -> Option<CounterSet> {
         let mut out = [0u64; 8];
         for (slot, name) in out.iter_mut().zip(COUNTER_NAMES) {
@@ -176,8 +182,8 @@ impl CounterSet {
 
 /// The registry's live lifecycle counters (atomic, shared between the
 /// registry and the WAL flusher). Split out of the `Registry` struct
-/// so the flusher thread can checkpoint them without holding a
-/// reference to the registry itself.
+/// so the flusher thread can journal them without holding a reference
+/// to the registry itself.
 #[derive(Debug, Default)]
 pub(crate) struct LifecycleCounters {
     pub hits: AtomicU64,
@@ -222,35 +228,11 @@ impl LifecycleCounters {
     }
 }
 
-/// What replaying snapshot + journal recovered, handed to the registry
-/// at startup.
-#[derive(Clone, Debug, Default)]
-pub struct WalRecovery {
-    /// Prior server lives observed in the journal history — the value
-    /// behind `qid_restarts_total`. `0` on a first boot.
-    pub restarts: u64,
-    /// Journal records replayed (snapshot state excluded).
-    pub replayed_events: u64,
-    /// True iff the journal's last record is a clean-shutdown record.
-    pub clean_shutdown: bool,
-    /// True iff a journal or snapshot existed at all. Crash evidence is
-    /// `had_journal && !clean_shutdown` — a missing journal is a first
-    /// boot, not a crash.
-    pub had_journal: bool,
-    /// Recovered cumulative counters (elementwise max of the snapshot,
-    /// journal-derived deltas, the shutdown record, and the counter
-    /// checkpoint).
-    pub counters: CounterSet,
-    /// Key stems resident at the end of the journal, LRU order (least
-    /// recently touched first) — the re-admission work list.
-    pub resident: Vec<u64>,
-}
-
 /// Per-key journal state: when the key was last touched (journal
 /// sequence number — the disk-GC access order) and whether its entry
 /// was resident at that point.
 #[derive(Clone, Copy, Debug)]
-struct KeyState {
+pub(crate) struct KeyState {
     last_seq: u64,
     resident: bool,
 }
@@ -261,7 +243,6 @@ struct KeyState {
 #[derive(Debug)]
 struct WalInner {
     log: File,
-    counters_file: File,
     /// Monotone over the journal's whole history, snapshots included.
     seq: u64,
     log_bytes: u64,
@@ -277,10 +258,11 @@ struct WalInner {
     event_counters: CounterSet,
     /// Journal lines written since the last fsync.
     events_dirty: bool,
-    /// Reused checkpoint render buffer; capacity is reserved at arm
-    /// time so steady-state checkpoint writes never allocate.
-    checkpoint_buf: Vec<u8>,
-    last_checkpoint: CounterSet,
+    /// Reused counters-record render buffer; capacity is reserved at
+    /// arm time so steady-state counters records never allocate.
+    record_buf: Vec<u8>,
+    /// The counters as last journaled (or recovered).
+    last_counters: CounterSet,
     stop: bool,
     closed: bool,
 }
@@ -294,7 +276,7 @@ pub(crate) struct Wal {
     inner: Mutex<WalInner>,
     tick: Condvar,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
-    recovery: WalRecovery,
+    recovery: WalReport,
 }
 
 impl Wal {
@@ -303,39 +285,27 @@ impl Wal {
     /// spawned until [`Wal::arm`].
     pub fn open(dir: &Path, max_bytes: u64) -> std::io::Result<Wal> {
         std::fs::create_dir_all(dir)?;
-        let scan = scan_dir(dir);
+        let mut recovery = scan_dir(dir);
+        // Recovery needs the replayed state, not the raw lines.
+        recovery.lines = Vec::new();
         let log = File::options()
             .append(true)
             .create(true)
             .open(dir.join(WAL_FILE))?;
         let log_bytes = log.metadata().map(|m| m.len()).unwrap_or(0);
-        let counters_file = File::options()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(dir.join(COUNTERS_FILE))?;
-        let recovery = WalRecovery {
-            restarts: scan.lives,
-            replayed_events: scan.events,
-            clean_shutdown: scan.clean_shutdown,
-            had_journal: scan.had_journal,
-            counters: scan.counters,
-            resident: scan.resident_lru(),
-        };
         Ok(Wal {
             dir: dir.to_path_buf(),
             max_bytes,
             inner: Mutex::new(WalInner {
                 log,
-                counters_file,
-                seq: scan.seq,
+                seq: recovery.seq,
                 log_bytes,
-                lives: scan.lives,
-                keys: scan.keys,
+                lives: recovery.restarts,
+                keys: std::mem::take(&mut recovery.keys),
                 event_counters: recovery.counters,
                 events_dirty: false,
-                checkpoint_buf: Vec::new(),
-                last_checkpoint: CounterSet::default(),
+                record_buf: Vec::new(),
+                last_counters: recovery.counters,
                 stop: false,
                 closed: false,
             }),
@@ -346,21 +316,21 @@ impl Wal {
     }
 
     /// What [`Wal::open`] recovered.
-    pub fn recovery(&self) -> &WalRecovery {
+    pub fn recovery(&self) -> &WalReport {
         &self.recovery
     }
 
     /// Starts this life: journals the `open` record (restart evidence
-    /// for the next replay), seeds the checkpoint machinery, and
+    /// for the next replay), reserves the counters-record buffer, and
     /// spawns the background flusher that owns every fsync.
     pub fn arm(self: &Arc<Self>, counters: Arc<LifecycleCounters>) {
         {
             let mut inner = self.inner.lock().expect("wal lock");
             inner.lives += 1;
-            // Steady-state checkpoints must not allocate; a rendered
-            // line is bounded well under this (8 names + 8 u64s + the
-            // checksum), so one up-front reservation is enough.
-            inner.checkpoint_buf.reserve(1024);
+            // Steady-state counters records must not allocate; a
+            // rendered line is bounded well under this (the header + 8
+            // names + 8 u64s), so one up-front reservation is enough.
+            inner.record_buf.reserve(1024);
             let restarts = inner.lives - 1;
             let line = format!(
                 "{{\"seq\":{},\"ts_ms\":{},\"ev\":\"open\",\"restarts\":{},\"pid\":{}}}\n",
@@ -372,8 +342,6 @@ impl Wal {
             self.append_locked(&mut inner, &line);
             let _ = inner.log.sync_data();
             inner.events_dirty = false;
-            let seeded = counters.values();
-            self.write_checkpoint_locked(&mut inner, &seeded);
         }
         let wal = Arc::clone(self);
         let handle = std::thread::Builder::new()
@@ -394,46 +362,29 @@ impl Wal {
             return;
         }
         let seq = inner.seq + 1;
-        let head = format!("{{\"seq\":{seq},\"ts_ms\":{}", unix_ms());
-        let line = match event {
-            RegistryEvent::Built { key, bytes } => {
-                format!("{head},\"ev\":\"build\",\"key\":\"{key:016x}\",\"bytes\":{bytes}}}\n")
-            }
-            RegistryEvent::Restored { key, bytes } => {
-                format!("{head},\"ev\":\"restore\",\"key\":\"{key:016x}\",\"bytes\":{bytes}}}\n")
-            }
-            RegistryEvent::Evicted { key, bytes } => {
-                format!("{head},\"ev\":\"evict\",\"key\":\"{key:016x}\",\"bytes\":{bytes}}}\n")
-            }
-            RegistryEvent::StaleRebuild { key } => {
-                format!("{head},\"ev\":\"stale_rebuild\",\"key\":\"{key:016x}\"}}\n")
-            }
-            RegistryEvent::AppendUpdate { key, bytes } => format!(
-                "{head},\"ev\":\"append_absorb\",\"key\":\"{key:016x}\",\"bytes\":{bytes}}}\n"
-            ),
-            RegistryEvent::SketchBuilt { key, bytes } => format!(
-                "{head},\"ev\":\"sketch_build\",\"key\":\"{key:016x}\",\"bytes\":{bytes}}}\n"
-            ),
-            RegistryEvent::DiskEvicted { key, bytes } => {
-                format!("{head},\"ev\":\"disk_gc\",\"key\":\"{key:016x}\",\"bytes\":{bytes}}}\n")
-            }
-            RegistryEvent::Unloaded { key } => {
-                format!("{head},\"ev\":\"unload\",\"key\":\"{key:016x}\"}}\n")
-            }
-            RegistryEvent::Purged { entries, files } => {
-                format!("{head},\"ev\":\"purge\",\"entries\":{entries},\"files\":{files}}}\n")
-            }
-        };
-        self.append_locked(&mut inner, &line);
-        apply_key_event(&mut inner.keys, seq, &event);
-        match event {
-            RegistryEvent::Built { .. } => inner.event_counters.misses += 1,
-            RegistryEvent::Restored { .. } => inner.event_counters.disk_hits += 1,
-            RegistryEvent::Evicted { .. } => inner.event_counters.evictions += 1,
-            RegistryEvent::StaleRebuild { .. } => inner.event_counters.stale_rebuilds += 1,
-            RegistryEvent::AppendUpdate { .. } => inner.event_counters.append_updates += 1,
-            _ => {}
+        let (ev, key, bytes) = describe(&event);
+        let mut line = format!("{{\"seq\":{seq},\"ts_ms\":{},\"ev\":\"{ev}\"", unix_ms());
+        if let Some(key) = key {
+            line.push_str(&format!(",\"key\":\"{key:016x}\""));
         }
+        match event {
+            RegistryEvent::Purged { entries, files } => {
+                line.push_str(&format!(",\"entries\":{entries},\"files\":{files}"));
+            }
+            _ => {
+                if let Some(bytes) = bytes {
+                    line.push_str(&format!(",\"bytes\":{bytes}"));
+                }
+            }
+        }
+        line.push_str("}\n");
+        self.append_locked(&mut inner, &line);
+        let WalInner {
+            keys,
+            event_counters,
+            ..
+        } = &mut *inner;
+        apply_event(keys, event_counters, seq, &event);
         drop(inner);
         // Nudge the flusher: the event reaches the platter on its next
         // wake, not a full FLUSH_INTERVAL later.
@@ -453,12 +404,11 @@ impl Wal {
             .collect()
     }
 
-    /// Clean shutdown: final counter checkpoint, the `shutdown` record
-    /// (with the counters inline, so a clean restart is exact even if
-    /// the checkpoint file is lost), a final fsync, and the flusher
-    /// joined. Idempotent; called from the registry's `Drop` — which a
-    /// SIGKILL never runs, making the record's *absence* the crash
-    /// evidence recovery keys off.
+    /// Clean shutdown: the `shutdown` record (with the final counters
+    /// inline, so a clean restart is exact), a final fsync, and the
+    /// flusher joined. Idempotent; called from the registry's `Drop` —
+    /// which a SIGKILL never runs, making the record's *absence* the
+    /// crash evidence recovery keys off.
     pub fn close(&self, counters: &LifecycleCounters) {
         {
             let mut inner = self.inner.lock().expect("wal lock");
@@ -467,16 +417,7 @@ impl Wal {
             }
             inner.closed = true;
             inner.stop = true;
-            let cur = counters.values();
-            self.write_checkpoint_locked(&mut inner, &cur);
-            let mut fields = vec![
-                ("seq", json::u64_value(inner.seq + 1)),
-                ("ts_ms", json::u64_value(unix_ms())),
-                ("ev", s("shutdown")),
-            ];
-            fields.extend(cur.json_fields());
-            let line = format!("{}\n", obj(fields).render());
-            self.append_locked(&mut inner, &line);
+            self.append_counters_locked(&mut inner, &counters.values(), "shutdown");
             let _ = inner.log.sync_data();
             inner.events_dirty = false;
         }
@@ -519,12 +460,51 @@ impl Wal {
         }
     }
 
+    /// Appends a record carrying all eight counters — `ev` is
+    /// `counters` from the flusher, `shutdown` from [`Wal::close`].
+    /// Manual rendering into the reused buffer on the long-lived
+    /// descriptor keeps it allocation-free: the flusher appends these
+    /// inside the zero-alloc steady state.
+    fn append_counters_locked(&self, inner: &mut WalInner, cur: &CounterSet, ev: &str) {
+        let WalInner {
+            log,
+            seq,
+            log_bytes,
+            events_dirty,
+            record_buf: buf,
+            last_counters,
+            ..
+        } = inner;
+        *seq += 1;
+        buf.clear();
+        buf.extend_from_slice(b"{\"seq\":");
+        push_u64(buf, *seq);
+        buf.extend_from_slice(b",\"ts_ms\":");
+        push_u64(buf, unix_ms());
+        buf.extend_from_slice(b",\"ev\":\"");
+        buf.extend_from_slice(ev.as_bytes());
+        buf.push(b'"');
+        for (name, v) in COUNTER_NAMES.iter().zip(cur.as_array()) {
+            buf.extend_from_slice(b",\"");
+            buf.extend_from_slice(name.as_bytes());
+            buf.extend_from_slice(b"\":");
+            push_u64(buf, v);
+        }
+        buf.extend_from_slice(b"}\n");
+        if log.write_all(buf).is_ok() {
+            *log_bytes += buf.len() as u64;
+            *events_dirty = true;
+            *last_counters = *cur;
+        }
+    }
+
     /// The flusher thread: wakes on event notifications (fast
     /// durability) or every [`FLUSH_INTERVAL`] (counter movement),
-    /// syncs the journal, rotates it past `max_bytes`, and refreshes
-    /// the counter checkpoint. An idle tick — no events, no counter
-    /// movement — does nothing and allocates nothing, so the thread
-    /// can run alongside the zero-allocation steady state.
+    /// appends a counters record when any counter moved, syncs the
+    /// journal, and rotates it past `max_bytes`. An idle tick — no
+    /// events, no counter movement — does nothing and allocates
+    /// nothing, so the thread can run alongside the zero-allocation
+    /// steady state; only a rotation allocates.
     fn flusher_loop(&self, counters: &LifecycleCounters) {
         let mut inner = self.inner.lock().expect("wal lock");
         loop {
@@ -539,6 +519,10 @@ impl Wal {
             if inner.stop {
                 return;
             }
+            let cur = counters.values();
+            if cur != inner.last_counters {
+                self.append_counters_locked(&mut inner, &cur, "counters");
+            }
             if inner.events_dirty {
                 let _ = inner.log.sync_data();
                 inner.events_dirty = false;
@@ -546,16 +530,12 @@ impl Wal {
                     self.rotate_locked(&mut inner, counters);
                 }
             }
-            let cur = counters.values();
-            if cur != inner.last_checkpoint {
-                self.write_checkpoint_locked(&mut inner, &cur);
-            }
         }
     }
 
     /// Folds the journal into the snapshot (write + fsync + rename)
-    /// and truncates it. Only reached when events were journaled, so
-    /// allocation here never lands inside an event-free steady state.
+    /// and truncates it. Reached only once the journal outgrows
+    /// `max_bytes`, so its allocations stay out of the steady state.
     fn rotate_locked(&self, inner: &mut WalInner, counters: &LifecycleCounters) {
         // Evented counters come from the journal-proved set (see
         // `WalInner::event_counters`); the never-journaled three come
@@ -605,48 +585,68 @@ impl Wal {
             let _ = std::fs::remove_file(&tmp);
         }
     }
+}
 
-    /// Rewrites `registry.counters` in place on its long-lived
-    /// descriptor. Manual rendering into the reused buffer keeps the
-    /// steady-state path allocation-free (opening a file — even a
-    /// temp-and-rename — converts a path to a `CString`, which
-    /// allocates; a seek + write on an open fd does not). Torn writes
-    /// are caught by the trailing FNV checksum at replay.
-    fn write_checkpoint_locked(&self, inner: &mut WalInner, cur: &CounterSet) {
-        let WalInner {
-            counters_file,
-            checkpoint_buf: buf,
-            ..
-        } = inner;
-        buf.clear();
-        buf.push(b'{');
-        for (name, v) in COUNTER_NAMES.iter().zip(cur.as_array()) {
-            if buf.len() > 1 {
-                buf.push(b',');
-            }
-            buf.push(b'"');
-            buf.extend_from_slice(name.as_bytes());
-            buf.extend_from_slice(b"\":");
-            push_u64(buf, v);
-        }
-        let sum = fnv64(buf);
-        buf.extend_from_slice(b",\"fnv\":\"");
-        push_hex16(buf, sum);
-        buf.extend_from_slice(b"\"}\n");
-        let ok = counters_file
-            .seek(SeekFrom::Start(0))
-            .and_then(|_| counters_file.write_all(buf))
-            .and_then(|()| counters_file.set_len(buf.len() as u64))
-            .and_then(|()| counters_file.sync_data());
-        if ok.is_ok() {
-            inner.last_checkpoint = *cur;
-        }
+/// A lifecycle event's journal name, key stem and byte count.
+fn describe(event: &RegistryEvent) -> (&'static str, Option<u64>, Option<u64>) {
+    match *event {
+        RegistryEvent::Built { key, bytes } => ("build", Some(key), Some(bytes)),
+        RegistryEvent::Restored { key, bytes } => ("restore", Some(key), Some(bytes)),
+        RegistryEvent::Evicted { key, bytes } => ("evict", Some(key), Some(bytes)),
+        RegistryEvent::StaleRebuild { key } => ("stale_rebuild", Some(key), None),
+        RegistryEvent::AppendUpdate { key, bytes } => ("append_absorb", Some(key), Some(bytes)),
+        RegistryEvent::SketchBuilt { key, bytes } => ("sketch_build", Some(key), Some(bytes)),
+        RegistryEvent::DiskEvicted { key, bytes } => ("disk_gc", Some(key), Some(bytes)),
+        RegistryEvent::Unloaded { key } => ("unload", Some(key), None),
+        RegistryEvent::Purged { .. } => ("purge", None, None),
     }
 }
 
-/// Applies one journaled event to the per-key state map.
-fn apply_key_event(keys: &mut HashMap<u64, KeyState>, seq: u64, event: &RegistryEvent) {
-    let mut touch = |key: u64, resident: bool| {
+/// Applies one journaled event to the per-key state map and to the
+/// counters it determines exactly. Hits, upgrades, and sweep refreshes
+/// have no per-event record (they resume from counters records), so a
+/// crash loses at most [`FLUSH_INTERVAL`] of their movement.
+fn apply_event(
+    keys: &mut HashMap<u64, KeyState>,
+    counters: &mut CounterSet,
+    seq: u64,
+    event: &RegistryEvent,
+) {
+    let resident = match *event {
+        RegistryEvent::Built { .. } => {
+            counters.misses += 1;
+            true
+        }
+        RegistryEvent::Restored { .. } => {
+            counters.disk_hits += 1;
+            true
+        }
+        RegistryEvent::StaleRebuild { .. } => {
+            counters.stale_rebuilds += 1;
+            true
+        }
+        RegistryEvent::AppendUpdate { .. } => {
+            counters.append_updates += 1;
+            true
+        }
+        RegistryEvent::SketchBuilt { .. } => true,
+        RegistryEvent::Evicted { .. } => {
+            counters.evictions += 1;
+            false
+        }
+        // Unload and disk GC destroy the artifact too: the key has no
+        // warm-tier presence left, so it leaves the access map rather
+        // than lingering as a "recently used" ghost.
+        RegistryEvent::Unloaded { key } | RegistryEvent::DiskEvicted { key, .. } => {
+            keys.remove(&key);
+            return;
+        }
+        RegistryEvent::Purged { .. } => {
+            keys.clear();
+            return;
+        }
+    };
+    if let (_, Some(key), _) = describe(event) {
         keys.insert(
             key,
             KeyState {
@@ -654,75 +654,66 @@ fn apply_key_event(keys: &mut HashMap<u64, KeyState>, seq: u64, event: &Registry
                 resident,
             },
         );
-    };
-    match *event {
-        RegistryEvent::Built { key, .. }
-        | RegistryEvent::Restored { key, .. }
-        | RegistryEvent::AppendUpdate { key, .. }
-        | RegistryEvent::SketchBuilt { key, .. }
-        | RegistryEvent::StaleRebuild { key } => touch(key, true),
-        RegistryEvent::Evicted { key, .. } => touch(key, false),
-        // Unload and disk GC destroy the artifacts too: the key has no
-        // warm-tier presence left, so it leaves the access map rather
-        // than lingering as a "recently used" ghost.
-        RegistryEvent::Unloaded { key } | RegistryEvent::DiskEvicted { key, .. } => {
-            keys.remove(&key);
-        }
-        RegistryEvent::Purged { .. } => keys.clear(),
     }
 }
 
 // ------------------------------------------------------------ replay
 
-/// The result of reading every durable file under a cache dir —
-/// shared by [`Wal::open`] (recovery) and [`inspect`] (forensics).
+/// What replaying a cache dir's snapshot + journal found: the state
+/// the journal hands the registry at startup, and — with every
+/// artifact decoded by [`inspect`] — what `qid wal <dir>` prints.
 #[derive(Debug, Default)]
-struct Scan {
-    snapshot_seq: Option<u64>,
-    snapshot_keys: usize,
-    /// Prior lives: snapshot base + `open` records in the journal.
-    lives: u64,
+pub struct WalReport {
+    /// Snapshot's folded sequence number, if a snapshot exists.
+    pub snapshot_seq: Option<u64>,
+    /// Key stems carried by the snapshot.
+    pub snapshot_keys: usize,
+    /// Prior server lives: snapshot base + `open` records in the
+    /// journal — the value behind `qid_restarts_total`. `0` on a first
+    /// boot.
+    pub restarts: u64,
+    /// Journal records replayed (snapshot state excluded).
+    pub events: u64,
+    /// First and last journal sequence numbers (`0` when empty).
+    pub first_seq: u64,
+    /// See [`WalReport::first_seq`].
+    pub last_seq: u64,
+    /// True iff the journal ends with a clean-shutdown record; its
+    /// absence on a non-empty journal is crash evidence, not an error.
+    pub clean_shutdown: bool,
+    /// The journal's final line is partial — the normal signature of a
+    /// kill mid-write.
+    pub torn_tail: bool,
+    /// True iff a journal or snapshot existed at all. Crash evidence is
+    /// `had_journal && !clean_shutdown` — a missing journal is a first
+    /// boot, not a crash.
+    pub had_journal: bool,
+    /// Key stems resident at the end of the journal, LRU order (least
+    /// recently touched first) — the re-admission work list.
+    pub resident: Vec<u64>,
+    /// Recovered cumulative counters: the elementwise max of the
+    /// snapshot plus journal-derived deltas, and the last
+    /// `counters`/`shutdown` record.
+    pub counters: CounterSet,
+    /// Consistency problems (non-monotone sequence numbers, interior
+    /// corruption, artifacts that fail their checksum or decode).
+    /// Empty means the cache dir verifies.
+    pub issues: Vec<String>,
+    /// The raw journal lines, for the dump mode.
+    pub lines: Vec<String>,
+    /// Every artifact in the dir, fully decoded, by stem ([`inspect`]
+    /// only).
+    pub artifacts: Vec<crate::artifact::ArtifactInfo>,
     /// Highest sequence number observed.
     seq: u64,
-    /// Journal-proved counters: snapshot base + one increment per
-    /// replayed event. Becomes the recovered set once the shutdown
-    /// record and the checkpoint file are maxed in (scan_dir's tail).
-    counters: CounterSet,
-    /// Running max over every shutdown record's inline counters.
-    shutdown_counters: CounterSet,
+    /// The last `counters`/`shutdown` record's counters.
+    recorded: CounterSet,
     keys: HashMap<u64, KeyState>,
-    /// Journal records parsed.
-    events: u64,
-    first_seq: u64,
-    last_seq: u64,
-    clean_shutdown: bool,
-    /// The journal's final line failed to parse — a torn tail, the
-    /// normal signature of a mid-write kill (not corruption).
-    torn_tail: bool,
-    had_journal: bool,
-    /// `Some(valid)` if `registry.counters` exists.
-    counters_file: Option<bool>,
-    issues: Vec<String>,
-    lines: Vec<String>,
 }
 
-impl Scan {
-    /// Resident stems, least recently touched first.
-    fn resident_lru(&self) -> Vec<u64> {
-        let mut resident: Vec<(u64, u64)> = self
-            .keys
-            .iter()
-            .filter(|(_, st)| st.resident)
-            .map(|(&stem, st)| (st.last_seq, stem))
-            .collect();
-        resident.sort_unstable();
-        resident.into_iter().map(|(_, stem)| stem).collect()
-    }
-}
-
-/// Reads and replays snapshot, journal, and counter checkpoint.
-fn scan_dir(dir: &Path) -> Scan {
-    let mut scan = Scan::default();
+/// Reads and replays snapshot and journal.
+fn scan_dir(dir: &Path) -> WalReport {
+    let mut scan = WalReport::default();
 
     // Snapshot first: it is the journal's folded prefix.
     if let Ok(text) = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)) {
@@ -731,7 +722,7 @@ fn scan_dir(dir: &Path) -> Scan {
             Ok(v) if v.get("version").and_then(Json::as_i64) == Some(SNAPSHOT_VERSION) => {
                 scan.seq = v.get("seq").and_then(Json::as_u64_lossless).unwrap_or(0);
                 scan.snapshot_seq = Some(scan.seq);
-                scan.lives = v.get("lives").and_then(Json::as_u64_lossless).unwrap_or(0);
+                scan.restarts = v.get("lives").and_then(Json::as_u64_lossless).unwrap_or(0);
                 if let Some(c) = v.get("counters").and_then(CounterSet::from_json) {
                     scan.counters = c;
                 }
@@ -778,23 +769,28 @@ fn scan_dir(dir: &Path) -> Scan {
         for (idx, line) in lines.iter().enumerate() {
             scan.lines.push((*line).to_string());
             match parse_record(line) {
-                Some(rec) => {
-                    if rec.seq <= scan.seq {
+                Some((seq, rec)) => {
+                    if seq <= scan.seq {
                         scan.issues.push(format!(
-                            "journal line {}: seq {} not after {}",
+                            "journal line {}: seq {seq} not after {}",
                             idx + 1,
-                            rec.seq,
                             scan.seq
                         ));
                     }
-                    scan.seq = rec.seq;
+                    scan.seq = seq;
                     if scan.first_seq == 0 {
-                        scan.first_seq = rec.seq;
+                        scan.first_seq = seq;
                     }
-                    scan.last_seq = rec.seq;
+                    scan.last_seq = seq;
                     scan.events += 1;
-                    scan.clean_shutdown = rec.is_shutdown;
-                    apply_record(&mut scan, &rec);
+                    scan.clean_shutdown = matches!(rec, Record::Counters { shutdown: true, .. });
+                    match rec {
+                        Record::Open => scan.restarts += 1,
+                        Record::Event(event) => {
+                            apply_event(&mut scan.keys, &mut scan.counters, seq, &event);
+                        }
+                        Record::Counters { counters, .. } => scan.recorded = counters,
+                    }
                 }
                 None if idx == last_idx => {
                     // A partial final line is the normal kill-mid-write
@@ -811,218 +807,103 @@ fn scan_dir(dir: &Path) -> Scan {
         }
     }
 
-    // The counter checkpoint: strictly newer-or-equal information than
-    // anything above when its checksum holds; garbage when torn.
-    if let Ok(text) = std::fs::read_to_string(dir.join(COUNTERS_FILE)) {
-        if !text.trim().is_empty() {
-            match verify_checkpoint(&text) {
-                Some(c) => {
-                    scan.counters.max_with(&c);
-                    scan.counters_file = Some(true);
-                }
-                None => {
-                    scan.counters_file = Some(false);
-                    scan.issues
-                        .push("counters: checksum mismatch (torn checkpoint ignored)".to_string());
-                }
-            }
-        }
-    }
-    // `scan.counters` so far is the journal-proved floor; the shutdown
-    // record and the checkpoint are independent monotone observations,
-    // so the elementwise max of all three is the latest durable truth.
-    let shutdown = scan.shutdown_counters;
-    scan.counters.max_with(&shutdown);
+    // `scan.counters` so far is the journal-proved floor; the last
+    // counters record is an independent monotone observation, so the
+    // elementwise max of the two is the latest durable truth.
+    let recorded = scan.recorded;
+    scan.counters.max_with(&recorded);
+    let mut resident: Vec<(u64, u64)> = scan
+        .keys
+        .iter()
+        .filter(|(_, st)| st.resident)
+        .map(|(&stem, st)| (st.last_seq, stem))
+        .collect();
+    resident.sort_unstable();
+    scan.resident = resident.into_iter().map(|(_, stem)| stem).collect();
     scan
 }
 
-/// One parsed journal record — only the fields replay acts on.
-struct Record {
-    seq: u64,
-    ev: String,
-    key: Option<u64>,
-    is_shutdown: bool,
-    counters: Option<CounterSet>,
+/// One parsed journal record — only what replay acts on.
+enum Record {
+    /// A server life began.
+    Open,
+    /// A lifecycle event.
+    Event(RegistryEvent),
+    /// A `counters` record, or the `shutdown` record.
+    Counters {
+        counters: CounterSet,
+        shutdown: bool,
+    },
 }
 
-fn parse_record(line: &str) -> Option<Record> {
+/// Parses one journal line into its sequence number and record; `None`
+/// for a torn or unknown line.
+fn parse_record(line: &str) -> Option<(u64, Record)> {
     let v = json::parse(line.trim()).ok()?;
     let seq = v.get("seq")?.as_u64_lossless()?;
-    let ev = v.get("ev").and_then(Json::as_str)?.to_string();
-    const KNOWN: [&str; 11] = [
-        "open",
-        "build",
-        "restore",
-        "evict",
-        "stale_rebuild",
-        "append_absorb",
-        "sketch_build",
-        "disk_gc",
-        "unload",
-        "purge",
-        "shutdown",
-    ];
-    if !KNOWN.contains(&ev.as_str()) {
-        return None;
-    }
-    let key = v
-        .get("key")
-        .and_then(Json::as_str)
-        .and_then(|h| u64::from_str_radix(h, 16).ok());
-    let is_shutdown = ev == "shutdown";
-    let counters = is_shutdown.then(|| CounterSet::from_json(&v)).flatten();
-    Some(Record {
-        seq,
-        ev,
-        key,
-        is_shutdown,
-        counters,
-    })
-}
-
-/// Replays one record into the scan state: counter deltas for the
-/// counters an event determines exactly, key-state transitions for
-/// the access map and resident set. Hits, upgrades, and sweep
-/// refreshes have no per-event record (they are checkpoint-resumed),
-/// so a crash loses at most [`FLUSH_INTERVAL`] of their movement.
-fn apply_record(scan: &mut Scan, rec: &Record) {
-    let seq = rec.seq;
-    match (rec.ev.as_str(), rec.key) {
-        ("open", _) => scan.lives += 1,
-        ("build", Some(key)) => {
-            scan.counters.misses += 1;
-            apply_key_event(&mut scan.keys, seq, &RegistryEvent::Built { key, bytes: 0 });
+    let key = || {
+        v.get("key")
+            .and_then(Json::as_str)
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+    };
+    let event = match v.get("ev").and_then(Json::as_str)? {
+        "open" => return Some((seq, Record::Open)),
+        ev @ ("counters" | "shutdown") => {
+            let counters = CounterSet::from_json(&v)?;
+            let shutdown = ev == "shutdown";
+            return Some((seq, Record::Counters { counters, shutdown }));
         }
-        ("restore", Some(key)) => {
-            scan.counters.disk_hits += 1;
-            apply_key_event(
-                &mut scan.keys,
-                seq,
-                &RegistryEvent::Restored { key, bytes: 0 },
-            );
-        }
-        ("evict", Some(key)) => {
-            scan.counters.evictions += 1;
-            apply_key_event(
-                &mut scan.keys,
-                seq,
-                &RegistryEvent::Evicted { key, bytes: 0 },
-            );
-        }
-        ("stale_rebuild", Some(key)) => {
-            scan.counters.stale_rebuilds += 1;
-            apply_key_event(&mut scan.keys, seq, &RegistryEvent::StaleRebuild { key });
-        }
-        ("append_absorb", Some(key)) => {
-            scan.counters.append_updates += 1;
-            apply_key_event(
-                &mut scan.keys,
-                seq,
-                &RegistryEvent::AppendUpdate { key, bytes: 0 },
-            );
-        }
-        ("sketch_build", Some(key)) => {
-            apply_key_event(
-                &mut scan.keys,
-                seq,
-                &RegistryEvent::SketchBuilt { key, bytes: 0 },
-            );
-        }
-        ("disk_gc", Some(key)) => {
-            apply_key_event(
-                &mut scan.keys,
-                seq,
-                &RegistryEvent::DiskEvicted { key, bytes: 0 },
-            );
-        }
-        ("unload", Some(key)) => {
-            apply_key_event(&mut scan.keys, seq, &RegistryEvent::Unloaded { key });
-        }
-        ("purge", _) => scan.keys.clear(),
-        ("shutdown", _) => {
-            if let Some(c) = &rec.counters {
-                scan.shutdown_counters.max_with(c);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Validates a checkpoint line's trailing FNV and returns its
-/// counters, or `None` for a torn/garbage checkpoint.
-fn verify_checkpoint(text: &str) -> Option<CounterSet> {
-    let line = text.trim();
-    let idx = line.rfind(",\"fnv\":\"")?;
-    let sum = fnv64(&line.as_bytes()[..idx]);
-    let v = json::parse(line).ok()?;
-    let recorded = v.get("fnv").and_then(Json::as_str)?;
-    if u64::from_str_radix(recorded, 16).ok()? != sum {
-        return None;
-    }
-    CounterSet::from_json(&v)
+        "purge" => RegistryEvent::Purged {
+            entries: 0,
+            files: 0,
+        },
+        "build" => RegistryEvent::Built {
+            key: key()?,
+            bytes: 0,
+        },
+        "restore" => RegistryEvent::Restored {
+            key: key()?,
+            bytes: 0,
+        },
+        "evict" => RegistryEvent::Evicted {
+            key: key()?,
+            bytes: 0,
+        },
+        "stale_rebuild" => RegistryEvent::StaleRebuild { key: key()? },
+        "append_absorb" => RegistryEvent::AppendUpdate {
+            key: key()?,
+            bytes: 0,
+        },
+        "sketch_build" => RegistryEvent::SketchBuilt {
+            key: key()?,
+            bytes: 0,
+        },
+        "disk_gc" => RegistryEvent::DiskEvicted {
+            key: key()?,
+            bytes: 0,
+        },
+        "unload" => RegistryEvent::Unloaded { key: key()? },
+        _ => return None,
+    };
+    Some((seq, Record::Event(event)))
 }
 
 // ----------------------------------------------------------- inspect
 
-/// Everything `qid wal <dir>` reports about a cache dir's durability
-/// files: the parsed journal, the recovery summary, and any
-/// consistency issues.
-#[derive(Debug)]
-pub struct WalReport {
-    /// Snapshot's folded sequence number, if a snapshot exists.
-    pub snapshot_seq: Option<u64>,
-    /// Key stems carried by the snapshot.
-    pub snapshot_keys: usize,
-    /// Prior server lives (the `qid_restarts_total` the next boot
-    /// would report).
-    pub restarts: u64,
-    /// Journal records parsed.
-    pub events: u64,
-    /// First and last journal sequence numbers (`0` when empty).
-    pub first_seq: u64,
-    /// See [`WalReport::first_seq`].
-    pub last_seq: u64,
-    /// True iff the journal ends with a clean-shutdown record; its
-    /// absence on a non-empty journal is crash evidence, not an error.
-    pub clean_shutdown: bool,
-    /// The journal's final line is partial — the normal signature of a
-    /// kill mid-write.
-    pub torn_tail: bool,
-    /// Keys that would be re-admitted on the next boot.
-    pub resident: usize,
-    /// Counters the next boot would resume with.
-    pub counters: CounterSet,
-    /// Consistency problems (non-monotone sequence numbers, interior
-    /// corruption, checksum failures). Empty means the journal
-    /// verifies.
-    pub issues: Vec<String>,
-    /// The raw journal lines, for the dump mode.
-    pub lines: Vec<String>,
-    /// True iff a journal or snapshot existed at all — false means the
-    /// directory has never hosted a WAL-armed server.
-    pub had_journal: bool,
-}
-
-/// Reads and verifies the durability files under `dir` without
-/// touching them — the engine behind `qid wal <dir> [--verify]`.
+/// Reads and verifies the journal, snapshot and artifacts under `dir`
+/// without touching them — the engine behind `qid wal <dir>
+/// [--verify]`.
 pub fn inspect(dir: &Path) -> WalReport {
-    let scan = scan_dir(dir);
-    let resident = scan.resident_lru().len();
-    WalReport {
-        snapshot_seq: scan.snapshot_seq,
-        snapshot_keys: scan.snapshot_keys,
-        restarts: scan.lives,
-        events: scan.events,
-        first_seq: scan.first_seq,
-        last_seq: scan.last_seq,
-        clean_shutdown: scan.clean_shutdown,
-        torn_tail: scan.torn_tail,
-        resident,
-        counters: scan.counters,
-        had_journal: scan.had_journal,
-        issues: scan.issues,
-        lines: scan.lines,
+    let mut report = scan_dir(dir);
+    report.artifacts = crate::artifact::inspect(dir);
+    for a in &report.artifacts {
+        if let Err(why) = &a.contents {
+            report
+                .issues
+                .push(format!("artifact {:016x}: {why}", a.stem));
+        }
     }
+    report
 }
 
 // ----------------------------------------------------------- helpers
@@ -1036,7 +917,7 @@ fn unix_ms() -> u64 {
 }
 
 /// Appends `v`'s decimal digits — no formatting machinery, no
-/// allocation (the checkpoint writer runs inside the zero-alloc
+/// allocation (the counters-record writer runs inside the zero-alloc
 /// steady state).
 fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
     let mut tmp = [0u8; 20];
@@ -1050,29 +931,6 @@ fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
         }
     }
     buf.extend_from_slice(&tmp[i..]);
-}
-
-/// Appends `v` as exactly 16 lowercase hex digits.
-fn push_hex16(buf: &mut Vec<u8>, v: u64) {
-    for shift in (0..16).rev() {
-        let nibble = ((v >> (shift * 4)) & 0xf) as u8;
-        buf.push(if nibble < 10 {
-            b'0' + nibble
-        } else {
-            b'a' + nibble - 10
-        });
-    }
-}
-
-/// FNV-1a over `bytes` — the checkpoint checksum (same constants as
-/// the registry's key and content hashes).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Reads a whole file; empty/absent files read as empty strings. Used
@@ -1146,7 +1004,7 @@ mod tests {
         assert_eq!(r.counters.misses, 2);
         assert_eq!(r.counters.disk_hits, 1);
         assert_eq!(r.counters.evictions, 1);
-        assert_eq!(r.counters.hits, 41, "hits resume from the checkpoint");
+        assert_eq!(r.counters.hits, 41, "hits resume from the shutdown record");
         // b2 was evicted; a1 was restored last and stays resident.
         assert_eq!(r.resident, vec![0xa1]);
     }
@@ -1162,13 +1020,12 @@ mod tests {
             });
             counters.misses.store(1, Ordering::Relaxed);
             counters.hits.store(9, Ordering::Relaxed);
-            // Let the flusher checkpoint the moved counters.
+            // Let the flusher journal the moved counters.
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while verify_checkpoint(&read_all(&dir.join(COUNTERS_FILE))).is_none_or(|c| c.hits < 9)
-            {
+            while inspect(&dir).counters.hits < 9 {
                 assert!(
                     std::time::Instant::now() < deadline,
-                    "checkpoint not written"
+                    "counters record not written"
                 );
                 std::thread::sleep(Duration::from_millis(10));
             }
@@ -1178,7 +1035,11 @@ mod tests {
         let r = wal.recovery();
         assert!(r.had_journal && !r.clean_shutdown, "crash evidence");
         assert_eq!(r.counters.misses, 1, "event-derived");
-        assert_eq!(r.counters.hits, 9, "checkpoint-derived");
+        assert_eq!(r.counters.hits, 9, "counters-record-derived");
+        assert!(
+            read_all(&dir.join(WAL_FILE)).contains("\"ev\":\"counters\""),
+            "hits ride the journal as a counters record"
+        );
         assert_eq!(r.resident, vec![0xc3]);
     }
 
@@ -1256,33 +1117,34 @@ mod tests {
     }
 
     #[test]
-    fn torn_counter_checkpoint_fails_its_checksum() {
+    fn a_torn_counters_record_falls_back_to_the_record_before() {
         let dir = unique_dir("torn-counters");
         {
             let (wal, counters) = armed(&dir, DEFAULT_WAL_MAX_BYTES);
             counters.hits.store(1234, Ordering::Relaxed);
             wal.close(&counters);
         }
-        let text = read_all(&dir.join(COUNTERS_FILE));
-        assert!(verify_checkpoint(&text).is_some(), "intact checkpoint");
-        // Corrupt one digit of a counter: the checksum must fail and
-        // replay must fall back to journal-derived values.
-        let torn = text.replacen("1234", "9234", 1);
-        std::fs::write(dir.join(COUNTERS_FILE), torn).unwrap();
+        // A kill mid-append leaves a partial counters record after the
+        // shutdown record: a tolerated torn tail, not corruption, and
+        // recovery resumes from the last complete record.
+        let mut f = File::options()
+            .append(true)
+            .open(dir.join(WAL_FILE))
+            .unwrap();
+        f.write_all(b"{\"seq\":99,\"ts_ms\":1,\"ev\":\"counters\",\"hits\":98")
+            .unwrap();
+        drop(f);
         let report = inspect(&dir);
-        assert!(report.issues.iter().any(|i| i.contains("checksum")));
-        // The shutdown record still carries the true value.
+        assert!(report.torn_tail);
+        assert!(report.issues.is_empty(), "issues: {:?}", report.issues);
         assert_eq!(report.counters.hits, 1234);
     }
 
     #[test]
-    fn checkpoint_render_is_stable_under_reuse() {
+    fn decimal_render_is_exact_at_the_extremes() {
         let mut buf = Vec::with_capacity(1024);
         push_u64(&mut buf, 0);
         push_u64(&mut buf, 18_446_744_073_709_551_615);
         assert_eq!(buf, b"018446744073709551615");
-        buf.clear();
-        push_hex16(&mut buf, 0xdead_beef);
-        assert_eq!(buf, b"00000000deadbeef");
     }
 }

@@ -64,10 +64,10 @@
 //! sends them as a single `batch` wire line, and prints each result —
 //! the server resolves each distinct dataset key once for the whole
 //! batch. `--cache-bytes` caps the registry's resident memory (LRU
-//! eviction); `--cache-dir` persists built samples so a restarted
-//! server warms up without re-scanning sources; `--cache-disk-bytes`
-//! caps that warm tier on disk (whole artifact groups evicted
-//! oldest-first). `--sweep-ms` arms a background revalidation thread
+//! eviction); `--cache-dir` persists each built entry as one
+//! checksummed artifact so a restarted server warms up without
+//! re-scanning sources; `--cache-disk-bytes` caps that warm tier on
+//! disk (whole artifacts evicted oldest-first). `--sweep-ms` arms a background revalidation thread
 //! that refreshes stale or appended sources ahead of traffic — with
 //! it, an append-only CSV that grows between queries is absorbed
 //! incrementally (only the new suffix is scanned) before the next
@@ -79,9 +79,9 @@
 //! journal to resume its cumulative counters and eagerly re-admit the
 //! previous resident set; a journal without a clean-shutdown record is
 //! crash evidence that lets orphaned `*.tmp` build files be reclaimed
-//! immediately. `qid wal <cache-dir>` prints the recovered state
-//! (`--dump` shows raw records, `--verify` exits non-zero on
-//! corruption). See docs/ARCHITECTURE.md "Durability".
+//! immediately. `qid wal <cache-dir>` prints the recovered state and
+//! one line per artifact (`--dump` shows raw records, `--verify` exits
+//! non-zero on journal corruption or a bad artifact). See docs/ARCHITECTURE.md "Durability".
 //!
 //! The server's connection core is readiness-driven (`epoll` on Linux,
 //! `kqueue` on macOS/BSD, `poll(2)` fallback), sharded across
@@ -431,10 +431,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 // ------------------------------------------------------------------ wal
 
 /// `qid wal <cache-dir> [--verify] [--dump]` — offline forensics on a
-/// cache directory's registry journal. The summary answers "what would
-/// the next boot recover"; `--dump` prints the raw records; `--verify`
-/// exits non-zero iff the journal is internally inconsistent (a
-/// crash-torn tail is expected wear, not corruption).
+/// cache directory: its registry journal and its artifacts. The
+/// summary answers "what would the next boot recover" and lists one
+/// line per artifact; `--dump` prints the raw journal records;
+/// `--verify` exits non-zero iff the journal is internally
+/// inconsistent or an artifact fails its checksum or decode (a
+/// crash-torn journal tail is expected wear, not corruption).
 fn cmd_wal(args: &[String]) -> ExitCode {
     let mut dir: Option<&str> = None;
     let mut verify = false;
@@ -456,14 +458,51 @@ fn cmd_wal(args: &[String]) -> ExitCode {
     }
     let Some(dir) = dir else { usage() };
     let report = quasi_id::server::wal::inspect(std::path::Path::new(dir));
-    if !report.had_journal {
+    if report.had_journal {
+        print_journal_summary(&report);
+    } else {
         outln!("{dir}: no registry journal (server never ran with a WAL here)");
-        return if verify && !report.issues.is_empty() {
+    }
+    for a in &report.artifacts {
+        let stem = format!("{:016x}", a.stem);
+        match &a.contents {
+            Ok(c) => outln!(
+                "artifact {stem}: {} {}x{}, {} sample rows, pairs {}, {} bytes",
+                c.path,
+                c.rows,
+                c.attrs,
+                c.sample_rows,
+                if c.pairs { "yes" } else { "no" },
+                a.bytes
+            ),
+            Err(why) => outln!("artifact {stem}: INVALID ({why}), {} bytes", a.bytes),
+        }
+    }
+    if dump {
+        for line in &report.lines {
+            outln!("{line}");
+        }
+    }
+    if report.issues.is_empty() {
+        if verify {
+            outln!("verify: ok");
+        }
+        ExitCode::SUCCESS
+    } else {
+        for issue in &report.issues {
+            eprintln!("issue: {issue}");
+        }
+        if verify {
+            eprintln!("verify: {} issue(s)", report.issues.len());
             ExitCode::FAILURE
         } else {
             ExitCode::SUCCESS
-        };
+        }
     }
+}
+
+/// The journal half of `qid wal`'s summary.
+fn print_journal_summary(report: &quasi_id::server::wal::WalReport) {
     match report.snapshot_seq {
         Some(seq) => outln!("snapshot: through seq {seq}, {} keys", report.snapshot_keys),
         None => outln!("snapshot: none (journal has not rotated yet)"),
@@ -490,7 +529,7 @@ fn cmd_wal(args: &[String]) -> ExitCode {
     );
     outln!(
         "resident: {} keys would be re-admitted on the next boot",
-        report.resident
+        report.resident.len()
     );
     let c = &report.counters;
     outln!(
@@ -505,27 +544,6 @@ fn cmd_wal(args: &[String]) -> ExitCode {
         c.append_updates,
         c.sweep_refreshes
     );
-    if dump {
-        for line in &report.lines {
-            outln!("{line}");
-        }
-    }
-    if report.issues.is_empty() {
-        if verify {
-            outln!("verify: ok");
-        }
-        ExitCode::SUCCESS
-    } else {
-        for issue in &report.issues {
-            eprintln!("issue: {issue}");
-        }
-        if verify {
-            eprintln!("verify: {} issue(s)", report.issues.len());
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        }
-    }
 }
 
 // ---------------------------------------------------------------- query

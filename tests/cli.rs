@@ -290,3 +290,52 @@ fn unknown_attribute_rejected() {
     assert!(!ok);
     assert!(stderr.contains("unknown attribute"));
 }
+
+#[test]
+fn wal_verify_lists_artifacts_and_fails_on_a_flipped_byte() {
+    use quasi_id::server::{DatasetRef, LoadMode, Registry, RegistryConfig};
+    let csv = fixture_csv("wal-artifact.csv");
+    let cache = std::env::temp_dir().join(format!("qid-cli-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
+    {
+        // A clean life over the cache dir leaves one artifact behind.
+        let registry = Registry::with_config(RegistryConfig {
+            cache_dir: Some(cache.clone()),
+            ..RegistryConfig::default()
+        });
+        let ds = DatasetRef {
+            path: csv.to_str().unwrap().to_string(),
+            eps: 0.01,
+            seed: 7,
+        };
+        registry.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+    }
+    let dir = cache.to_str().unwrap();
+    let (stdout, stderr, ok) = run(&["wal", dir, "--verify"]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(
+        stdout.contains("800x4, 40 sample rows, pairs no"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("verify: ok"), "{stdout}");
+
+    let artifact = std::fs::read_dir(&cache)
+        .unwrap()
+        .flatten()
+        .map(|d| d.path())
+        .find(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.len() == 16)
+        })
+        .expect("one artifact per key");
+    let mut bytes = std::fs::read(&artifact).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&artifact, bytes).unwrap();
+    let (stdout, stderr, ok) = run(&["wal", dir, "--verify"]);
+    assert!(!ok, "a flipped byte must fail verification: {stdout}");
+    assert!(stdout.contains("INVALID (checksum mismatch)"), "{stdout}");
+    assert!(stderr.contains("checksum mismatch"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&cache);
+}

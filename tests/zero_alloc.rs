@@ -20,7 +20,7 @@
 //! always on, `--slow-ms` detection is enabled (threshold high enough
 //! not to fire), the `--metrics-addr` listener is bound, and the
 //! registry's write-ahead journal is armed (`--cache-dir` set), so the
-//! durability flusher's ticks and counter-checkpoint rewrites run
+//! durability flusher's ticks and its `counters` journal records run
 //! alongside the counted window. The one
 //! remaining per-wake allocation in the live server is the `Box`ed
 //! closure that carries a readable connection from the poller thread
@@ -123,9 +123,9 @@ fn steady_state_served_check_allocates_nothing() {
     // The registry journal (WAL) is ARMED too: `cache_dir` is set, so
     // the durability flusher thread ticks every 100 ms alongside the
     // counted window and — because served checks move the hit counter —
-    // rewrites the counter checkpoint file during it. Both the idle
-    // tick and the checkpoint rewrite (a reused buffer, manual integer
-    // rendering, persistent fds) must be allocation-free; the `check`
+    // appends a `counters` record to the journal during it. Both the
+    // idle tick and that append (a reused buffer, manual integer
+    // rendering, the journal's open fd) must be allocation-free; the `check`
     // path itself emits no journal events, so `record()` never runs in
     // the window.
     let cache_dir = dir.join("cache");
