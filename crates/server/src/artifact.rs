@@ -47,7 +47,8 @@ use qid_core::sketch::{DistinctSketch, SketchParams};
 use qid_core::stream::{IngestCheckpoint, SkipState};
 use qid_dataset::{Attribute, Column, DataType, Dataset, Schema, Value};
 
-use crate::registry::{CacheKey, SourceStamp, FNV_OFFSET, FNV_PRIME};
+use crate::freshness::{SourceStamp, FNV_OFFSET, FNV_PRIME};
+use crate::registry::CacheKey;
 
 const MAGIC: &[u8; 4] = b"QIDA";
 

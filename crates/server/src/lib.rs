@@ -32,7 +32,7 @@
 //!   `--pollers` shard threads (default `min(4, cores)`) each own a
 //!   round-robin share of the idle connections in non-blocking mode
 //!   behind a minimal vendored readiness shim (`epoll` on Linux,
-//!   `kqueue` on the BSDs/macOS, `poll(2)` fallback) and hand only
+//!   `poll(2)` elsewhere) and hand only
 //!   *readable* connections to the worker pool, so thousands of idle
 //!   keep-alive clients cost zero worker time. Writes are
 //!   readiness-driven too: a response the socket refuses is parked
@@ -172,8 +172,11 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
+mod build;
 pub mod client;
+mod disk;
 pub mod fastpath;
+mod freshness;
 pub mod json;
 pub mod metrics;
 pub mod obs;

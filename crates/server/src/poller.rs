@@ -2,8 +2,8 @@
 //!
 //! Connections are sharded round-robin across `--pollers` dedicated
 //! poller threads, each owning its own kernel queue behind the
-//! vendored [`polling`] shim (`epoll` on Linux, `kqueue` on
-//! macOS/BSD, `poll(2)` fallback). A poller owns every idle
+//! vendored [`polling`] shim (`epoll` on Linux, `poll(2)` elsewhere,
+//! macOS and the BSDs included). A poller owns every idle
 //! connection of its shard in non-blocking mode; only connections
 //! with bytes to read are handed to the worker pool. A worker drains
 //! what the socket has, answers every complete request line, and
@@ -94,7 +94,7 @@ use crate::server::ServerState;
 const MAX_BYTES_PER_WAKE: usize = 1 << 20;
 
 /// The name of the readiness backend [`polling::Poller::new`] picks on
-/// this host (`"epoll"` on Linux, `"kqueue"` on macOS/BSD, `"poll"`
+/// this host (`"epoll"` on Linux, `"poll"`
 /// elsewhere or when `QID_POLL_BACKEND=poll` forces the fallback).
 pub fn backend_name() -> &'static str {
     polling::default_backend_name()

@@ -4,12 +4,12 @@
 //! The paper's economics are: building the `Θ(m/√ε)` tuple sample costs
 //! a full scan, answering a query against it costs `O(|A|·r log r)`. So
 //! the registry builds once and every subsequent `audit`/`key`/`check`
-//! shares the resident [`TupleSampleFilter`]. On top of that single
+//! shares the resident [`qid_core::filter::TupleSampleFilter`]. On top of that single
 //! invariant this module layers the full cache lifecycle:
 //!
-//! * **Sharding.** Keys are spread over [`RegistryConfig::shards`]
-//!   independent `RwLock<HashMap>` shards by key hash, so a cache hit
-//!   takes only a shared read lock on one shard — concurrent readers of
+//! * **Sharding.** Keys are spread over 16 independent
+//!   `RwLock<HashMap>` shards by key hash, so a cache hit takes only a
+//!   shared read lock on one shard — concurrent readers of
 //!   *different* datasets (and of the same dataset) never serialise on
 //!   a global mutex. Entries are immutable `Arc`s, so the read path
 //!   clones a pointer and leaves.
@@ -23,40 +23,27 @@
 //!   entries until the total fits again. The entry being returned is
 //!   never evicted, so a single over-budget dataset still works.
 //! * **Disk persistence.** With [`RegistryConfig::cache_dir`] set,
-//!   every entry built from a source scan is persisted as one
-//!   checksummed binary artifact per key (see [`crate::artifact`]):
-//!   key, source stamp, ingest checkpoint, column sketches, the typed
-//!   sample and, once built, the pair sample. A later miss — in this
-//!   process or after a restart — restores from disk instead of
-//!   re-scanning the (possibly multi-GB) source. Samples are
-//!   `Θ(m/√ε)`, so the warm tier is tiny.
-//! * **File-change invalidation.** Every hit re-stamps the source file
-//!   ([`SourceStamp`]: length, mtime, an FNV-64 fingerprint over a
-//!   fixed prefix, *and* an FNV-64 over the whole content) and
-//!   classifies it against the stamp captured *before* the building
-//!   scan started. For a same-length same-mtime file the stat alone is
-//!   trusted only once it *can* prove freshness — a stamp captured
-//!   within the mtime race window of the file's own mtime
-//!   ([`MTIME_RACE_WINDOW_MS`]) re-reads the prefix fingerprint on
-//!   each hit until one check passes after the window closes, so an
-//!   in-place rewrite hiding inside the filesystem's timestamp
-//!   resolution is caught (the false-negative family). The remaining
-//!   blind spots are a racy same-length rewrite entirely beyond the
-//!   fingerprinted prefix, and deliberate mtime forgery (a rewrite
-//!   that pins the old mtime back from *outside* the race window).
-//!   Disk-restored entries carry the same stamp, so persistence never
-//!   resurrects stale data.
-//! * **Append absorption.** A *grown* source whose **entire** old
-//!   content re-hashes to the recorded whole-content FNV (and whose
-//!   old bytes ended on a row boundary) is a pure append: instead of
-//!   rebuilding, the registry resumes the entry's paused ingest state
-//!   ([`qid_core::stream::TupleIngest`]) and feeds only the new suffix
-//!   through the reservoir, the column sketches, and — when the
-//!   sketch was built in-process — the pair reservoirs. The result is
-//!   bit-identical to a cold rebuild over the whole file, at
-//!   hash-plus-suffix cost (`cache_append_updates`). A rewrite beyond
-//!   the prefix combined with growth therefore rebuilds — it can
-//!   never be absorbed as an append.
+//!   every entry read from the source is persisted as one checksummed
+//!   artifact per key ([`crate::artifact`]); a later miss — in this
+//!   process or after a restart — restores it instead of re-scanning
+//!   the (possibly multi-GB) source.
+//! * **File-change invalidation.** Every hit re-stamps the source
+//!   ([`SourceStamp`]) and classifies it against the stamp captured
+//!   *before* the building scan; `freshness.rs` documents the racy-stat
+//!   discipline and the blind spots that remain. Restores check the
+//!   same stamp, so persistence never resurrects stale data.
+//! * **Append absorption.** A grown source whose entire old content
+//!   still hashes to the recorded stamp, ending on a row boundary, is a
+//!   pure append: the entry's paused ingest resumes over just the new
+//!   suffix, bit-identical to a cold rebuild (`cache_append_updates`).
+//! * **One lookup path.** [`Registry::get_or_load`],
+//!   [`Registry::get_or_load_materialised`], [`Registry::sweep`] and
+//!   startup re-admission all go through one resolver: it classifies
+//!   the resident slot once (fresh, appended, stale, sample-only when a
+//!   materialised entry is wanted, or absent), acts on that, and
+//!   reports what this caller paid — shared, absorbed, restored or
+//!   scanned. The hit, miss and disk-hit counters are bumped in one
+//!   place from that value, so each lookup counts exactly once.
 //! * **Background revalidation.** [`Registry::sweep`] (driven by the
 //!   server's `--sweep-ms` thread) walks resident entries, re-stamps
 //!   fresh ones (keeping the [`Registry::peek`] window open so the
@@ -67,43 +54,31 @@
 //!   oldest-first whenever a persist pushes the directory over budget,
 //!   so never-again-requested keys cannot grow the cache dir forever.
 //!
-//! The full state machine (also documented in `docs/ARCHITECTURE.md`):
+//! Freshness (`freshness.rs`), building and the one source scan
+//! (`build.rs`) and the disk tier (`disk.rs`) live in their own
+//! modules; this one keeps the shards, slots, LRU and the resolver.
 //!
-//! ```text
-//!            ┌────── restore hit ──────────────┐
-//!  miss ──▶ building ── scan ok ──▶ cached ──▶ persisted (artifact on disk)
-//!            │                       │  ▲ ▲
-//!            └─ error (slot dropped) │  │ └ absorb suffix ◀─ appended
-//!                                    │  └── rebuild (miss) ◀─ stale
-//!                                    ├──▶ appended (source grew, prefix intact)
-//!                                    ├──▶ stale    (source rewritten/truncated)
-//!                                    ├──▶ evicted  (LRU under budget pressure)
-//!                                    └──▶ unloaded (explicit protocol command)
-//! ```
+//! `docs/ARCHITECTURE.md` draws the full lifecycle state machine.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io::Read as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
-use std::time::{Instant, UNIX_EPOCH};
+use std::time::Instant;
 
-use qid_core::filter::{FilterParams, SeparationFilter, TupleSampleFilter};
-use qid_core::sketch::{DistinctSketch, NonSeparationSketch, SketchParams};
-use qid_core::stream::{sketch_from_stream, PairIngest, TupleIngest};
-use qid_dataset::csv::{read_csv_path, CsvOptions, CsvTupleSource};
-use qid_dataset::{AttrId, Dataset, DatasetError, DatasetTupleSource, TupleSource};
+use qid_core::sketch::NonSeparationSketch;
+use qid_core::stream::PairIngest;
 
-use crate::artifact::{self, Artifact};
+use crate::artifact;
+use crate::build;
+use crate::disk;
+use crate::freshness::{self, Freshness, FNV_OFFSET, FNV_PRIME};
 use crate::proto::{sketch_params, DatasetRef, LoadMode};
 
-/// Retention parameter `k` of the per-column [`DistinctSketch`]s built
-/// for stream-mode entries: `stats` answers are exact below `k`
-/// distinct values per column and `(1 ± O(1/√k)) ≈ ±6%` estimates
-/// above, at `≤ 8·k` bytes per column.
-pub const COLUMN_SKETCH_K: usize = 256;
+pub use crate::build::{Entry, COLUMN_SKETCH_K};
+pub use crate::freshness::{SourceStamp, FINGERPRINT_PREFIX, MTIME_RACE_WINDOW_MS};
 
 /// The registry's exact cache identity. `eps` is keyed by bit pattern
 /// (the wire carries the same `f64` both ways, so equal requests hash
@@ -151,414 +126,20 @@ impl CacheKey {
         }
         h
     }
-}
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// How many leading bytes of the source file the content fingerprint
-/// covers. Large enough that any realistic header + early rows are
-/// inside it, small enough that re-stamping a hit is one buffered read
-/// of a page-cached region, not a scan.
-pub const FINGERPRINT_PREFIX: u64 = 64 * 1024;
-
-/// How close (milliseconds) a stamp's capture time must be to the
-/// file's mtime for a later same-mtime rewrite to be able to hide from
-/// a stat-based check. Sized for the coarsest common filesystem
-/// timestamp granularity (FAT: 2 s) plus a little scheduler slack.
-/// Outside this window a rewrite necessarily moves the mtime, so the
-/// stat alone proves freshness; inside it, hits re-read the content
-/// fingerprint (the git "racy stat" discipline).
-pub const MTIME_RACE_WINDOW_MS: u64 = 2_500;
-
-/// The source-file identity captured when an entry is built: length,
-/// modification time, an FNV-64 fingerprint over the first
-/// [`FINGERPRINT_PREFIX`] bytes, and an FNV-64 over the entire
-/// content. Hits classify a fresh stamp against this to catch in-place
-/// rewrites (even same-length ones inside the filesystem's mtime
-/// resolution, via the fingerprint) and to recognise pure appends —
-/// the whole-content hash is what proves a grown file's old bytes are
-/// untouched, however large the file is.
-#[derive(Clone, Copy, Debug)]
-pub struct SourceStamp {
-    /// File length in bytes.
-    pub len: u64,
-    /// Modification time, seconds since the Unix epoch.
-    pub mtime_s: u64,
-    /// Sub-second part of the modification time, nanoseconds.
-    pub mtime_ns: u32,
-    /// FNV-1a over the first `min(len, FINGERPRINT_PREFIX)` bytes.
-    pub prefix_fnv: u64,
-    /// FNV-1a over all `len` bytes. On a grown file, the running hash
-    /// at the old length must equal the old stamp's `full_fnv` for the
-    /// growth to classify as a pure append.
-    pub full_fnv: u64,
-    /// Wall-clock capture time, milliseconds since the Unix epoch.
-    /// Excluded from equality: it records *when* the identity was
-    /// taken, not what the file contained — see [`SourceStamp::eq`].
-    pub captured_ms: u64,
-}
-
-/// Two stamps are equal iff they describe the same file *content*
-/// (length, mtime, both hashes). The capture time is deliberately
-/// ignored: re-stamping an unchanged file at a later moment must
-/// compare equal, or every persistence restore and stale check would
-/// see a phantom change.
-impl PartialEq for SourceStamp {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len
-            && self.mtime_s == other.mtime_s
-            && self.mtime_ns == other.mtime_ns
-            && self.prefix_fnv == other.prefix_fnv
-            && self.full_fnv == other.full_fnv
-    }
-}
-
-impl Eq for SourceStamp {}
-
-impl SourceStamp {
-    /// Stats `path` and hashes its content (prefix window + full
-    /// length); `None` if the file cannot be statted or read (missing,
-    /// permissions) or its mtime predates the epoch. The stat is taken
-    /// *before* the read, matching the build discipline: a file
-    /// mutated between the two yields a stamp that cannot match any
-    /// future capture, which classifies as stale — never as silently
-    /// fresh.
-    pub fn capture(path: &str) -> Option<SourceStamp> {
-        let captured_ms = unix_ms_now();
-        let meta = std::fs::metadata(path).ok()?;
-        let mtime = meta
-            .modified()
-            .ok()
-            .and_then(|t| t.duration_since(UNIX_EPOCH).ok())?;
-        let len = meta.len();
-        let scan = scan_content(path, len, len).ok()?;
-        Some(SourceStamp {
-            len,
-            mtime_s: mtime.as_secs(),
-            mtime_ns: mtime.subsec_nanos(),
-            prefix_fnv: scan.prefix_fnv,
-            full_fnv: scan.full_fnv,
-            captured_ms,
-        })
-    }
-
-    /// The file's mtime as milliseconds since the Unix epoch.
-    fn mtime_ms(&self) -> u64 {
-        self.mtime_s
-            .saturating_mul(1_000)
-            .saturating_add(u64::from(self.mtime_ns) / 1_000_000)
-    }
-
-    /// The wall-clock moment after which any rewrite of the file must
-    /// move its mtime past the recorded one.
-    fn race_horizon_ms(&self) -> u64 {
-        self.mtime_ms().saturating_add(MTIME_RACE_WINDOW_MS)
-    }
-
-    /// True while a same-length same-mtime rewrite could still be
-    /// hiding from the stat: the stamp was captured inside the mtime
-    /// race window, so content written after the capture may share the
-    /// recorded mtime. Racy stamps pay a fingerprint re-read on hits
-    /// until one check passes beyond the horizon.
-    fn is_racy(&self) -> bool {
-        self.captured_ms < self.race_horizon_ms()
-    }
-}
-
-/// Wall-clock milliseconds since the Unix epoch (0 on a pre-epoch
-/// clock, which only makes every stamp permanently racy — safe).
-fn unix_ms_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64)
-}
-
-/// The running FNV-1a state of one sequential read of a source file:
-/// the hash at the prefix-window boundary, at the caller's `mark`
-/// (the old length, on grown-file checks), and at the end, plus the
-/// byte just before the mark (the old content's final byte — the
-/// row-boundary check) and how many bytes were actually read.
-struct ContentScan {
-    /// Hash after `min(upto, FINGERPRINT_PREFIX)` bytes.
-    prefix_fnv: u64,
-    /// Hash after `mark` bytes.
-    mark_fnv: u64,
-    /// Hash after every byte read.
-    full_fnv: u64,
-    /// The byte at offset `mark - 1`, if the read got that far.
-    byte_before_mark: Option<u8>,
-    /// Bytes actually read — short of `upto` when the file shrank
-    /// between the stat and the read.
-    read: u64,
-}
-
-/// One buffered sequential read of `path`'s first `upto` bytes,
-/// tracking the running FNV-1a at every boundary a freshness check
-/// needs (`mark ≤ upto`). A single read serves capture (`mark ==
-/// upto`), the same-length fingerprint re-check (`upto ≤
-/// FINGERPRINT_PREFIX`), and the grown-file append check (`mark ==
-/// old length`) — so no check ever reads the file twice.
-fn scan_content(path: &str, mark: u64, upto: u64) -> std::io::Result<ContentScan> {
-    debug_assert!(mark <= upto);
-    let mut file = std::fs::File::open(path)?;
-    let mut h = FNV_OFFSET;
-    let mut scan = ContentScan {
-        prefix_fnv: h,
-        mark_fnv: h,
-        full_fnv: h,
-        byte_before_mark: None,
-        read: 0,
-    };
-    let mut pos: u64 = 0;
-    let mut buf = [0u8; 8192];
-    while pos < upto {
-        let want = (upto - pos).min(buf.len() as u64) as usize;
-        let got = file.read(&mut buf[..want])?;
-        if got == 0 {
-            // Shorter than the stat said (raced a truncation): the
-            // partial hashes cannot match a complete stamp, so the
-            // caller classifies this as stale.
-            break;
-        }
-        for &b in &buf[..got] {
-            if pos + 1 == mark {
-                scan.byte_before_mark = Some(b);
-            }
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            pos += 1;
-            if pos == mark {
-                scan.mark_fnv = h;
-            }
-            if pos == FINGERPRINT_PREFIX {
-                scan.prefix_fnv = h;
-            }
+    /// The dataset reference this key resolves (its path canonical).
+    fn dataset_ref(&self) -> DatasetRef {
+        DatasetRef {
+            path: self.path.clone(),
+            eps: f64::from_bits(self.eps_bits),
+            seed: self.seed,
         }
     }
-    if upto <= FINGERPRINT_PREFIX {
-        // The whole file fits inside the prefix window.
-        scan.prefix_fnv = h;
-    }
-    scan.full_fnv = h;
-    scan.read = pos;
-    Ok(scan)
 }
 
-/// The verdict of re-stamping a source file against the stamp its
-/// entry was built from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Freshness {
-    /// Unchanged (or unstattable — the sample is all we have, and the
-    /// paper's point is that it keeps answering queries).
-    Fresh,
-    /// The file *grew*, the old prefix window hashes identically, and
-    /// the old bytes ended on a row boundary: a pure append. `new` is
-    /// the full stamp of the grown file (captured before the check
-    /// reads), ready to record on the absorbed entry.
-    Appended {
-        /// Stamp of the grown file.
-        new: SourceStamp,
-    },
-    /// Rewritten, truncated, or a grown file whose prefix changed (or
-    /// whose old tail straddles a row): only a full rebuild is sound.
-    Stale,
-}
-
-/// Classifies the current state of `path` against the stamp `then` the
-/// entry was built from. Entries built from an unstattable source
-/// (`then == None`) never invalidate. The returned flag is `true` iff
-/// the same-length arm *read and matched* the content fingerprint —
-/// the caller uses it to settle the racy-stat state (see
-/// [`Registry::classify_for_slot`]).
-///
-/// With `verify_content`, the same-length same-mtime arm re-reads the
-/// prefix fingerprint instead of trusting the stat — required while
-/// the stamp is racy ([`SourceStamp::is_racy`]): a rewrite inside the
-/// filesystem's mtime resolution is invisible to the stat alone. The
-/// residual blind spots are a *racy* same-length rewrite that only
-/// touches bytes beyond [`FINGERPRINT_PREFIX`], and deliberate mtime
-/// forgery from outside the race window.
-///
-/// The grown arm never trusts a prefix alone: the entire old content
-/// is re-hashed and must equal the stamp's whole-content FNV before
-/// the growth classifies as [`Freshness::Appended`] — a rewrite
-/// beyond the prefix combined with growth is `Stale`, not a silently
-/// absorbed append.
-fn classify(then: Option<SourceStamp>, path: &str, verify_content: bool) -> (Freshness, bool) {
-    let captured_ms = unix_ms_now();
-    let Some(then) = then else {
-        return (Freshness::Fresh, false);
-    };
-    let Ok(meta) = std::fs::metadata(path) else {
-        return (Freshness::Fresh, false); // missing ≠ stale
-    };
-    let Some(mtime) = meta
-        .modified()
-        .ok()
-        .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-    else {
-        return (Freshness::Fresh, false);
-    };
-    let (mtime_s, mtime_ns) = (mtime.as_secs(), mtime.subsec_nanos());
-    let len = meta.len();
-    if len < then.len {
-        return (Freshness::Stale, false); // truncated
-    }
-    if len == then.len {
-        if mtime_s != then.mtime_s || mtime_ns != then.mtime_ns {
-            return (Freshness::Stale, false);
-        }
-        if !verify_content {
-            // Outside the race window (or already settled) a matching
-            // stat is proof: any rewrite would have moved the mtime.
-            return (Freshness::Fresh, false);
-        }
-        // Same length, same mtime, racy stamp: the stat alone proves
-        // nothing (the false-negative family) — verify the content
-        // fingerprint.
-        let upto = len.min(FINGERPRINT_PREFIX);
-        return match scan_content(path, 0, upto) {
-            Ok(scan) if scan.read == upto && scan.prefix_fnv == then.prefix_fnv => {
-                (Freshness::Fresh, true)
-            }
-            Ok(_) => (Freshness::Stale, false),
-            Err(_) => (Freshness::Fresh, false), // unreadable now: keep serving
-        };
-    }
-    // Grown. One read re-hashes the *entire* old content (a prefix
-    // match is not enough — a rewrite beyond it plus growth must
-    // rebuild, not absorb) and continues over the suffix, yielding the
-    // grown file's prefix and whole-content hashes for the new stamp.
-    if then.len == 0 {
-        return (Freshness::Stale, false);
-    }
-    let Ok(scan) = scan_content(path, then.len, len) else {
-        return (Freshness::Fresh, false);
-    };
-    if scan.read < len || scan.mark_fnv != then.full_fnv {
-        // Shrank mid-read (volatile) or the old bytes changed: only a
-        // full rebuild is sound.
-        return (Freshness::Stale, false);
-    }
-    // The old content must end exactly on a row boundary; otherwise
-    // the append completed a partial final line and the already-counted
-    // last row changed meaning — only a full rebuild is sound.
-    if scan.byte_before_mark != Some(b'\n') {
-        return (Freshness::Stale, false);
-    }
-    (
-        Freshness::Appended {
-            new: SourceStamp {
-                len,
-                mtime_s,
-                mtime_ns,
-                prefix_fnv: scan.prefix_fnv,
-                full_fnv: scan.full_fnv,
-                captured_ms,
-            },
-        },
-        false,
-    )
-}
-
-/// The artifacts cached for one dataset: the tuple sample (Theorem 1),
-/// the per-column distinct-count sketches, the lazily built
-/// non-separation sketch (Theorem 2), and — for memory-mode loads —
-/// the materialised dataset.
-#[derive(Debug)]
-pub struct Entry {
-    /// The resident tuple-sample filter (always present).
-    pub filter: TupleSampleFilter,
-    /// The fully materialised dataset — `None` for stream-mode loads
-    /// and disk-restored entries, where only the sample is kept.
-    pub dataset: Option<Dataset>,
-    /// Per-column KMV distinct-count sketches (one per attribute, in
-    /// schema order), built during the loading pass so `stats` always
-    /// answers without materialising. Every construction path produces
-    /// them (build, restore, append absorb), so `stats` on a stream
-    /// entry can never fall back to a silent full materialisation.
-    pub cols: Vec<DistinctSketch>,
-    /// Rows seen when the entry was built (stream length or `n_rows`).
-    pub rows: usize,
-    /// Attribute count.
-    pub attrs: usize,
-    /// Approximate resident bytes at build time: the sample, the
-    /// column sketches, the materialised dataset's codes (if any), and
-    /// the retained resumable-ingest tuples (a second copy of the
-    /// sample rows, kept so appends can resume). Together with the
-    /// lazily added non-separation sketch bytes this is what LRU
-    /// eviction charges against [`RegistryConfig::cache_bytes`].
-    pub stored_bytes: usize,
-    /// Source-file stamp captured *before* the building scan, so a
-    /// file rewritten mid-scan still reads as changed on the next hit.
-    /// `None` when the source could not be statted.
-    pub source: Option<SourceStamp>,
-    /// The paused streaming build (reservoir + RNG) this entry's
-    /// sample came from. `Some` for stream-built and checkpoint-
-    /// restored entries; appends resume it over just the new suffix.
-    /// `None` for memory-mode entries (they rebuild fully — the
-    /// materialised dataset must cover the appended rows anyway) and
-    /// pre-checkpoint restores.
-    ingest: Option<TupleIngest>,
-    /// The paused pair-sample build behind the non-separation sketch,
-    /// recorded when [`Registry::sketch_for`] builds by scanning in
-    /// process — so an append can advance the sketch over the suffix
-    /// instead of re-scanning. Written at most once, like the sketch.
-    pair_ingest: OnceLock<PairIngest>,
-    /// The lazily built Theorem 2 sketch: written once (concurrent
-    /// `sketch` queries collapse onto one build), dropped with the
-    /// entry.
-    sketch_cell: OnceLock<Result<Arc<NonSeparationSketch>, String>>,
-    /// Bytes the built sketch adds to the resident total; swapped to 0
-    /// exactly once when the bytes are released (eviction, unload, or
-    /// reclaim after a lost race), so the accounting never
-    /// double-subtracts.
-    sketch_bytes: std::sync::atomic::AtomicUsize,
-}
-
-impl Entry {
-    fn new(
-        filter: TupleSampleFilter,
-        dataset: Option<Dataset>,
-        cols: Vec<DistinctSketch>,
-        rows: usize,
-        attrs: usize,
-        source: Option<SourceStamp>,
-        ingest: Option<TupleIngest>,
-    ) -> Entry {
-        let stored_bytes = filter.stored_bytes()
-            + dataset.as_ref().map_or(0, |ds| ds.code_bytes())
-            + cols.iter().map(DistinctSketch::stored_bytes).sum::<usize>()
-            + ingest.as_ref().map_or(0, TupleIngest::retained_bytes);
-        Entry {
-            filter,
-            dataset,
-            cols,
-            rows,
-            attrs,
-            stored_bytes,
-            source,
-            ingest,
-            pair_ingest: OnceLock::new(),
-            sketch_cell: OnceLock::new(),
-            sketch_bytes: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// The cached non-separation sketch, if one has been built for this
-    /// entry (see [`Registry::sketch_for`]).
-    pub fn sketch(&self) -> Option<Arc<NonSeparationSketch>> {
-        self.sketch_cell
-            .get()
-            .and_then(|r| r.as_ref().ok().cloned())
-    }
-
-    /// True iff this entry can absorb a pure append without a re-scan
-    /// (it carries resumable ingest state).
-    pub fn append_capable(&self) -> bool {
-        self.ingest.is_some()
-    }
-}
+/// Number of independent cache shards. More shards mean less read-lock
+/// contention across distinct datasets.
+const SHARDS: usize = 16;
 
 /// One cache slot: the build cell plus the LRU stamp. The cell is
 /// written exactly once; the stamp is bumped on every touch.
@@ -576,8 +157,7 @@ struct SlotInner {
     /// slot's entry: either the stamp was never racy, or a fingerprint
     /// re-read passed *after* the mtime race window closed (any later
     /// rewrite must move the mtime). Until then, every hit on a racy
-    /// stamp pays the prefix re-read — see
-    /// [`Registry::classify_for_slot`].
+    /// stamp pays the prefix re-read — see [`Registry::find`].
     content_settled: std::sync::atomic::AtomicBool,
 }
 
@@ -587,9 +167,6 @@ type Shard = RwLock<HashMap<CacheKey, Slot>>;
 /// How the registry is sized and where it persists.
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
-    /// Number of independent cache shards (clamped to ≥ 1). More shards
-    /// mean less read-lock contention across distinct datasets.
-    pub shards: usize,
     /// LRU memory budget in bytes over every entry's
     /// [`Entry::stored_bytes`]; `None` disables eviction.
     pub cache_bytes: Option<u64>,
@@ -628,7 +205,6 @@ pub struct RegistryConfig {
 impl Default for RegistryConfig {
     fn default() -> Self {
         RegistryConfig {
-            shards: 16,
             cache_bytes: None,
             cache_dir: None,
             cache_disk_bytes: None,
@@ -796,9 +372,86 @@ impl Drop for Registry {
     }
 }
 
+/// What one resolution cost its caller — the single input to the hit,
+/// miss and disk-hit counters (see [`Registry::count`]). Ordered by
+/// cost, so a resolution that takes several steps reports its dearest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Paid {
+    /// Served a resident entry, or waited on another caller's fill.
+    Shared,
+    /// Absorbed an appended suffix into the resident entry.
+    Absorbed,
+    /// Restored the key's artifact from the cache dir.
+    Restored,
+    /// Scanned the whole source.
+    Scanned,
+}
+
+/// Who is resolving a key. It decides what counts as usable, how an
+/// empty slot is filled, and whether the resolution is a lookup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Want {
+    /// A lookup for an entry built in this mode.
+    Lookup(LoadMode),
+    /// A lookup that needs the materialised dataset: a sample-only
+    /// entry is upgraded by a memory-mode scan.
+    Materialised,
+    /// The background sweeper: refreshes changed resident entries and
+    /// never creates a slot or waits on one.
+    Sweep,
+    /// Startup re-admission: restores an absent key, never scans.
+    Readmit,
+}
+
+impl Want {
+    /// How this caller fills an empty slot; `stale` is the entry a
+    /// rebuild replaces (the sweeper rebuilds in its mode).
+    fn fill(self, stale: Option<&Entry>) -> Fill {
+        match self {
+            Want::Readmit => Fill::Restore,
+            Want::Lookup(mode) => Fill::Scan(mode),
+            Want::Materialised => Fill::Scan(LoadMode::Memory),
+            Want::Sweep if stale.is_some_and(|e| e.dataset.is_some()) => {
+                Fill::Scan(LoadMode::Memory)
+            }
+            Want::Sweep => Fill::Scan(LoadMode::Stream),
+        }
+    }
+}
+
+/// What one look at a key's slot found.
+enum Found {
+    /// No slot.
+    Absent,
+    /// A fill in flight, or a failed one about to be dropped.
+    Pending(Slot),
+    /// A healthy entry whose source passed its freshness check.
+    Fresh(Arc<Entry>),
+    /// The source grew by a pure append the entry can absorb.
+    Appended(Slot, Arc<Entry>, SourceStamp),
+    /// The source changed in a way only a rebuild covers.
+    Stale(Slot, Arc<Entry>),
+    /// Fresh, but sample-only where the caller needs the dataset.
+    SampleOnly(Slot),
+}
+
+/// How a slot is filled.
+enum Fill {
+    /// Restore the key's artifact; never scan.
+    Restore,
+    /// Scan the source in this mode. A stream fill restores the
+    /// artifact instead when it is usable; a memory fill never does —
+    /// the disk tier holds samples only, and an explicit memory-mode
+    /// load exists to pre-materialise.
+    Scan(LoadMode),
+    /// Absorb the appended suffix into the old entry, falling back to a
+    /// full stream scan if that fails.
+    Absorb(Arc<Entry>, SourceStamp),
+}
+
 impl Registry {
     /// Creates an empty registry with the default configuration
-    /// (16 shards, no budget, no persistence).
+    /// (no budget, no persistence).
     pub fn new() -> Self {
         Self::default()
     }
@@ -827,7 +480,7 @@ impl Registry {
             .map(|w| w.recovery().had_journal && !w.recovery().clean_shutdown)
             .unwrap_or(false);
         if let Some(dir) = &config.cache_dir {
-            sweep_tmp_files(dir, crashed);
+            disk::sweep_tmp_files(dir, crashed);
         }
         let counters = Arc::new(crate::wal::LifecycleCounters::default());
         let (restarts, wal_replayed_events, resident) = match &wal {
@@ -838,9 +491,8 @@ impl Registry {
             }
             None => (0, 0, Vec::new()),
         };
-        let n = config.shards.max(1);
         let registry = Registry {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             config,
             born: Instant::now(),
             clock: AtomicU64::new(0),
@@ -855,50 +507,17 @@ impl Registry {
         if let Some(w) = &wal {
             w.arm(counters);
         }
-        registry.readmit(&resident);
-        registry
-    }
-
-    /// Eagerly re-admits the previous life's resident set from the
-    /// warm tier, least-recently-touched first so the LRU order
-    /// survives the restart. Restore-only: a key whose artifacts are
-    /// gone, stale, or mismatched is skipped (the next request for it
-    /// rebuilds normally) — recovery must never pay cold source scans
-    /// for state it merely remembers. Each successful re-admission is
-    /// a disk hit and is journaled like any other restore.
-    fn readmit(&self, resident: &[u64]) {
-        let Some(dir) = self.config.cache_dir.clone() else {
-            return;
-        };
-        for &stem in resident {
-            let Ok(bytes) = std::fs::read(artifact::path(&dir, stem)) else {
-                continue;
-            };
-            let Ok(art) = artifact::parse(&bytes) else {
-                continue;
-            };
-            // The artifact carries the key's full identity; trusting it
-            // is gated on the stem round-tripping (a collision or
-            // foreign file fails here).
-            let key = art.header.key.clone();
-            if key.fnv64() != stem {
-                continue;
+        // Re-admit the previous life's resident set, least recently
+        // touched first so the LRU order survives the restart.
+        // Restore-only: a key whose artifact is gone, stale or foreign
+        // stays out (its next request rebuilds normally) — recovery
+        // never pays cold source scans for state it merely remembers.
+        if let Some(dir) = registry.config.cache_dir.clone() {
+            for key in resident.iter().filter_map(|&stem| disk::key_of(&dir, stem)) {
+                let _ = registry.resolve(&key, &key.dataset_ref(), Want::Readmit);
             }
-            let Some(entry) = restore_entry(&art, &key) else {
-                continue;
-            };
-            let slot: Slot = Arc::new(SlotInner::default());
-            self.touch(&slot);
-            let _ = slot.cell.set(Ok(self.admit_restored(&key, entry)));
-            // The restore proved the current source stamp matches the
-            // persisted one, so the peek window opens immediately.
-            self.stamp_validated(&slot);
-            self.shard(&key)
-                .write()
-                .expect("shard lock")
-                .insert(key.clone(), slot);
-            self.enforce_budget(&key);
         }
+        registry
     }
 
     fn shard(&self, key: &CacheKey) -> &Shard {
@@ -935,29 +554,6 @@ impl Registry {
     /// source-freshness check, opening the [`Registry::peek`] window.
     fn stamp_validated(&self, slot: &Slot) {
         slot.validated.store(self.stamp_now(), Ordering::Relaxed);
-    }
-
-    /// Classifies `slot`'s entry against its source, applying the
-    /// racy-stat discipline: a stamp captured safely after the file's
-    /// mtime is proven fresh by a matching stat alone, so the content
-    /// re-read runs only while the stamp is racy
-    /// ([`SourceStamp::is_racy`]) and the slot has not yet settled.
-    /// Once a fingerprint check passes after the race window closes,
-    /// the slot records that the stat is trustworthy and warm hits
-    /// stop reading the file entirely.
-    fn classify_for_slot(&self, slot: &Slot, entry: &Entry, path: &str) -> Freshness {
-        let verify = entry.source.is_some_and(|s| s.is_racy())
-            && !slot.content_settled.load(Ordering::Relaxed);
-        let (verdict, verified) = classify(entry.source, path, verify);
-        if verified
-            && verdict == Freshness::Fresh
-            && entry
-                .source
-                .is_some_and(|s| unix_ms_now() >= s.race_horizon_ms())
-        {
-            slot.content_settled.store(true, Ordering::Relaxed);
-        }
-        verdict
     }
 
     /// The allocation-free read path: returns the resident entry for
@@ -1003,146 +599,29 @@ impl Registry {
     /// Returns the cached entry for `ds`, building it on first use.
     ///
     /// The boolean is `true` iff the lookup was answered without paying
-    /// a source scan *by this caller*: a resident entry, or a wait on a
-    /// concurrent build. It is `false` for cold builds, disk restores,
-    /// and stale rebuilds. Failed builds are evicted so a later request
-    /// can retry (e.g. after the file appears).
+    /// a source scan or restore *by this caller*: a resident entry, a
+    /// wait on a concurrent build, or a suffix-only append absorb. It is
+    /// `false` for cold builds, disk restores and stale rebuilds. Failed
+    /// builds are evicted so a later request can retry (e.g. after the
+    /// file appears).
     pub fn get_or_load(
         &self,
         ds: &DatasetRef,
         mode: LoadMode,
     ) -> (Result<Arc<Entry>, String>, bool) {
-        let key = CacheKey::of(ds);
-        // The disk tier holds samples only, so it can satisfy a
-        // stream-mode lookup but not an explicit memory-mode load —
-        // `load` with `"mode":"memory"` exists to pre-materialise, and
-        // silently downgrading it to a sample would push the full scan
-        // onto the first `stats`/`mask` instead.
-        let allow_restore = matches!(mode, LoadMode::Stream);
-        // Fast path: shared read lock, pointer clone.
-        let resident = self
-            .shard(&key)
-            .read()
-            .expect("shard lock")
-            .get(&key)
-            .map(Arc::clone);
-        if let Some(slot) = resident {
-            self.touch(&slot);
-            match slot.cell.get() {
-                Some(done) => {
-                    if let Ok(entry) = done {
-                        match self.classify_for_slot(&slot, entry, &key.path) {
-                            Freshness::Fresh => {
-                                // The stamp just passed: re-open the
-                                // peek window.
-                                self.stamp_validated(&slot);
-                            }
-                            Freshness::Appended { new } if entry.append_capable() => {
-                                // The entry is reused (suffix-only
-                                // scan): hit semantics — counted
-                                // inside refresh_appended, and only
-                                // when the absorb does not fall back
-                                // to a full scan (a miss).
-                                let (result, _) =
-                                    self.refresh_appended(&key, ds, &slot, entry, new, true);
-                                return (result, true);
-                            }
-                            _ => {
-                                return self.refresh_stale(
-                                    &key,
-                                    ds,
-                                    mode,
-                                    &slot,
-                                    allow_restore,
-                                    true,
-                                )
-                            }
-                        }
-                    }
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    (done.clone(), true)
-                }
-                None => {
-                    // A build is in flight; wait on it. The scan is
-                    // shared, so this still counts as a hit.
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    let result = self.run_build(&key, ds, mode, &slot, allow_restore);
-                    (result, true)
-                }
-            }
-        } else {
-            // Miss: insert a fresh slot (or adopt one a racer inserted
-            // between our read and write locks) and build into it.
-            let (slot, we_inserted) = {
-                let mut map = self.shard(&key).write().expect("shard lock");
-                match map.get(&key) {
-                    Some(existing) => (Arc::clone(existing), false),
-                    None => {
-                        let fresh: Slot = Arc::new(SlotInner::default());
-                        map.insert(key.clone(), Arc::clone(&fresh));
-                        (fresh, true)
-                    }
-                }
-            };
-            self.touch(&slot);
-            if !we_inserted {
-                // Same as the in-flight case above: someone else owns
-                // the build; waiting on it shares the scan.
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return (self.run_build(&key, ds, mode, &slot, allow_restore), true);
-            }
-            (self.run_build(&key, ds, mode, &slot, allow_restore), false)
-        }
+        let (result, paid) = self.resolve(&CacheKey::of(ds), ds, Want::Lookup(mode));
+        (result, paid <= Paid::Absorbed)
     }
 
     /// Like [`Registry::get_or_load`] with [`LoadMode::Memory`], but
     /// additionally upgrades a sample-only entry (stream-mode or
     /// disk-restored) to a fully materialised one — `stats` and `mask`
     /// need the whole dataset. Concurrent upgraders collapse onto one
-    /// re-scan (the same way cold builds do). Only the upgrader that
-    /// swaps the slot is reclassified from hit to miss.
+    /// re-scan (the same way cold builds do); only the upgrader whose
+    /// scan ran counts a miss.
     pub fn get_or_load_materialised(&self, ds: &DatasetRef) -> (Result<Arc<Entry>, String>, bool) {
-        let (mut result, mut hit) = self.get_or_load(ds, LoadMode::Memory);
-        // Loop: adopting a racer's pending build can hand back a
-        // *stream-mode* result (sample only) — e.g. a concurrent stale
-        // rebuild in flight. Each adoption waits on a finished build,
-        // so re-checking until the entry is materialised (or until we
-        // swap and scan memory-mode ourselves, which always
-        // materialises) converges after the race drains.
-        loop {
-            match result {
-                Ok(entry) if entry.dataset.is_none() => {
-                    let key = CacheKey::of(ds);
-                    let (slot, we_swapped) = self.swap_slot_if(&key, |cur| {
-                        // Swap only if the resident slot still holds
-                        // the unusable sample-only entry (or a stale
-                        // error); a pending or finished upgrade slot
-                        // is reused as-is.
-                        cur.cell
-                            .get()
-                            .is_some_and(|r| !r.as_ref().is_ok_and(|e| e.dataset.is_some()))
-                    });
-                    if we_swapped {
-                        self.counters.upgrades.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if we_swapped && hit {
-                        // Reclassify: the cached entry was unusable
-                        // and we are the one paying the re-scan.
-                        self.counters.hits.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    // An upgrade must materialise, which the disk tier
-                    // cannot do — force a source scan.
-                    result = self.run_build(&key, ds, LoadMode::Memory, &slot, false);
-                    hit = hit && !we_swapped;
-                    if we_swapped {
-                        // Our own memory-mode build: materialised or a
-                        // real error either way.
-                        return (result, hit);
-                    }
-                }
-                other => return (other, hit),
-            }
-        }
+        let (result, paid) = self.resolve(&CacheKey::of(ds), ds, Want::Materialised);
+        (result, paid <= Paid::Absorbed)
     }
 
     /// Returns the entry's Theorem 2 [`NonSeparationSketch`], building
@@ -1172,54 +651,17 @@ impl Registry {
         let result = entry
             .sketch_cell
             .get_or_init(|| {
-                let params = sketch_params();
                 if entry.dataset.is_none() {
-                    if let Some(sk) = self.try_restore_sketch(&key, entry, params) {
-                        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
+                    let dir = self.config.cache_dir.as_deref();
+                    if let Some(sk) =
+                        dir.and_then(|dir| disk::restore_sketch(dir, &key, entry, sketch_params()))
+                    {
+                        self.count(Paid::Restored, false);
                         return Ok(self.admit_sketch(entry, sk, &key));
                     }
+                    self.count(Paid::Scanned, false);
                 }
-                let built = match &entry.dataset {
-                    Some(dataset) => {
-                        let mut src = DatasetTupleSource::new(dataset);
-                        sketch_from_stream(&mut src, params, ds.seed)
-                            .map_err(|e: DatasetError| e.to_string())?
-                    }
-                    None => {
-                        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                        let mut src = CsvTupleSource::open(&key.path, &CsvOptions::default())
-                            .map_err(|e| format!("reading {}: {e}", key.path))?;
-                        // Driven through a PairIngest (rather than
-                        // `sketch_from_stream`, which it re-implements
-                        // verbatim) so the pair-reservoir state can be
-                        // kept on the entry for append absorption.
-                        let slots = params.pair_sample_size(src.n_attrs()).max(1);
-                        let mut ingest = PairIngest::new(src.attr_names(), slots, ds.seed);
-                        loop {
-                            match src.next_tuple() {
-                                Ok(Some(tuple)) => ingest.push(&tuple),
-                                Ok(None) => break,
-                                Err(e) => return Err(format!("streaming {}: {e}", key.path)),
-                            }
-                        }
-                        let sk = ingest
-                            .to_sketch(params)
-                            .map_err(|e| format!("streaming {}: {e}", key.path))?;
-                        // The sample and the sketch must describe the
-                        // same data: if the source changed between the
-                        // entry build and this scan, fail now — the
-                        // stamp-on-hit check will rebuild the entry
-                        // (and with it this cell) on the next lookup.
-                        if SourceStamp::capture(&key.path) != entry.source {
-                            return Err(format!(
-                                "{} changed while the sketch was building; retry",
-                                key.path
-                            ));
-                        }
-                        let _ = entry.pair_ingest.set(ingest);
-                        sk
-                    }
-                };
+                let built = build::build_sketch(&key.path, entry, ds.seed)?;
                 self.persist(&key, entry, Some(&built));
                 Ok(self.admit_sketch(entry, built, &key))
             })
@@ -1405,70 +847,24 @@ impl Registry {
         self.wal_replayed_events
     }
 
-    /// Test hook: tears the journal down the way a kill -9 would — no
-    /// shutdown record — so unit tests can simulate a crash without
-    /// killing the test process.
-    #[cfg(test)]
-    fn crash_for_test(&self) {
-        if let Some(wal) = &self.wal {
-            wal.abort_for_test();
-        }
-    }
-
-    /// One background-revalidation pass: walks every resident completed
-    /// entry, re-stamps its source, and acts on the verdict *ahead of
-    /// traffic* — fresh entries get their [`Registry::peek`] window
-    /// re-opened (so the zero-allocation fast path keeps serving
+    /// One background-revalidation pass: resolves every resident key
+    /// *ahead of traffic* — fresh entries get their [`Registry::peek`]
+    /// window re-opened (so the zero-allocation fast path keeps serving
     /// between sweeps without ever falling back to a stat), appended
     /// ones are absorbed, stale ones rebuilt. Returns the number of
     /// entries this pass actually refreshed (absorbed or rebuilt).
     ///
-    /// Safe to race with foreground lookups: refresh goes through the
-    /// same swap-then-build-once discipline as the request path, so a
-    /// sweeper and a foreground caller landing on the same changed
-    /// entry share one scan and count one miss.
+    /// Safe to race with foreground lookups: both go through the same
+    /// resolver, so a sweeper and a foreground caller landing on the
+    /// same changed entry share one scan and count one miss.
     pub fn sweep(&self) -> u64 {
         let mut refreshed = 0u64;
         for shard in &self.shards {
-            let slots: Vec<(CacheKey, Slot)> = {
-                let map = shard.read().expect("shard lock");
-                map.iter()
-                    .map(|(key, slot)| (key.clone(), Arc::clone(slot)))
-                    .collect()
-            };
-            for (key, slot) in slots {
-                let Some(Ok(entry)) = slot.cell.get() else {
-                    continue; // mid-build or failed: the request path owns those
-                };
-                let entry = Arc::clone(entry);
-                let ds = DatasetRef {
-                    path: key.path.clone(),
-                    eps: f64::from_bits(key.eps_bits),
-                    seed: key.seed,
-                };
-                match self.classify_for_slot(&slot, &entry, &key.path) {
-                    Freshness::Fresh => self.stamp_validated(&slot),
-                    Freshness::Appended { new } if entry.append_capable() => {
-                        // The sweeper is not a lookup: no hit counted.
-                        let (result, swapped) =
-                            self.refresh_appended(&key, &ds, &slot, &entry, new, false);
-                        if result.is_ok() && swapped {
-                            refreshed += 1;
-                        }
-                    }
-                    _ => {
-                        let mode = if entry.dataset.is_some() {
-                            LoadMode::Memory
-                        } else {
-                            LoadMode::Stream
-                        };
-                        let allow_restore = matches!(mode, LoadMode::Stream);
-                        let (result, adopted) =
-                            self.refresh_stale(&key, &ds, mode, &slot, allow_restore, false);
-                        if result.is_ok() && !adopted {
-                            refreshed += 1;
-                        }
-                    }
+            let keys: Vec<CacheKey> = shard.read().expect("shard lock").keys().cloned().collect();
+            for key in keys {
+                let (result, paid) = self.resolve(&key, &key.dataset_ref(), Want::Sweep);
+                if result.is_ok() && paid != Paid::Shared {
+                    refreshed += 1;
                 }
             }
         }
@@ -1480,224 +876,255 @@ impl Registry {
         refreshed
     }
 
-    // ------------------------------------------------------ internals
+    // ------------------------------------------------------ resolver
 
-    /// True iff the entry's recorded stamp differs from the prefetched
-    /// one — the lock-safe staleness predicate (no filesystem I/O, so
-    /// it may run under a shard write lock). A source that cannot be
-    /// stamped now (deleted, permissions) is *not* stale: the sample
-    /// is all we have, and the paper's point is that it keeps
-    /// answering queries.
-    fn stamp_mismatch(entry: &Entry, now: Option<SourceStamp>) -> bool {
-        matches!((entry.source, now), (Some(then), Some(n)) if then != n)
-    }
-
-    /// The stale path: swaps in a fresh slot (unless a racer already
-    /// refreshed the entry) and builds into it. `allow_restore` is
-    /// forwarded so a stale rebuild may still use the disk tier — the
-    /// restore itself verifies the source stamp, so stale persisted
-    /// files never match. `count_adopt_hit` is true on the request
-    /// path (adopting a racer's rebuild shares its scan — hit
-    /// semantics) and false from the sweeper, which is not a lookup.
-    /// The returned boolean follows the [`Registry::get_or_load`]
-    /// contract: `true` iff this caller adopted a racer's rebuild
-    /// instead of paying its own.
-    fn refresh_stale(
+    /// The one lookup path. Looks at `key`'s slot once, acts on what it
+    /// found — share it, wait on it, or swap in a fresh slot and fill
+    /// that — and looks again only when a racer replaced the slot
+    /// first. Counts the resolution exactly once, from what this caller
+    /// paid. A sweep of a key it does not own, or a re-admission of a
+    /// key already present, does nothing: an empty error, paid nothing.
+    fn resolve(
         &self,
         key: &CacheKey,
         ds: &DatasetRef,
-        mode: LoadMode,
-        observed: &Slot,
-        allow_restore: bool,
-        count_adopt_hit: bool,
-    ) -> (Result<Arc<Entry>, String>, bool) {
-        // Stamp once, out here: the swap predicate runs under the shard
-        // write lock, and filesystem I/O there would stall every
-        // lookup on the shard behind a slow disk.
-        let now = SourceStamp::capture(&key.path);
-        let (slot, we_swapped) = self.swap_slot_if(key, |cur| {
-            // Swap the slot we saw go stale. If a racer already swapped
-            // it, swap again only if *their* result is stale too —
-            // adopting a fresh rebuild (or a build in flight) as-is.
-            Arc::ptr_eq(cur, observed)
-                || cur.cell.get().is_some_and(|r| match r {
-                    Ok(entry) => Self::stamp_mismatch(entry, now),
-                    Err(_) => true,
-                })
-        });
-        if we_swapped {
-            // Exactly one observer per rebuild reaches here, so the
-            // counter matches actual rebuilds even under racing hits.
-            self.counters.stale_rebuilds.fetch_add(1, Ordering::Relaxed);
-            self.emit(RegistryEvent::StaleRebuild { key: key.fnv64() });
-        } else if count_adopt_hit {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        want: Want,
+    ) -> (Result<Arc<Entry>, String>, Paid) {
+        let mut paid = Paid::Shared;
+        let result = loop {
+            let (slot, fill) = match self.find(key, want) {
+                Found::Fresh(entry) => break Ok(entry),
+                Found::Absent | Found::Pending(_) if want == Want::Sweep => {
+                    break Err(String::new())
+                }
+                Found::Absent => (self.insert_or_adopt(key), want.fill(None)),
+                _ if want == Want::Readmit => break Err(String::new()),
+                Found::Pending(slot) => (slot, want.fill(None)),
+                Found::Appended(seen, old, new) => match self.swap_if_current(key, &seen) {
+                    Some(slot) => (slot, Fill::Absorb(old, new)),
+                    None => continue,
+                },
+                Found::Stale(seen, old) => match self.swap_if_current(key, &seen) {
+                    Some(slot) => {
+                        self.counters.stale_rebuilds.fetch_add(1, Ordering::Relaxed);
+                        self.emit(RegistryEvent::StaleRebuild { key: key.fnv64() });
+                        (slot, want.fill(Some(&old)))
+                    }
+                    None => continue,
+                },
+                Found::SampleOnly(seen) => match self.swap_if_current(key, &seen) {
+                    Some(slot) => {
+                        self.counters.upgrades.fetch_add(1, Ordering::Relaxed);
+                        (slot, want.fill(None))
+                    }
+                    None => continue,
+                },
+            };
+            let (result, step) = self.fill(key, ds, &slot, fill);
+            paid = paid.max(step);
+            // Waiting on a racer's stream fill can hand a materialising
+            // caller a sample-only entry: look again.
+            if want == Want::Materialised && result.as_ref().is_ok_and(|e| e.dataset.is_none()) {
+                continue;
+            }
+            break result;
+        };
+        self.count(paid, matches!(want, Want::Lookup(_) | Want::Materialised));
+        (result, paid)
+    }
+
+    /// Looks at `key`'s slot and classifies it once for `want`. Lookups
+    /// touch the slot (LRU). A healthy entry is checked against its
+    /// source under the racy-stat discipline: the content re-read runs
+    /// only while the stamp is racy ([`SourceStamp::is_racy`]) and the
+    /// slot has not settled; once a re-read passes after the race
+    /// window closes, the slot records that its stat is trustworthy and
+    /// warm hits stop reading the file. A fresh entry re-opens the
+    /// [`Registry::peek`] window.
+    fn find(&self, key: &CacheKey, want: Want) -> Found {
+        let resident = self
+            .shard(key)
+            .read()
+            .expect("shard lock")
+            .get(key)
+            .map(Arc::clone);
+        let Some(slot) = resident else {
+            return Found::Absent;
+        };
+        if want != Want::Sweep {
+            self.touch(&slot);
         }
-        (
-            self.run_build(key, ds, mode, &slot, allow_restore),
-            !we_swapped,
-        )
+        let Some(Ok(entry)) = slot.cell.get() else {
+            return Found::Pending(slot);
+        };
+        let entry = Arc::clone(entry);
+        let verify = entry.source.is_some_and(|s| s.is_racy())
+            && !slot.content_settled.load(Ordering::Relaxed);
+        let (verdict, settled) = freshness::classify(entry.source, &key.path, verify);
+        if settled {
+            slot.content_settled.store(true, Ordering::Relaxed);
+        }
+        match verdict {
+            Freshness::Fresh => {
+                self.stamp_validated(&slot);
+                if want == Want::Materialised && entry.dataset.is_none() {
+                    Found::SampleOnly(slot)
+                } else {
+                    Found::Fresh(entry)
+                }
+            }
+            Freshness::Appended { new } if entry.append_capable() => {
+                Found::Appended(slot, entry, new)
+            }
+            _ => Found::Stale(slot, entry),
+        }
     }
 
-    /// The append path: swaps in a fresh slot (unless a racer already
-    /// refreshed the entry) and fills it by *absorbing* the appended
-    /// suffix into `old`'s resumable ingest state — bit-identical to a
-    /// cold rebuild over the whole file, at suffix cost. Falls back to
-    /// a full scan (a miss) if the absorb fails for any reason.
-    /// `count_hit` is true on the request path, where the lookup is
-    /// counted as a hit — unless *this* caller's absorb fell back to
-    /// the full scan, which is already counted as a miss (so `hits +
-    /// misses` always equals lookups); the sweeper passes false, it is
-    /// not a lookup. The returned boolean is `true` iff this caller
-    /// performed the swap.
-    fn refresh_appended(
+    /// The one place a resolution is counted: a lookup that paid no
+    /// more than a suffix absorb is a hit; a restore is a disk hit and
+    /// a full scan a miss, whoever paid it.
+    fn count(&self, paid: Paid, lookup: bool) {
+        let counter = match paid {
+            Paid::Scanned => &self.counters.misses,
+            Paid::Restored => &self.counters.disk_hits,
+            Paid::Shared | Paid::Absorbed if lookup => &self.counters.hits,
+            Paid::Shared | Paid::Absorbed => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `key`'s slot, inserting an empty one when there is none.
+    fn insert_or_adopt(&self, key: &CacheKey) -> Slot {
+        let slot = Arc::clone(
+            self.shard(key)
+                .write()
+                .expect("shard lock")
+                .entry(key.clone())
+                .or_default(),
+        );
+        self.touch(&slot);
+        slot
+    }
+
+    /// Replaces `seen` with a fresh empty slot iff it is still `key`'s
+    /// slot, releasing the replaced entry's bytes. `None` means a racer
+    /// replaced (or removed) it first; the caller looks again.
+    fn swap_if_current(&self, key: &CacheKey, seen: &Slot) -> Option<Slot> {
+        let mut map = self.shard(key).write().expect("shard lock");
+        if !map.get(key).is_some_and(|cur| Arc::ptr_eq(cur, seen)) {
+            return None;
+        }
+        let fresh: Slot = Arc::new(SlotInner::default());
+        self.touch(&fresh);
+        if let Some(old) = map.insert(key.clone(), Arc::clone(&fresh)) {
+            self.forget_bytes(&old);
+        }
+        Some(fresh)
+    }
+
+    /// Runs the slot's one-time fill — or waits on whichever caller's
+    /// fill got there first — then drops a failed slot so a later
+    /// request retries, or opens the peek window (the fill captured a
+    /// fresh stamp) and enforces the LRU budget. Returns what this
+    /// caller paid: [`Paid::Shared`] unless its own fill ran.
+    fn fill(
         &self,
         key: &CacheKey,
         ds: &DatasetRef,
-        observed: &Slot,
-        old: &Arc<Entry>,
-        new: SourceStamp,
-        count_hit: bool,
-    ) -> (Result<Arc<Entry>, String>, bool) {
-        let (slot, we_swapped) = self.swap_slot_if(key, |cur| {
-            // Swap the slot we saw as appended. If a racer already
-            // swapped it, swap again only if their result still holds
-            // the old stamp (nobody actually refreshed) — otherwise
-            // adopt their fresh slot (or wait on their build in
-            // flight) as-is.
-            Arc::ptr_eq(cur, observed)
-                || cur.cell.get().is_some_and(|r| match r {
-                    Ok(entry) => entry.source == old.source,
-                    Err(_) => true,
-                })
-        });
-        let fell_back = std::cell::Cell::new(false);
+        slot: &Slot,
+        fill: Fill,
+    ) -> (Result<Arc<Entry>, String>, Paid) {
+        let mut paid = Paid::Shared;
         let result = slot
             .cell
-            .get_or_init(|| match self.absorb_append(key, ds, old, new) {
-                Ok(entry) => {
-                    self.counters.append_updates.fetch_add(1, Ordering::Relaxed);
-                    self.resident_bytes
-                        .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
-                    self.emit(RegistryEvent::AppendUpdate {
-                        key: key.fnv64(),
-                        bytes: new.len - old.source.map_or(0, |s| s.len),
-                    });
-                    // Re-persist so a restart resumes from the absorbed
-                    // state, not the pre-append sample.
-                    self.persist(key, &entry, entry.sketch().as_deref());
-                    Ok(entry)
-                }
-                Err(_) => {
-                    // Absorb failed (unreadable suffix, inconsistent
-                    // state): pay the full scan instead. That scan is
-                    // the miss; the caller must not also count a hit.
-                    fell_back.set(true);
-                    self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                    self.scan_build(key, ds, LoadMode::Stream)
-                }
+            .get_or_init(|| {
+                let (result, how) = self.run_fill(key, ds, fill);
+                paid = how;
+                result
             })
             .clone();
-        // A caller that adopted a racer's slot (closure not run) shares
-        // that work — hit semantics, like waiting on an in-flight
-        // build. Only the caller whose own absorb fell back to a scan
-        // skips the hit: its lookup is the miss counted above.
-        if count_hit && !fell_back.get() {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        if result.is_err() {
+            let mut map = self.shard(key).write().expect("shard lock");
+            if map.get(key).is_some_and(|cur| Arc::ptr_eq(cur, slot)) {
+                map.remove(key);
+            }
+        } else {
+            self.stamp_validated(slot);
+            self.enforce_budget(key);
         }
-        self.finish_build(key, &slot, &result);
-        (result, we_swapped)
+        (result, paid)
     }
 
-    /// Feeds the appended suffix (`old.source.len ..= new.len` bytes of
-    /// the source) through the entry's paused reservoir, column
-    /// sketches, and — if the sketch was built in-process — pair
-    /// reservoirs, producing a new entry equal to a cold rebuild over
-    /// the grown file.
-    fn absorb_append(
+    /// Absorbs, restores or scans; runs only inside a slot's one-time
+    /// fill.
+    fn run_fill(
         &self,
         key: &CacheKey,
         ds: &DatasetRef,
-        old: &Arc<Entry>,
-        new: SourceStamp,
-    ) -> Result<Arc<Entry>, String> {
-        let old_stamp = old.source.ok_or("entry has no source stamp")?;
-        let mut ingest = old
-            .ingest
-            .clone()
-            .ok_or("entry has no resumable ingest state")?;
-        let mut cols = old.cols.clone();
-        let mut pair = old.pair_ingest.get().cloned();
-        let mut src = CsvTupleSource::open_suffix(
-            &key.path,
-            old_stamp.len,
-            new.len - old_stamp.len,
-            ingest.names().to_vec(),
-            &CsvOptions::default(),
-        )
-        .map_err(|e| format!("reading {}: {e}", key.path))?;
-        loop {
-            let tuple = match src.next_tuple() {
-                Ok(Some(tuple)) => tuple,
-                Ok(None) => break,
-                Err(e) => return Err(format!("streaming {}: {e}", key.path)),
-            };
-            if tuple.len() != old.attrs {
-                return Err(format!(
-                    "appended row width {} != schema width {}",
-                    tuple.len(),
-                    old.attrs
-                ));
+        fill: Fill,
+    ) -> (Result<Arc<Entry>, String>, Paid) {
+        let stem = key.fnv64();
+        let restore = || {
+            let entry = disk::restore(self.config.cache_dir.as_deref()?, key)?;
+            let bytes = entry.stored_bytes as u64;
+            let event = RegistryEvent::Restored { key: stem, bytes };
+            Some(self.admit(key, entry, None, event))
+        };
+        let mode = match fill {
+            Fill::Absorb(old, new) => match build::absorb(&key.path, &old, new, ds.eps) {
+                Ok((entry, sketch)) => {
+                    self.counters.append_updates.fetch_add(1, Ordering::Relaxed);
+                    let bytes = new.len - old.source.map_or(0, |s| s.len);
+                    let event = RegistryEvent::AppendUpdate { key: stem, bytes };
+                    return (Ok(self.admit(key, entry, sketch, event)), Paid::Absorbed);
+                }
+                // Unreadable suffix or inconsistent state: pay the full
+                // scan instead.
+                Err(_) => LoadMode::Stream,
+            },
+            Fill::Restore => {
+                return match restore() {
+                    Some(entry) => (Ok(entry), Paid::Restored),
+                    None => (Err("no usable artifact".to_string()), Paid::Shared),
+                };
             }
-            for (sk, v) in cols.iter_mut().zip(&tuple) {
-                sk.observe(v);
-            }
-            if let Some(p) = &mut pair {
-                p.push(&tuple);
-            }
-            ingest.push(tuple);
-        }
-        let params = FilterParams::new(ds.eps);
-        let filter = ingest
-            .to_filter(params)
-            .map_err(|e| format!("rebuilding sample for {}: {e}", key.path))?;
-        let rows = ingest.rows();
-        let entry = Entry::new(filter, None, cols, rows, old.attrs, Some(new), Some(ingest));
-        let entry = Arc::new(entry);
-        if let Some(pair) = pair {
-            // The old entry had an in-process sketch: advance it over
-            // the suffix too, so `sketch` stays warm across appends.
-            if let Ok(sk) = pair.to_sketch(sketch_params()) {
-                // Pair state goes on the entry *before* admission so
-                // the sketch byte charge covers its retained tuples.
-                let _ = entry.pair_ingest.set(pair);
-                let sk = self.admit_sketch(&entry, sk, key);
-                let _ = entry.sketch_cell.set(Ok(sk));
-            }
-        }
-        Ok(entry)
+            Fill::Scan(LoadMode::Stream) => match restore() {
+                Some(entry) => return (Ok(entry), Paid::Restored),
+                None => LoadMode::Stream,
+            },
+            Fill::Scan(LoadMode::Memory) => LoadMode::Memory,
+        };
+        let source = SourceStamp::capture(&key.path);
+        let result = build::build_entry(ds, mode, source).map(|entry| {
+            let bytes = entry.stored_bytes as u64;
+            self.admit(key, entry, None, RegistryEvent::Built { key: stem, bytes })
+        });
+        (result, Paid::Scanned)
     }
 
-    /// Swaps in a fresh slot for `key` when `should_swap` says the
-    /// current one is unusable; otherwise adopts the current slot.
-    /// Subtracts the replaced entry's bytes. Returns the slot to build
-    /// into (or wait on) and whether this caller performed the swap.
-    fn swap_slot_if(&self, key: &CacheKey, should_swap: impl Fn(&Slot) -> bool) -> (Slot, bool) {
-        let mut map = self.shard(key).write().expect("shard lock");
-        let needs_swap = map.get(key).is_none_or(should_swap);
-        if needs_swap {
-            let fresh: Slot = Arc::new(SlotInner::default());
-            self.touch(&fresh);
-            if let Some(old) = map.insert(key.clone(), Arc::clone(&fresh)) {
-                self.forget_bytes(&old);
-            }
-            (fresh, true)
-        } else {
-            let cur = Arc::clone(map.get(key).expect("slot present"));
-            drop(map);
-            self.touch(&cur);
-            (cur, false)
+    /// Books a filled entry: an absorb's advanced sketch, the entry's
+    /// resident bytes, its lifecycle event and — for anything read from
+    /// the source — its artifact, so a restart resumes from it rather
+    /// than re-scanning.
+    fn admit(
+        &self,
+        key: &CacheKey,
+        entry: Entry,
+        sketch: Option<NonSeparationSketch>,
+        event: RegistryEvent,
+    ) -> Arc<Entry> {
+        let entry = Arc::new(entry);
+        if let Some(sketch) = sketch {
+            let sketch = self.admit_sketch(&entry, sketch, key);
+            let _ = entry.sketch_cell.set(Ok(sketch));
         }
+        self.resident_bytes
+            .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
+        self.emit(event);
+        if !matches!(event, RegistryEvent::Restored { .. }) {
+            self.persist(key, &entry, entry.sketch().as_deref());
+        }
+        entry
     }
 
     /// Subtracts a removed slot's resident bytes from the total —
@@ -1709,84 +1136,6 @@ impl Registry {
             let sketch = entry.sketch_bytes.swap(0, Ordering::SeqCst);
             self.resident_bytes
                 .fetch_sub((entry.stored_bytes + sketch) as u64, Ordering::SeqCst);
-        }
-    }
-
-    /// Runs (or waits on) the slot's one-time build, then enforces the
-    /// LRU budget. Exactly one caller executes the closure; the rest
-    /// block inside `get_or_init` until the winner finishes. The
-    /// closure classifies the lookup: restore → disk hit, scan → miss.
-    fn run_build(
-        &self,
-        key: &CacheKey,
-        ds: &DatasetRef,
-        mode: LoadMode,
-        slot: &Slot,
-        allow_restore: bool,
-    ) -> Result<Arc<Entry>, String> {
-        let result = slot
-            .cell
-            .get_or_init(|| {
-                if allow_restore {
-                    if let Some(entry) = self.try_restore(key) {
-                        return Ok(self.admit_restored(key, entry));
-                    }
-                }
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                self.scan_build(key, ds, mode)
-            })
-            .clone();
-        self.finish_build(key, slot, &result);
-        result
-    }
-
-    /// Books a disk-restored entry: a disk hit, its resident bytes, and
-    /// the journaled `restore` event.
-    fn admit_restored(&self, key: &CacheKey, entry: Entry) -> Arc<Entry> {
-        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-        self.resident_bytes
-            .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
-        self.emit(RegistryEvent::Restored {
-            key: key.fnv64(),
-            bytes: entry.stored_bytes as u64,
-        });
-        Arc::new(entry)
-    }
-
-    /// A full source scan (a miss): builds the entry, books its bytes,
-    /// persists it, and enforces the warm-tier budget. Runs only from
-    /// inside a slot's one-time build closure.
-    fn scan_build(
-        &self,
-        key: &CacheKey,
-        ds: &DatasetRef,
-        mode: LoadMode,
-    ) -> Result<Arc<Entry>, String> {
-        build_entry(ds, &key.path, mode).map(|entry| {
-            self.resident_bytes
-                .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
-            self.emit(RegistryEvent::Built {
-                key: key.fnv64(),
-                bytes: entry.stored_bytes as u64,
-            });
-            self.persist(key, &entry, None);
-            Arc::new(entry)
-        })
-    }
-
-    /// The common tail of every slot fill: evict a failed slot so a
-    /// later request retries, or stamp a successful one (the build
-    /// captured a fresh source stamp, so the peek window opens from
-    /// here) and enforce the LRU budget.
-    fn finish_build(&self, key: &CacheKey, slot: &Slot, result: &Result<Arc<Entry>, String>) {
-        if result.is_err() {
-            let mut map = self.shard(key).write().expect("shard lock");
-            if map.get(key).is_some_and(|cur| Arc::ptr_eq(cur, slot)) {
-                map.remove(key);
-            }
-        } else {
-            self.stamp_validated(slot);
-            self.enforce_budget(key);
         }
     }
 
@@ -1842,326 +1191,26 @@ impl Registry {
         }
     }
 
-    /// Publishes `entry` as `key`'s artifact — with `sketch`'s pair
-    /// sample, or else with the pair section of the artifact it
-    /// replaces when that describes the very same data (a materialising
-    /// upgrade or a memory-mode load re-persists an unchanged source
-    /// and must not drop the persisted pair sample) — then enforces the
-    /// warm-tier budget. Best-effort: a failed persist only costs the
-    /// next restart a re-scan. Entries built from an unstattable source
-    /// cannot be validated on restore, so they are not persisted.
+    /// Publishes `entry` as `key`'s artifact, then garbage-collects the
+    /// disk tier down to [`RegistryConfig::cache_disk_bytes`] with
+    /// `key` protected (see [`disk::persist`] and
+    /// [`disk::collect_garbage`]). Best-effort, like persistence itself.
     fn persist(&self, key: &CacheKey, entry: &Entry, sketch: Option<&NonSeparationSketch>) {
-        let (Some(dir), Some(source)) = (&self.config.cache_dir, entry.source) else {
+        let Some(dir) = &self.config.cache_dir else {
             return;
         };
-        let header = artifact::Header {
-            key: key.clone(),
-            rows: entry.rows,
-            attrs: entry.attrs,
-            source,
-            ingest: entry.ingest.as_ref().map(TupleIngest::checkpoint),
-        };
-        let old = match sketch {
-            Some(_) => None,
-            None => std::fs::read(artifact::path(dir, key.fnv64())).ok(),
-        };
-        let kept = old
-            .as_deref()
-            .and_then(|bytes| artifact::parse(bytes).ok())
-            .filter(|old| {
-                let h = &old.header;
-                h.key == *key && (h.rows, h.attrs, h.source) == (entry.rows, entry.attrs, source)
-            })
-            .and_then(|old| old.pairs().ok().flatten());
-        let pairs = sketch
-            .map(|sk| (sk.params(), sk.pairs()))
-            .or(kept.as_ref().map(|(params, table)| (*params, table)));
-        let bytes = artifact::encode(&header, &entry.cols, entry.filter.sample(), pairs);
-        let _ = artifact::publish(dir, key, &bytes);
-        self.enforce_disk_budget(key);
-    }
-
-    /// Garbage-collects the persistent warm tier down to
-    /// [`RegistryConfig::cache_disk_bytes`], removing whole artifacts
-    /// (one file per key) least-recently-*used* first, `protect` (the
-    /// key just persisted) last of all. Recency comes from the
-    /// journal's per-key last-access order (restores touch it; they
-    /// never touch the file's mtime, which is why mtime alone once
-    /// evicted a hot restored key ahead of a cold never-requested one).
-    /// Keys the journal has never seen sort before all known ones —
-    /// they are exactly the never-requested artifacts the budget should
-    /// drop first; mtime breaks ties and carries the whole ordering
-    /// when the journal is disabled. Runs after every persist;
-    /// best-effort like persistence itself.
-    fn enforce_disk_budget(&self, protect: &CacheKey) {
-        let (Some(dir), Some(budget)) = (&self.config.cache_dir, self.config.cache_disk_bytes)
-        else {
+        disk::persist(dir, key, entry, sketch);
+        let Some(budget) = self.config.cache_disk_bytes else {
             return;
         };
-        let artifacts = artifact::list(dir);
-        let mut total: u64 = artifacts.iter().map(|(_, _, meta)| meta.len()).sum();
-        if total <= budget {
-            return;
-        }
-        let protect = protect.fnv64();
-        let access = self
-            .wal
-            .as_ref()
-            .map(|w| w.last_access())
-            .unwrap_or_default();
-        let mut victims: Vec<(u64, std::time::SystemTime, u64, PathBuf, u64)> = artifacts
-            .into_iter()
-            .filter(|&(stem, _, _)| stem != protect)
-            .map(|(stem, path, meta)| {
-                let seq = access.get(&stem).copied().unwrap_or(0);
-                let mtime = meta.modified().unwrap_or(UNIX_EPOCH);
-                (seq, mtime, stem, path, meta.len())
-            })
-            .collect();
-        victims.sort_by_key(|v| (v.0, v.1, v.2));
-        for (_, _, stem, path, bytes) in victims {
-            if total <= budget {
-                break;
-            }
-            let _ = std::fs::remove_file(path);
-            total = total.saturating_sub(bytes);
+        let access = || {
+            self.wal
+                .as_ref()
+                .map(|w| w.last_access())
+                .unwrap_or_default()
+        };
+        for (stem, bytes) in disk::collect_garbage(dir, budget, key.fnv64(), access) {
             self.emit(RegistryEvent::DiskEvicted { key: stem, bytes });
-        }
-    }
-
-    /// Attempts to restore `key` from its artifact (see
-    /// [`restore_entry`]).
-    fn try_restore(&self, key: &CacheKey) -> Option<Entry> {
-        let dir = self.config.cache_dir.as_ref()?;
-        let bytes = std::fs::read(artifact::path(dir, key.fnv64())).ok()?;
-        restore_entry(&artifact::parse(&bytes).ok()?, key)
-    }
-
-    /// Attempts to restore the entry's non-separation sketch from the
-    /// pair section of its artifact. Succeeds only if the artifact
-    /// names this key, describes the entry's shape and the source stamp
-    /// the *entry* was built against, and was built with the server's
-    /// current sketch parameters — so a sketch from an older file
-    /// version can never be paired with a newer sample.
-    fn try_restore_sketch(
-        &self,
-        key: &CacheKey,
-        entry: &Entry,
-        params: SketchParams,
-    ) -> Option<NonSeparationSketch> {
-        let dir = self.config.cache_dir.as_ref()?;
-        let bytes = std::fs::read(artifact::path(dir, key.fnv64())).ok()?;
-        let art = artifact::parse(&bytes).ok()?;
-        let h = &art.header;
-        if h.key != *key
-            || (h.rows, h.attrs) != (entry.rows, entry.attrs)
-            || entry.source != Some(h.source)
-        {
-            return None; // a stem collision, or sketch and sample describe different data
-        }
-        let (stored, pairs) = art.pairs().ok()??;
-        let bits = |p: SketchParams| {
-            (
-                p.alpha.to_bits(),
-                p.eps.to_bits(),
-                p.k,
-                p.multiplier.to_bits(),
-            )
-        };
-        if bits(stored) != bits(params) {
-            return None; // the server's sketch contract changed
-        }
-        Some(NonSeparationSketch::from_pair_rows(
-            pairs, entry.rows, params,
-        ))
-    }
-}
-
-fn build_entry(ds: &DatasetRef, canonical_path: &str, mode: LoadMode) -> Result<Entry, String> {
-    if !(ds.eps > 0.0 && ds.eps < 1.0) {
-        return Err(format!("eps must be in (0, 1), got {}", ds.eps));
-    }
-    let params = FilterParams::new(ds.eps);
-    // Stamp before the scan: a file rewritten *during* the read then
-    // differs from the recorded stamp, so the next hit rebuilds.
-    let source = SourceStamp::capture(canonical_path);
-    match mode {
-        LoadMode::Memory => {
-            let dataset = read_csv_path(&ds.path, &CsvOptions::default())
-                .map_err(|e| format!("reading {}: {e}", ds.path))?;
-            if dataset.n_rows() < 2 || dataset.n_attrs() == 0 {
-                return Err(format!(
-                    "data set too small to analyse ({} rows x {} attributes)",
-                    dataset.n_rows(),
-                    dataset.n_attrs()
-                ));
-            }
-            let filter = TupleSampleFilter::build(&dataset, params, ds.seed);
-            let cols = cols_from_dataset(&dataset);
-            let (rows, attrs) = (dataset.n_rows(), dataset.n_attrs());
-            // No resumable ingest: a memory-mode entry must cover any
-            // appended rows in its materialised dataset anyway, so an
-            // append rebuilds it fully.
-            Ok(Entry::new(
-                filter,
-                Some(dataset),
-                cols,
-                rows,
-                attrs,
-                source,
-                None,
-            ))
-        }
-        LoadMode::Stream => {
-            let mut source_rows = CsvTupleSource::open(&ds.path, &CsvOptions::default())
-                .map_err(|e| format!("reading {}: {e}", ds.path))?;
-            // Driven through a TupleIngest (the same computation
-            // `tuple_filter_from_stream` runs) so the reservoir + RNG
-            // state stays on the entry: a later pure append resumes it
-            // over just the new suffix. The same pass feeds the column
-            // sketches.
-            let mut ingest = TupleIngest::new(source_rows.attr_names(), params, ds.seed);
-            let mut cols: Vec<DistinctSketch> = (0..source_rows.n_attrs())
-                .map(|_| DistinctSketch::new(COLUMN_SKETCH_K))
-                .collect();
-            loop {
-                match source_rows.next_tuple() {
-                    Ok(Some(tuple)) => {
-                        for (sk, v) in cols.iter_mut().zip(&tuple) {
-                            sk.observe(v);
-                        }
-                        ingest.push(tuple);
-                    }
-                    Ok(None) => break,
-                    Err(e) => return Err(format!("streaming {}: {e}", ds.path)),
-                }
-            }
-            let filter = ingest
-                .to_filter(params)
-                .map_err(|e| format!("streaming {}: {e}", ds.path))?;
-            let rows = source_rows.rows_read();
-            let attrs = source_rows.n_attrs();
-            if rows < 2 || attrs == 0 {
-                return Err(format!(
-                    "data set too small to analyse ({rows} rows x {attrs} attributes)"
-                ));
-            }
-            Ok(Entry::new(
-                filter,
-                None,
-                cols,
-                rows,
-                attrs,
-                source,
-                Some(ingest),
-            ))
-        }
-    }
-}
-
-/// Column sketches for a materialised dataset, fed from the column
-/// dictionaries: a freshly parsed dataset's dictionary *is* its
-/// distinct value set, and KMV state depends only on that set, so this
-/// produces byte-identical sketches to streaming every row — in
-/// `O(distinct)` instead of `O(n)` per column.
-fn cols_from_dataset(ds: &Dataset) -> Vec<DistinctSketch> {
-    (0..ds.n_attrs())
-        .map(|a| {
-            let mut sk = DistinctSketch::new(COLUMN_SKETCH_K);
-            for v in ds.column(AttrId::new(a)).dict().iter() {
-                sk.observe(v);
-            }
-            sk
-        })
-        .collect()
-}
-
-// ---------------------------------------------------- persistence tier
-
-/// Rebuilds an entry from a parsed artifact. Succeeds only if the
-/// artifact names exactly `key` and the source's current stamp matches
-/// the recorded one, so persistence never resurrects stale data. The
-/// pair section stays encoded: it is decoded on the first `sketch`.
-fn restore_entry(art: &Artifact<'_>, key: &CacheKey) -> Option<Entry> {
-    let h = &art.header;
-    if h.key != *key {
-        return None; // file-stem hash collision
-    }
-    let now = SourceStamp::capture(&key.path)?;
-    if now != h.source {
-        return None; // the source changed since the sample was taken
-    }
-    let sample = art.sample().ok()?;
-    // Resume the paused ingest, if the artifact carries a checkpoint:
-    // the persisted sample rows *are* the reservoir items in slot
-    // order. A checkpoint that does not cohere with the header drops
-    // the resume — the entry still restores, it just rebuilds fully on
-    // the next append.
-    let ingest = h.ingest.filter(|ck| ck.skip.seen == h.rows).and_then(|ck| {
-        let names = sample.schema().names().map(str::to_string).collect();
-        let items = sample.rows().map(|row| row.to_vec()).collect();
-        TupleIngest::resume(names, ck, items)
-    });
-    let filter =
-        TupleSampleFilter::from_sample(sample, FilterParams::new(f64::from_bits(key.eps_bits)));
-    let cols = art
-        .cols
-        .iter()
-        .map(|minima| DistinctSketch::from_minima(COLUMN_SKETCH_K, minima.iter().copied()))
-        .collect();
-    Some(Entry::new(
-        filter,
-        None,
-        cols,
-        h.rows,
-        h.attrs,
-        Some(now),
-        ingest,
-    ))
-}
-
-/// How old a `*.tmp` file must be before the startup sweep removes it.
-/// An in-flight persist lives milliseconds between write and rename;
-/// an hour-old temp file can only be debris from a killed writer. The
-/// age gate keeps the sweep from deleting a live sibling process's
-/// in-flight file when several servers share one cache dir.
-const TMP_SWEEP_MIN_AGE: std::time::Duration = std::time::Duration::from_secs(3600);
-
-/// True iff `name` is a temp file this registry writes: an artifact
-/// publish or a journal rotation.
-fn is_registry_tmp(name: &str) -> bool {
-    artifact::is_tmp(name) || crate::wal::is_tmp(name)
-}
-
-/// Removes temp files left behind by a writer killed mid-persist
-/// (temp names are never reused: pid + counter). Only names the
-/// registry writes are touched ([`is_registry_tmp`]): a shared dir's
-/// foreign `*.tmp` files are never ours to delete.
-///
-/// With `crashed` — the journal found no clean-shutdown record for the
-/// previous life — every registry tmp file is known debris and is
-/// reclaimed immediately, so a crash-restart loop faster than the age
-/// gate cannot accumulate orphans inside the disk budget's directory.
-/// Without crash evidence (clean shutdown, first boot, or no journal)
-/// only files past [`TMP_SWEEP_MIN_AGE`] go, preserving a live sibling
-/// process's in-flight persist.
-fn sweep_tmp_files(dir: &Path, crashed: bool) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        if !entry.file_name().to_str().is_some_and(is_registry_tmp) {
-            continue;
-        }
-        let old_enough = crashed
-            || entry
-                .metadata()
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|t| t.elapsed().ok())
-                .is_some_and(|age| age >= TMP_SWEEP_MIN_AGE);
-        if old_enough {
-            let _ = std::fs::remove_file(entry.path());
         }
     }
 }
@@ -2169,8 +1218,22 @@ fn sweep_tmp_files(dir: &Path, crashed: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qid_dataset::Value;
+    use crate::disk::{is_registry_tmp, TMP_SWEEP_MIN_AGE};
+    use qid_core::filter::SeparationFilter;
+    use qid_dataset::{AttrId, Dataset, Value};
     use std::io::Write as _;
+    use std::path::Path;
+
+    impl Registry {
+        /// Tears the journal down the way a kill -9 would — no shutdown
+        /// record — so tests can simulate a crash without killing the
+        /// test process.
+        fn crash_for_test(&self) {
+            if let Some(wal) = &self.wal {
+                wal.abort_for_test();
+            }
+        }
+    }
 
     fn unique_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -3236,6 +2299,44 @@ mod tests {
         assert_eq!(absorbed.cols, cold.cols);
         assert_eq!(absorbed.rows, cold.rows);
         assert_eq!(absorbed.attrs, cold.attrs);
+    }
+
+    #[test]
+    fn rows_appended_during_a_cold_build_are_absorbed_exactly_once() {
+        // The build stamps the source, then scans it. An append that
+        // lands between the two must not reach the scan: the next
+        // lookup absorbs everything past the stamped length, so a row
+        // the build also read would be fed twice.
+        let path = fixture_csv("mid-build.csv", 400);
+        let ds = dsref(&path);
+        let key = CacheKey::of(&ds);
+        let stamp = SourceStamp::capture(&path);
+        append_rows(&path, 400, 100, 0);
+        let built = build::build_entry(&ds, LoadMode::Stream, stamp).unwrap();
+        assert_eq!(built.rows, 400, "the build reads only the stamped bytes");
+
+        let reg = Registry::new();
+        let bytes = built.stored_bytes as u64;
+        let event = RegistryEvent::Built {
+            key: key.fnv64(),
+            bytes,
+        };
+        let entry = reg.admit(&key, built, None, event);
+        let _ = reg.insert_or_adopt(&key).cell.set(Ok(entry));
+        let (looked, hit) = reg.get_or_load(&ds, LoadMode::Stream);
+        let looked = looked.unwrap();
+        assert!(hit, "the appended rows are absorbed, not rebuilt");
+        assert_eq!(reg.append_updates(), 1);
+
+        let (cold, _) = Registry::new().get_or_load(&ds, LoadMode::Stream);
+        let cold = cold.unwrap();
+        assert_eq!(looked.rows, 500);
+        assert_eq!(looked.rows, cold.rows);
+        assert_eq!(
+            sample_rows(looked.filter.sample()),
+            sample_rows(cold.filter.sample())
+        );
+        assert_eq!(looked.cols, cold.cols);
     }
 
     #[test]

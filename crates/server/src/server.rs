@@ -247,7 +247,6 @@ impl Server {
             revalidate_ms: config.revalidate_ms,
             event_sink,
             wal_max_bytes: config.wal_max_bytes,
-            ..RegistryConfig::default()
         });
         let pollers = config.pollers.max(1);
         Ok(Server {

@@ -250,11 +250,12 @@ struct WalInner {
     lives: u64,
     keys: HashMap<u64, KeyState>,
     /// Counters as the *journal* proves them: the recovered base plus
-    /// one increment per journaled event. Always ≤ the live atomics
-    /// (every journaled event's `fetch_add` precedes its `record`), so
-    /// rotation can fold these into the snapshot without ever counting
-    /// an event that also survives in the post-rotation tail — the
-    /// live values would race exactly that way.
+    /// one increment per journaled event. Rotation folds these, not the
+    /// live atomics, into the snapshot: a live value can run ahead of
+    /// the journal (an eviction is counted just before it is recorded)
+    /// or behind it (a resolution is counted just after its event), and
+    /// folding it would count an event in both the snapshot and the
+    /// post-rotation tail, or in neither.
     event_counters: CounterSet,
     /// Journal lines written since the last fsync.
     events_dirty: bool,
@@ -420,27 +421,6 @@ impl Wal {
             self.append_counters_locked(&mut inner, &counters.values(), "shutdown");
             let _ = inner.log.sync_data();
             inner.events_dirty = false;
-        }
-        self.tick.notify_all();
-        let handle = self.flusher.lock().expect("wal flusher lock").take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-    }
-
-    /// Test hook: tears the flusher down *without* a shutdown record
-    /// or final sync — the next open sees crash evidence, exactly as
-    /// if the process had been killed.
-    #[cfg(test)]
-    pub fn abort_for_test(&self) {
-        {
-            let mut inner = self.inner.lock().expect("wal lock");
-            if inner.closed {
-                return;
-            }
-            inner.closed = true;
-            inner.stop = true;
-            let _ = inner.log.sync_data();
         }
         self.tick.notify_all();
         let handle = self.flusher.lock().expect("wal flusher lock").take();
@@ -769,6 +749,10 @@ fn scan_dir(dir: &Path) -> WalReport {
         for (idx, line) in lines.iter().enumerate() {
             scan.lines.push((*line).to_string());
             match parse_record(line) {
+                // Already folded into the snapshot: a kill between the
+                // rotation's rename and its truncate leaves these behind,
+                // and applying them again would double-count.
+                Some((seq, _)) if scan.snapshot_seq.is_some_and(|folded| seq <= folded) => {}
                 Some((seq, rec)) => {
                     if seq <= scan.seq {
                         scan.issues.push(format!(
@@ -933,21 +917,41 @@ fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
     buf.extend_from_slice(&tmp[i..]);
 }
 
-/// Reads a whole file; empty/absent files read as empty strings. Used
-/// by tests.
-#[cfg(test)]
-fn read_all(path: &Path) -> String {
-    use std::io::Read as _;
-    let mut out = String::new();
-    if let Ok(mut f) = File::open(path) {
-        let _ = f.read_to_string(&mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Wal {
+        /// Tears the flusher down *without* a shutdown record — the
+        /// next open sees crash evidence, exactly as if the process had
+        /// been killed.
+        pub(crate) fn abort_for_test(&self) {
+            {
+                let mut inner = self.inner.lock().expect("wal lock");
+                if inner.closed {
+                    return;
+                }
+                inner.closed = true;
+                inner.stop = true;
+                let _ = inner.log.sync_data();
+            }
+            self.tick.notify_all();
+            let handle = self.flusher.lock().expect("wal flusher lock").take();
+            if let Some(handle) = handle {
+                let _ = handle.join();
+            }
+        }
+    }
+
+    /// Reads a whole file; empty/absent files read as empty strings.
+    fn read_all(path: &Path) -> String {
+        use std::io::Read as _;
+        let mut out = String::new();
+        if let Ok(mut f) = File::open(path) {
+            let _ = f.read_to_string(&mut out);
+        }
+        out
+    }
 
     fn unique_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -1114,6 +1118,35 @@ mod tests {
         let report = inspect(&dir);
         assert!(report.issues.is_empty(), "issues: {:?}", report.issues);
         assert!(report.snapshot_seq.is_some());
+    }
+
+    #[test]
+    fn a_kill_between_snapshot_rename_and_truncate_replays_nothing_twice() {
+        let dir = unique_dir("rotate-kill");
+        {
+            let (wal, counters) = armed(&dir, DEFAULT_WAL_MAX_BYTES);
+            for i in 0..64u64 {
+                wal.record(RegistryEvent::Built {
+                    key: i + 1,
+                    bytes: 1,
+                });
+            }
+            // Fold the journal into the snapshot, then put the folded
+            // records back: the state a kill leaves when it lands after
+            // the snapshot rename but before the journal truncate.
+            let journal = read_all(&dir.join(WAL_FILE));
+            wal.rotate_locked(&mut wal.inner.lock().unwrap(), &counters);
+            assert!(dir.join(SNAPSHOT_FILE).exists());
+            wal.abort_for_test();
+            std::fs::write(dir.join(WAL_FILE), journal).unwrap();
+        }
+        let wal = Wal::open(&dir, DEFAULT_WAL_MAX_BYTES).expect("reopen");
+        let r = wal.recovery();
+        assert_eq!(r.counters.misses, 64, "each build replays once");
+        assert_eq!(r.restarts, 1, "the folded open record counts once");
+        assert_eq!(r.resident.len(), 64);
+        let report = inspect(&dir);
+        assert!(report.issues.is_empty(), "issues: {:?}", report.issues);
     }
 
     #[test]

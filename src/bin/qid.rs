@@ -84,7 +84,7 @@
 //! non-zero on journal corruption or a bad artifact). See docs/ARCHITECTURE.md "Durability".
 //!
 //! The server's connection core is readiness-driven (`epoll` on Linux,
-//! `kqueue` on macOS/BSD, `poll(2)` fallback), sharded across
+//! `poll(2)` elsewhere), sharded across
 //! `--pollers` readiness threads (default: one per core, capped at 4):
 //! idle keep-alive connections cost no worker time, so tens of
 //! thousands of quiet clients can stay connected, and a stalled reader
