@@ -11,16 +11,21 @@
 //! so ~6% at the default `k = 256`). State is `O(k)` per column,
 //! independent of `n`, matching the service's `Θ(m/√ε)` memory story.
 
-use std::collections::BTreeSet;
-
-use qid_dataset::Value;
+use qid_dataset::{Value, ValueRef};
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// A stable 64-bit hash of a [`Value`], used by [`DistinctSketch`].
+/// A stable 64-bit hash of a [`Value`], used by [`DistinctSketch`]:
+/// [`hash_value_ref`] of the borrowed value.
+pub fn hash_value(v: &Value) -> u64 {
+    hash_value_ref(v.into())
+}
+
+/// The one definition of the [`DistinctSketch`] hash, over a borrowed
+/// value, so a scan can hash a field typed in place without owning it.
 ///
 /// FNV-1a over a tagged byte encoding (so `Int(1)`, `Float(1.0)` and
 /// `Text("1")` hash apart, mirroring value inequality), finished with a
@@ -29,23 +34,23 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// function is defined by this code, not by `std`'s unstable
 /// `DefaultHasher`, so persisted sketch state stays valid across
 /// toolchain upgrades.
-pub fn hash_value(v: &Value) -> u64 {
+pub fn hash_value_ref(v: ValueRef<'_>) -> u64 {
     let mut h = FNV_OFFSET;
     let mut eat = |byte: u8| {
         h ^= u64::from(byte);
         h = h.wrapping_mul(FNV_PRIME);
     };
     match v {
-        Value::Null => eat(0),
-        Value::Int(i) => {
+        ValueRef::Null => eat(0),
+        ValueRef::Int(i) => {
             eat(1);
             i.to_le_bytes().into_iter().for_each(&mut eat);
         }
-        Value::Float(f) => {
+        ValueRef::Float(f) => {
             eat(2);
-            f.0.to_bits().to_le_bytes().into_iter().for_each(&mut eat);
+            f.to_bits().to_le_bytes().into_iter().for_each(&mut eat);
         }
-        Value::Text(s) => {
+        ValueRef::Text(s) => {
             eat(3);
             s.as_bytes().iter().copied().for_each(&mut eat);
         }
@@ -66,9 +71,12 @@ pub fn hash_value(v: &Value) -> u64 {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DistinctSketch {
     k: usize,
-    /// The `≤ k` smallest distinct hashes seen (a `BTreeSet` gives
-    /// dedup, max lookup and ordered extraction in one structure).
-    minima: BTreeSet<u64>,
+    /// The `≤ k` smallest distinct hashes seen, ascending: a binary
+    /// search dedups, extraction is already ordered, and the last
+    /// element is the current maximum, so once `k` are held a hash at
+    /// or above it is rejected in one compare. Past warm-up the vector
+    /// never reallocates; an accepted hash shifts at most `k` words.
+    minima: Vec<u64>,
 }
 
 impl DistinctSketch {
@@ -80,7 +88,7 @@ impl DistinctSketch {
         assert!(k >= 2, "DistinctSketch needs k >= 2, got {k}");
         DistinctSketch {
             k,
-            minima: BTreeSet::new(),
+            minima: Vec::new(),
         }
     }
 
@@ -106,15 +114,25 @@ impl DistinctSketch {
 
     /// Records one value observation.
     pub fn observe(&mut self, v: &Value) {
-        self.observe_hash(hash_value(v));
+        self.observe_ref(v.into());
+    }
+
+    /// Records one observation of a borrowed value; the same state
+    /// change as [`observe`](Self::observe) on its owned form.
+    pub fn observe_ref(&mut self, v: ValueRef<'_>) {
+        self.observe_hash(hash_value_ref(v));
     }
 
     fn observe_hash(&mut self, h: u64) {
-        if self.minima.len() < self.k {
-            self.minima.insert(h);
-        } else if Some(&h) < self.minima.iter().next_back() && self.minima.insert(h) {
-            let &max = self.minima.iter().next_back().expect("non-empty");
-            self.minima.remove(&max);
+        let full = self.minima.len() == self.k;
+        if full && h >= self.minima[self.k - 1] {
+            return;
+        }
+        if let Err(at) = self.minima.binary_search(&h) {
+            if full {
+                self.minima.pop();
+            }
+            self.minima.insert(at, h);
         }
     }
 
@@ -130,7 +148,7 @@ impl DistinctSketch {
         if self.is_exact() {
             return self.minima.len();
         }
-        let kth = *self.minima.iter().next_back().expect("k >= 2 retained") as f64;
+        let kth = *self.minima.last().expect("k >= 2 retained") as f64;
         if kth <= 0.0 {
             return self.minima.len();
         }

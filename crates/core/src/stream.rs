@@ -15,6 +15,8 @@
 //! Space: `O(r·m)` / `O(s·m)` values; update cost is dominated by the
 //! reservoirs' `O(capacity · log(n/capacity))` accepted items.
 
+use std::cell::LazyCell;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,7 +59,14 @@ impl TupleIngest {
 
     /// Offers one tuple; returns `true` if the reservoir retained it.
     pub fn push(&mut self, tuple: Vec<Value>) -> bool {
-        self.reservoir.push(tuple, &mut self.rng)
+        self.push_with(|| tuple)
+    }
+
+    /// Offers one tuple, building it only if the reservoir retains it
+    /// (see [`SkipReservoir::push_with`]): the same trajectory as
+    /// [`push`](Self::push), with `make` called once per retained row.
+    pub fn push_with(&mut self, make: impl FnOnce() -> Vec<Value>) -> bool {
+        self.reservoir.push_with(make, &mut self.rng)
     }
 
     /// Tuples offered so far (the stream length `n`).
@@ -155,7 +164,16 @@ impl PairIngest {
     /// Offers one tuple to all slots. The tuple is copied only when a
     /// slot retains it.
     pub fn push(&mut self, tuple: &[Value]) {
-        self.mr.push_with(|| tuple.to_vec(), &mut self.rng);
+        self.push_with(|| tuple.to_vec());
+    }
+
+    /// Offers one tuple to all slots, building it only if some slot
+    /// retains it: the same trajectory as [`push`](Self::push), with
+    /// `make` called at most once per row and each retaining slot
+    /// keeping a clone of what it built.
+    pub fn push_with(&mut self, make: impl FnOnce() -> Vec<Value>) {
+        let made = LazyCell::new(make);
+        self.mr.push_with(|| Vec::clone(&made), &mut self.rng);
     }
 
     /// Tuples offered so far (the stream length `n`).
@@ -347,6 +365,50 @@ mod tests {
         assert!((est - exact).abs() / exact < 0.05, "est {est} vs {exact}");
         // id is a key.
         assert_eq!(sk.query(&attrs(&[0])), SketchAnswer::Small);
+    }
+
+    fn row(i: usize) -> Vec<Value> {
+        vec![Value::Int(i as i64), Value::text(format!("t{}", i % 7))]
+    }
+
+    #[test]
+    fn tuple_ingest_push_with_matches_push() {
+        let names = vec!["id".to_string(), "t".to_string()];
+        let params = FilterParams::new(0.05);
+        let mut owned = TupleIngest::new(names.clone(), params, 3);
+        let mut lazy = TupleIngest::new(names, params, 3);
+        for i in 0..3_000 {
+            let kept = owned.push(row(i));
+            let mut calls = 0;
+            let kept_lazy = lazy.push_with(|| {
+                calls += 1;
+                row(i)
+            });
+            assert_eq!(kept, kept_lazy, "row {i}");
+            assert_eq!(calls, usize::from(kept), "row {i}");
+        }
+        assert_eq!(owned.reservoir.items(), lazy.reservoir.items());
+        assert_eq!(owned.checkpoint(), lazy.checkpoint());
+    }
+
+    #[test]
+    fn pair_ingest_push_with_matches_push() {
+        let names = vec!["id".to_string(), "t".to_string()];
+        let mut owned = PairIngest::new(names.clone(), 40, 9);
+        let mut lazy = PairIngest::new(names, 40, 9);
+        for i in 0..3_000 {
+            owned.push(&row(i));
+            let mut calls = 0;
+            lazy.push_with(|| {
+                calls += 1;
+                row(i)
+            });
+            let id = Value::Int(i as i64);
+            let retained = lazy.mr.slots().iter().flatten().any(|t| t[0] == id);
+            assert_eq!(calls, usize::from(retained), "row {i}");
+        }
+        assert_eq!(owned.mr.slots(), lazy.mr.slots());
+        assert_eq!(owned.rows(), lazy.rows());
     }
 
     #[test]

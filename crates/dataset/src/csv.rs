@@ -15,20 +15,21 @@ use crate::error::DatasetError;
 use crate::schema::AttrId;
 use crate::stream::TupleSource;
 use crate::symbol::Interner;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// Options controlling CSV parsing.
 #[derive(Clone, Debug)]
 pub struct CsvOptions {
-    /// Field delimiter (default `,`).
+    /// Field delimiter, an ASCII byte (default `,`).
     pub delimiter: u8,
     /// Whether the first record is a header row (default `true`).
     pub has_header: bool,
     /// Strings parsed as [`Value::Null`] (default: empty string and `"?"`,
     /// the UCI missing-value convention).
     pub null_tokens: Vec<String>,
-    /// Whether to trim ASCII whitespace around unquoted fields (default
-    /// `true`; UCI files pad fields after commas).
+    /// Whether to trim whitespace ([`str::trim`], so Unicode-aware)
+    /// around each unescaped field (default `true`; UCI files pad fields
+    /// after commas).
     pub trim: bool,
     /// Attempt numeric type inference (default `true`). When `false`,
     /// every non-null field becomes [`Value::Text`].
@@ -47,12 +48,21 @@ impl Default for CsvOptions {
     }
 }
 
-/// Splits one logical CSV record (which may span multiple physical lines
-/// when quotes contain newlines) into fields.
+/// Frames one logical CSV record at a time (which may span multiple
+/// physical lines when quotes contain newlines) into reused buffers, so
+/// framing allocates nothing once the buffers have grown to the longest
+/// record seen.
 struct RecordReader<R: BufRead> {
     reader: R,
     delimiter: u8,
     line: usize,
+    /// The raw text of the current record, line terminators included.
+    raw: String,
+    /// The current record's unescaped fields, each followed by the
+    /// delimiter byte except the last.
+    fields: String,
+    /// The end offset in `fields` of each field of the current record.
+    ends: Vec<usize>,
 }
 
 impl<R: BufRead> RecordReader<R> {
@@ -61,37 +71,54 @@ impl<R: BufRead> RecordReader<R> {
             reader,
             delimiter,
             line: 0,
+            raw: String::new(),
+            fields: String::new(),
+            ends: Vec::new(),
         }
     }
 
-    /// Reads the next record; `Ok(None)` at EOF.
-    fn next_record(&mut self) -> Result<Option<Vec<String>>, DatasetError> {
-        let mut raw = String::new();
-        let n = self.reader.read_line(&mut raw)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        self.line += 1;
-        // Keep reading physical lines while inside an unterminated quote.
-        while count_quotes(&raw) % 2 == 1 {
-            let mut cont = String::new();
-            let n = self.reader.read_line(&mut cont)?;
-            if n == 0 {
+    /// Frames the next record into `fields`/`ends`; `Ok(false)` at EOF.
+    fn advance(&mut self) -> Result<bool, DatasetError> {
+        self.raw.clear();
+        self.fields.clear();
+        self.ends.clear();
+        let mut at = Framing::default();
+        loop {
+            if self.reader.read_line(&mut self.raw)? == 0 {
+                if self.raw.is_empty() {
+                    return Ok(false);
+                }
                 return Err(DatasetError::Csv {
                     line: self.line,
                     message: "unterminated quoted field at end of input".into(),
                 });
             }
             self.line += 1;
-            raw.push_str(&cont);
+            // A line ending inside a quoted field continues on the next
+            // one, its line terminator part of the field.
+            if !frame(
+                &self.raw,
+                self.delimiter,
+                self.line,
+                &mut at,
+                &mut self.fields,
+                &mut self.ends,
+            )? {
+                return Ok(true);
+            }
         }
-        let record = parse_record(trim_newline(&raw), self.delimiter, self.line)?;
-        Ok(Some(record))
     }
 }
 
-fn count_quotes(s: &str) -> usize {
-    s.bytes().filter(|&b| b == b'"').count()
+/// Splits the fields of a framed record at their `ends`, skipping the
+/// delimiter byte after each.
+fn split_fields<'a>(fields: &'a str, ends: &'a [usize]) -> impl ExactSizeIterator<Item = &'a str> {
+    let mut start = 0;
+    ends.iter().map(move |&end| {
+        let field = &fields[start..end];
+        start = end + 1;
+        field
+    })
 }
 
 fn trim_newline(s: &str) -> &str {
@@ -100,90 +127,134 @@ fn trim_newline(s: &str) -> &str {
         .unwrap_or(s)
 }
 
-/// Parses a single logical record into unquoted fields.
-fn parse_record(line: &str, delimiter: u8, line_no: usize) -> Result<Vec<String>, DatasetError> {
-    let bytes = line.as_bytes();
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut i = 0usize;
-    let mut in_quotes = false;
-    while i < bytes.len() {
+/// How far [`frame`] has got through a record's raw text.
+#[derive(Default)]
+struct Framing {
+    /// The next raw byte to scan.
+    next: usize,
+    /// The first raw byte not yet copied to the fields buffer.
+    copied: usize,
+    /// Where the current field starts in the fields buffer.
+    field_start: usize,
+    in_quotes: bool,
+}
+
+/// Frames the raw record text `raw` from `at.next` on into unescaped
+/// fields: `out` receives them end to end, each followed by its
+/// delimiter, and `ends` each field's end offset. Runs of raw bytes
+/// between quotes are copied whole, so a record without quotes is one
+/// copy plus a scan for delimiters, while a quoted field drops its
+/// quotes and unescapes `""` to `"` in the same loop.
+///
+/// Returns `true` when `raw` ends inside a quoted field: the record
+/// continues on the next physical line, to be appended to `raw`.
+fn frame(
+    raw: &str,
+    delimiter: u8,
+    line_no: usize,
+    at: &mut Framing,
+    out: &mut String,
+    ends: &mut Vec<usize>,
+) -> Result<bool, DatasetError> {
+    let bytes = raw.as_bytes();
+    let end = trim_newline(raw).len();
+    let mut i = at.next;
+    while i < end {
         let b = bytes[i];
-        if in_quotes {
-            if b == b'"' {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'"' {
-                    field.push('"');
-                    i += 2;
-                    continue;
+        if b == b'"' {
+            out.push_str(&raw[at.copied..i]);
+            if !at.in_quotes {
+                if !out.as_bytes()[at.field_start..]
+                    .iter()
+                    .all(u8::is_ascii_whitespace)
+                {
+                    return Err(DatasetError::Csv {
+                        line: line_no,
+                        message: "quote in the middle of an unquoted field".into(),
+                    });
                 }
-                in_quotes = false;
+                // Tolerate padding before an opening quote (`a, "x"`).
+                out.truncate(at.field_start);
+                at.in_quotes = true;
+            } else if bytes.get(i + 1) == Some(&b'"') {
+                out.push('"');
                 i += 1;
             } else {
-                // Multi-byte UTF-8 is copied byte-wise; `field` is built
-                // from valid UTF-8 slices below.
-                let ch_len = utf8_len(b);
-                field.push_str(&line[i..i + ch_len]);
-                i += ch_len;
+                at.in_quotes = false;
             }
-        } else if b == b'"' {
-            if field.chars().all(|c| c.is_ascii_whitespace()) {
-                // Tolerate padding before an opening quote (`a, "x"`).
-                field.clear();
-            } else {
-                return Err(DatasetError::Csv {
-                    line: line_no,
-                    message: "quote in the middle of an unquoted field".into(),
-                });
-            }
-            in_quotes = true;
             i += 1;
-        } else if b == delimiter {
-            fields.push(std::mem::take(&mut field));
-            i += 1;
+            at.copied = i;
         } else {
-            let ch_len = utf8_len(b);
-            field.push_str(&line[i..i + ch_len]);
-            i += ch_len;
+            if b == delimiter && !at.in_quotes {
+                let field_end = out.len() + (i - at.copied);
+                ends.push(field_end);
+                at.field_start = field_end + 1;
+            }
+            i += 1;
         }
     }
-    if in_quotes {
-        return Err(DatasetError::Csv {
-            line: line_no,
-            message: "unterminated quoted field".into(),
-        });
+    at.next = i;
+    if at.in_quotes {
+        return Ok(true);
     }
-    fields.push(field);
-    Ok(fields)
+    out.push_str(&raw[at.copied..end]);
+    ends.push(out.len());
+    Ok(false)
 }
 
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        b if b < 0x80 => 1,
-        b if b >= 0xF0 => 4,
-        b if b >= 0xE0 => 3,
-        _ => 2,
-    }
-}
-
-fn field_to_value(field: &str, opts: &CsvOptions, interner: &mut Interner) -> Value {
+/// Types one raw field in place: trimmed (if configured), then a null
+/// token, an `i64`, a finite `f64`, or else text borrowed from `field`.
+fn type_field<'a>(field: &'a str, opts: &CsvOptions) -> ValueRef<'a> {
     let field = if opts.trim { field.trim() } else { field };
     if opts.null_tokens.iter().any(|t| t == field) {
-        return Value::Null;
+        return ValueRef::Null;
     }
     if opts.infer_types {
         if let Ok(i) = field.parse::<i64>() {
-            return Value::Int(i);
+            return ValueRef::Int(i);
         }
         // Only finite parses count as numbers: `f64::parse` also accepts
         // "nan"/"inf"/"infinity" (any case), but coercing those would not
         // survive a write → read round-trip, so they stay text.
         if let Ok(f) = field.parse::<f64>() {
             if f.is_finite() {
-                return Value::float(f);
+                return ValueRef::Float(f);
             }
         }
     }
-    Value::Text(interner.intern(field))
+    ValueRef::Text(field)
+}
+
+/// One data record of a [`CsvTupleSource`], borrowed from the source's
+/// reused buffers until its next [`next_row`](CsvTupleSource::next_row).
+/// Each field is typed on access, without being copied out of the
+/// buffer, so a scan that only hashes most rows never allocates for
+/// them; [`to_values`](Self::to_values) owns the rows it keeps.
+#[derive(Debug)]
+pub struct CsvRow<'a> {
+    fields: &'a str,
+    ends: &'a [usize],
+    opts: &'a CsvOptions,
+    interner: &'a mut Interner,
+}
+
+impl<'a> CsvRow<'a> {
+    /// The typed fields, in attribute order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = ValueRef<'a>> + 'a {
+        let opts = self.opts;
+        split_fields(self.fields, self.ends).map(move |f| type_field(f, opts))
+    }
+
+    /// The row as owned values, text shared through the source's intern
+    /// cache — what [`TupleSource::next_tuple`] yields for it.
+    pub fn to_values(&mut self) -> Vec<Value> {
+        self.values()
+            .map(|v| match v {
+                ValueRef::Text(s) => Value::Text(self.interner.intern(s)),
+                v => v.to_value(),
+            })
+            .collect()
+    }
 }
 
 /// Reads a CSV data set from any reader.
@@ -220,17 +291,23 @@ const STREAM_INTERN_LIMIT: usize = 1 << 16;
 
 /// A one-pass [`TupleSource`] over a CSV file, for the streaming sketch
 /// builders (`qid_core::stream`): memory stays `O(m)` per yielded tuple
-/// (plus a bounded intern cache) instead of the `O(n·m)` of
-/// [`read_csv_path`]. Values are type-inferred exactly like the
-/// materialising reader — which is itself implemented on top of this
-/// source — so a sample drawn from the stream matches one drawn from
-/// the loaded [`Dataset`].
+/// (plus a bounded intern cache and reused framing buffers) instead of the
+/// `O(n·m)` of [`read_csv_path`]. Values are type-inferred exactly like
+/// the materialising reader — which is itself implemented on top of
+/// this source — so a sample drawn from the stream matches one drawn
+/// from the loaded [`Dataset`].
+///
+/// [`next_row`](Self::next_row) yields each row borrowed, typed in
+/// place; [`next_tuple`](TupleSource::next_tuple) is `next_row` plus the
+/// owned conversion ([`CsvRow::to_values`]).
 pub struct CsvTupleSource<R: BufRead = Box<dyn BufRead>> {
     records: RecordReader<R>,
     opts: CsvOptions,
     names: Vec<String>,
     interner: Interner,
-    pending: Option<Vec<String>>,
+    /// True while the current record is a data row not yet yielded (the
+    /// first record of a headerless source).
+    pending: bool,
     rows_read: usize,
 }
 
@@ -280,7 +357,7 @@ impl CsvTupleSource {
             opts: opts.clone(),
             names,
             interner: Interner::with_limit(STREAM_INTERN_LIMIT),
-            pending: None,
+            pending: false,
             rows_read: 0,
         })
     }
@@ -293,24 +370,16 @@ impl<R: BufRead> CsvTupleSource<R> {
         interner: Interner,
     ) -> Result<Self, DatasetError> {
         let mut records = RecordReader::new(reader, opts.delimiter);
-        let (names, pending) = match records.next_record()? {
-            None => (Vec::new(), None),
-            Some(first) => {
-                if opts.has_header {
-                    (
-                        first
-                            .into_iter()
-                            .map(|f| if opts.trim { f.trim().to_string() } else { f })
-                            .collect(),
-                        None,
-                    )
-                } else {
-                    (
-                        (0..first.len()).map(|i| format!("col{i}")).collect(),
-                        Some(first),
-                    )
-                }
-            }
+        let (names, pending) = if !records.advance()? {
+            (Vec::new(), false)
+        } else if opts.has_header {
+            let names = split_fields(&records.fields, &records.ends)
+                .map(|f| if opts.trim { f.trim() } else { f }.to_string())
+                .collect();
+            (names, false)
+        } else {
+            let width = records.ends.len();
+            ((0..width).map(|i| format!("col{i}")).collect(), true)
         };
         Ok(CsvTupleSource {
             records,
@@ -326,6 +395,36 @@ impl<R: BufRead> CsvTupleSource<R> {
     pub fn rows_read(&self) -> usize {
         self.rows_read
     }
+
+    /// Yields the next data row, borrowed and typed in place, or
+    /// `Ok(None)` at end of stream. Blank lines are skipped and ragged
+    /// rows are errors, exactly as for
+    /// [`next_tuple`](TupleSource::next_tuple).
+    pub fn next_row(&mut self) -> Result<Option<CsvRow<'_>>, DatasetError> {
+        loop {
+            if !std::mem::take(&mut self.pending) && !self.records.advance()? {
+                return Ok(None);
+            }
+            let got = self.records.ends.len();
+            if got == 1 && self.records.fields.trim().is_empty() && self.names.len() != 1 {
+                continue;
+            }
+            if got != self.names.len() {
+                return Err(DatasetError::RowArity {
+                    row: self.rows_read,
+                    expected: self.names.len(),
+                    got,
+                });
+            }
+            self.rows_read += 1;
+            return Ok(Some(CsvRow {
+                fields: &self.records.fields,
+                ends: &self.records.ends,
+                opts: &self.opts,
+                interner: &mut self.interner,
+            }));
+        }
+    }
 }
 
 impl<R: BufRead> TupleSource for CsvTupleSource<R> {
@@ -338,34 +437,7 @@ impl<R: BufRead> TupleSource for CsvTupleSource<R> {
     }
 
     fn next_tuple(&mut self) -> Result<Option<Vec<Value>>, DatasetError> {
-        loop {
-            let record = match self.pending.take() {
-                Some(r) => r,
-                None => match self.records.next_record()? {
-                    Some(r) => r,
-                    None => return Ok(None),
-                },
-            };
-            // Tolerate trailing blank lines, as the materialising
-            // reader does.
-            if record.len() == 1 && record[0].trim().is_empty() && self.names.len() != 1 {
-                continue;
-            }
-            if record.len() != self.names.len() {
-                return Err(DatasetError::RowArity {
-                    row: self.rows_read,
-                    expected: self.names.len(),
-                    got: record.len(),
-                });
-            }
-            self.rows_read += 1;
-            return Ok(Some(
-                record
-                    .iter()
-                    .map(|f| field_to_value(f, &self.opts, &mut self.interner))
-                    .collect(),
-            ));
-        }
+        Ok(self.next_row()?.map(|mut row| row.to_values()))
     }
 }
 

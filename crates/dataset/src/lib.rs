@@ -58,4 +58,4 @@ pub use error::DatasetError;
 pub use schema::{AttrId, Attribute, DataType, Schema};
 pub use stream::{collect_stream, project_tuple, DatasetTupleSource, TupleSource, VecTupleSource};
 pub use symbol::Interner;
-pub use value::{TotalF64, Value};
+pub use value::{TotalF64, Value, ValueRef};

@@ -108,6 +108,47 @@ impl Value {
     }
 }
 
+/// A borrowed, typed attribute value: what a streaming scan holds for a
+/// field it has typed in place but not (yet) copied out of its read
+/// buffer. [`ValueRef::to_value`] owns it; `From<&Value>` borrows an
+/// owned one, so code that only inspects a value (hashing, say) can be
+/// written once over `ValueRef`. There is deliberately no `PartialEq`:
+/// compare owned values, whose float equality is by bit pattern.
+#[derive(Clone, Copy, Debug)]
+pub enum ValueRef<'a> {
+    /// See [`Value::Null`].
+    Null,
+    /// See [`Value::Int`].
+    Int(i64),
+    /// See [`Value::Float`].
+    Float(f64),
+    /// See [`Value::Text`]; borrowed instead of shared.
+    Text(&'a str),
+}
+
+impl ValueRef<'_> {
+    /// The owned [`Value`] (text is copied into a fresh `Arc<str>`).
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::float(f),
+            ValueRef::Text(s) => Value::text(s),
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(f.0),
+            Value::Text(s) => ValueRef::Text(s),
+        }
+    }
+}
+
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)

@@ -136,8 +136,19 @@ impl<T> SkipReservoir<T> {
 
     /// Offers one item; returns `true` if it was retained.
     pub fn push<R: Rng + ?Sized>(&mut self, item: T, rng: &mut R) -> bool {
+        self.push_with(|| item, rng)
+    }
+
+    /// Offers one item, materialising it only if the reservoir retains
+    /// it: `make` is called exactly once for a retained item and not at
+    /// all for a skipped one — the common case after warm-up — so a
+    /// caller holding a borrowed form of the item pays for the owned
+    /// one only on accepts. The [`MultiReservoir::push_with`] twin.
+    /// Accepts depend only on the RNG and the item count, so the
+    /// trajectory is exactly [`push`](Self::push)'s.
+    pub fn push_with<R: Rng + ?Sized, F: FnOnce() -> T>(&mut self, make: F, rng: &mut R) -> bool {
         if self.items.len() < self.capacity {
-            self.items.push(item);
+            self.items.push(make());
             self.seen += 1;
             if self.items.len() == self.capacity {
                 self.schedule_next(rng);
@@ -148,7 +159,7 @@ impl<T> SkipReservoir<T> {
         self.seen += 1;
         if accept {
             let slot = rng.random_range(0..self.capacity);
-            self.items[slot] = item;
+            self.items[slot] = make();
             self.schedule_next(rng);
         }
         accept
@@ -488,6 +499,32 @@ mod tests {
         assert_eq!(straight.items(), resumed.items());
         assert_eq!(straight.seen(), resumed.seen());
         assert_eq!(straight.state(), resumed.state());
+    }
+
+    #[test]
+    fn skip_reservoir_push_with_matches_push() {
+        // Same RNG, same stream: the same accepts land in the same
+        // slots, and `make` runs exactly once per retained item.
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(13), StdRng::seed_from_u64(13));
+        let (mut owned, mut lazy) = (SkipReservoir::new(16), SkipReservoir::new(16));
+        let mut made = 0;
+        for x in 0..5_000 {
+            let kept = owned.push(x, &mut rng_a);
+            let mut calls = 0;
+            let kept_lazy = lazy.push_with(
+                || {
+                    calls += 1;
+                    x
+                },
+                &mut rng_b,
+            );
+            assert_eq!(kept, kept_lazy, "item {x}");
+            assert_eq!(calls, usize::from(kept), "item {x}");
+            made += calls;
+        }
+        assert_eq!(owned.items(), lazy.items());
+        assert_eq!(owned.state(), lazy.state());
+        assert!(made < 500, "skips should spare most items, made {made}");
     }
 
     #[test]

@@ -147,6 +147,11 @@ struct Feed {
 /// of `path` through the sinks `start` returns, and reads not one byte
 /// past `range.end` — the stamped length.
 ///
+/// Rows come from the CSV reader's borrowed cursor
+/// ([`CsvTupleSource::next_row`]): each field is typed and hashed into
+/// its column sketch in place, and an owned tuple is built only for a
+/// row a reservoir keeps — `O(r log(n/r))` rows, not `n`.
+///
 /// With `names == None` the range starts at offset 0 with the header
 /// row, whose attribute names `start` receives. Otherwise `range.start`
 /// sits on a row boundary of a source whose header named `names`, and
@@ -172,18 +177,18 @@ fn scan(
     };
     let mut src = opened.map_err(|e| format!("reading {path}: {e}"))?;
     let mut feed = start(src.attr_names());
-    while let Some(tuple) = src
-        .next_tuple()
+    while let Some(mut row) = src
+        .next_row()
         .map_err(|e| format!("streaming {path}: {e}"))?
     {
-        for (sk, v) in feed.cols.iter_mut().zip(&tuple) {
-            sk.observe(v);
+        for (sk, v) in feed.cols.iter_mut().zip(row.values()) {
+            sk.observe_ref(v);
         }
         if let Some(pairs) = &mut feed.pairs {
-            pairs.push(&tuple);
+            pairs.push_with(|| row.to_values());
         }
         if let Some(tuples) = &mut feed.tuples {
-            tuples.push(tuple);
+            tuples.push_with(|| row.to_values());
         }
     }
     Ok(feed)
@@ -377,4 +382,104 @@ fn cols_from_dataset(ds: &Dataset) -> Vec<DistinctSketch> {
             sk
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::artifact::{self, Header};
+    use crate::registry::CacheKey;
+
+    /// A fixture with every field shape the typing rules treat
+    /// specially: `i64` bounds and the first integer past them, `+5`,
+    /// `-0`, `-0.0`, `1e3`, `.5`, `inf`/`NaN`/`infinity` (text),
+    /// `""`/`?` (null), ASCII and NBSP padding, multibyte text, quoted
+    /// fields with commas, doubled quotes and embedded newlines, padding
+    /// before an opening quote, CRLF and LF endings and blank lines.
+    const BASE: &str = include_str!("../testdata/field_shapes.csv");
+    /// Rows appended to [`BASE`], ending in trailing blank lines.
+    const APPEND: &str = include_str!("../testdata/field_shapes_append.csv");
+
+    /// FNV-64 of the artifact the stream build of [`BASE`] persists
+    /// (tuple sample, column sketches and, after `sketch`, pair sample),
+    /// as written by the owned-tuple scan this cursor replaced.
+    const GOLDEN_BASE: u64 = 0xaeb4_97fe_66ee_4921;
+    /// The same after [`APPEND`] is absorbed (and for a cold build of
+    /// the grown file).
+    const GOLDEN_GROWN: u64 = 0xc2c9_fb27_4c7d_4445;
+
+    const EPS: f64 = 0.01;
+    const SEED: u64 = 7;
+
+    fn write(name: &str, contents: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("qid-build-golden-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, contents).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    fn dsref(path: &str) -> DatasetRef {
+        DatasetRef {
+            path: path.into(),
+            eps: EPS,
+            seed: SEED,
+        }
+    }
+
+    /// FNV-64 of the artifact `entry` persists with `sketch`'s pairs,
+    /// with what differs from run to run — path, mtime and capture
+    /// time — fixed, so only the data and the sampling state count.
+    fn artifact_fnv(entry: &Entry, sketch: Option<&NonSeparationSketch>) -> u64 {
+        let mut source = entry.source.expect("a stamped entry");
+        (source.mtime_s, source.mtime_ns, source.captured_ms) = (0, 0, 0);
+        let header = Header {
+            key: CacheKey {
+                path: "field_shapes.csv".into(),
+                eps_bits: EPS.to_bits(),
+                seed: SEED,
+            },
+            rows: entry.rows,
+            attrs: entry.attrs,
+            source,
+            ingest: entry.ingest.as_ref().map(TupleIngest::checkpoint),
+        };
+        let pairs = sketch.map(|sk| (sk.params(), sk.pairs()));
+        artifact::fnv64(&artifact::encode(
+            &header,
+            &entry.cols,
+            entry.filter.sample(),
+            pairs,
+        ))
+    }
+
+    /// A cold stream build plus its first sketch scan.
+    fn cold(path: &str) -> (Entry, NonSeparationSketch) {
+        let entry =
+            build_entry(&dsref(path), LoadMode::Stream, SourceStamp::capture(path)).unwrap();
+        let sketch = build_sketch(path, &entry, SEED).unwrap();
+        (entry, sketch)
+    }
+
+    #[test]
+    fn stream_artifacts_match_the_golden_bytes() {
+        let path = write("grow.csv", BASE);
+        let (entry, sketch) = cold(&path);
+        assert_eq!(entry.rows, 400);
+        let base = artifact_fnv(&entry, Some(&sketch));
+
+        std::fs::write(&path, format!("{BASE}{APPEND}")).unwrap();
+        let grown_stamp = SourceStamp::capture(&path).unwrap();
+        let (absorbed, advanced) = absorb(&path, &entry, grown_stamp, EPS).unwrap();
+        assert_eq!(absorbed.rows, 520);
+        let advanced = advanced.expect("the in-process sketch advances over the suffix");
+        let grown = artifact_fnv(&absorbed, Some(&advanced));
+
+        let cold_path = write("cold.csv", &format!("{BASE}{APPEND}"));
+        let (rebuilt, rebuilt_sketch) = cold(&cold_path);
+        assert_eq!(artifact_fnv(&rebuilt, Some(&rebuilt_sketch)), grown);
+
+        assert_eq!(base, GOLDEN_BASE, "cold build of the base file");
+        assert_eq!(grown, GOLDEN_GROWN, "build + append absorb");
+    }
 }
