@@ -18,9 +18,10 @@
 //! * the **cache key is memoised** in the per-connection [`Scratch`]
 //!   (path canonicalisation allocates, so it is paid once per
 //!   revalidation window, not per request);
-//! * the entry comes from [`crate::registry::Registry::peek`], which
-//!   serves without statting the source inside the configured
-//!   revalidation window;
+//! * the entry comes from the registry's windowed peek (see
+//!   [`crate::registry::Registry::peek`]), which serves without
+//!   statting the source inside the configured revalidation window and
+//!   counts the hit only once the answer is certain;
 //! * attribute resolution and the filter query run in reusable scratch
 //!   buffers ([`qid_core::filter::TupleSampleFilter::query_sorted_into`]);
 //! * the response is serialised straight into the connection's write
@@ -31,12 +32,14 @@
 //!
 //! The fast path never produces an error: anything it does not fully
 //! recognise — an escape sequence, a duplicate or unknown key, a
-//! string `seed`, an unknown attribute, a cold or stale cache entry —
-//! makes it return `false` untouched, and the caller re-parses the
-//! line on the general path, which remains the single authority for
-//! error messages and edge-case semantics. A fast-path `true` must be
-//! **observably identical** to what the general path would have sent;
-//! the `fastpath_agrees_with_general_path` integration test pins this
+//! string `seed`, an unknown attribute, a cold or stale cache entry,
+//! a sample larger than the caller's cell budget (the poller shard
+//! leaves big queries to the worker pool) — makes it return `false`
+//! untouched, and the line is re-parsed on the general path, which
+//! remains the single authority for error messages and edge-case
+//! semantics. A fast-path `true` must be **observably identical** to
+//! what the general path would have sent; the
+//! `fastpath_agrees_with_general_path` integration test pins this
 //! byte-for-byte.
 //!
 //! New commands that want the same treatment must follow the same
@@ -120,13 +123,15 @@ struct ParsedCheck {
 /// dataset entry is resident, and its freshness window is open.
 /// Appends the response (plus newline) to `out` and records metrics,
 /// exactly like the general path would have. Returns `false` with
-/// `out` untouched in every other case; the caller falls back to the
-/// general path.
+/// `out` untouched in every other case, and also when the answer would
+/// query more than `max_cells` sample cells (rows × resolved
+/// attributes); the caller falls back to the general path.
 pub(crate) fn try_answer_check(
     state: &ServerState,
     line: &str,
     scratch: &mut Scratch,
     out: &mut Vec<u8>,
+    max_cells: usize,
 ) -> bool {
     let window = state.registry.revalidate_window_ms();
     if window == 0 {
@@ -183,54 +188,59 @@ pub(crate) fn try_answer_check(
     }
     let memo = scratch.memo.as_ref().expect("memo just refreshed");
     // Resident + freshness-checked within the window, or bail to the
-    // general path (whose stat re-opens the window).
-    let Some(entry) = state.registry.peek(&memo.key) else {
-        return false;
-    };
-    let sample = entry.filter.sample();
-    let schema = sample.schema();
-    let n_attrs = sample.n_attrs();
-    scratch.attrs.clear();
-    scratch.seen.clear();
-    scratch.seen.resize(n_attrs, false);
-    for &(lo, hi) in &scratch.attr_spans {
-        let Ok(spec) = std::str::from_utf8(&bytes[lo..hi]) else {
-            return false; // unreachable: `line` is a &str
-        };
-        // Mirrors `resolve_attr_names`: trimmed name, or index given as
-        // digits, deduplicated keeping the first occurrence.
-        let spec = spec.trim();
-        let attr = schema.attr_by_name(spec).or_else(|| {
-            spec.parse::<usize>()
-                .ok()
-                .filter(|&i| i < n_attrs)
-                .map(AttrId::new)
+    // general path (whose stat re-opens the window). The peek counts
+    // its hit only if the closure answers, so a bail below leaves the
+    // one lookup to the general path.
+    let answered = state.registry.peek_with(&memo.key, |entry| {
+        let sample = entry.filter.sample();
+        let schema = sample.schema();
+        let n_attrs = sample.n_attrs();
+        scratch.attrs.clear();
+        scratch.seen.clear();
+        scratch.seen.resize(n_attrs, false);
+        for &(lo, hi) in &scratch.attr_spans {
+            // Unreachable `Err`: `line` is a &str.
+            let spec = std::str::from_utf8(&bytes[lo..hi]).ok()?;
+            // Mirrors `resolve_attr_names`: trimmed name, or index given
+            // as digits, deduplicated keeping the first occurrence.
+            let spec = spec.trim();
+            // An unknown attribute bails: the general path errors.
+            let attr = schema.attr_by_name(spec).or_else(|| {
+                spec.parse::<usize>()
+                    .ok()
+                    .filter(|&i| i < n_attrs)
+                    .map(AttrId::new)
+            })?;
+            if !scratch.seen[attr.index()] {
+                scratch.seen[attr.index()] = true;
+                scratch.attrs.push(attr);
+            }
+        }
+        if sample.n_rows().saturating_mul(scratch.attrs.len()) > max_cells {
+            return None; // too big for this caller: answer it elsewhere
+        }
+        let accept = entry
+            .filter
+            .query_sorted_into(&scratch.attrs, &mut scratch.order)
+            == FilterDecision::Accept;
+        // Byte-identical to `Response::Check { .. }.encode()` plus newline.
+        out.extend_from_slice(b"{\"ok\":true,\"kind\":\"check\",\"attrs\":[");
+        for (i, &attr) in scratch.attrs.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            write_escaped_bytes(out, schema.attr(attr).name());
+        }
+        out.extend_from_slice(if accept {
+            b"],\"accept\":true}\n".as_slice()
+        } else {
+            b"],\"accept\":false}\n".as_slice()
         });
-        let Some(attr) = attr else {
-            return false; // unknown attribute: the general path errors
-        };
-        if !scratch.seen[attr.index()] {
-            scratch.seen[attr.index()] = true;
-            scratch.attrs.push(attr);
-        }
-    }
-    let accept = entry
-        .filter
-        .query_sorted_into(&scratch.attrs, &mut scratch.order)
-        == FilterDecision::Accept;
-    // Byte-identical to `Response::Check { .. }.encode()` plus newline.
-    out.extend_from_slice(b"{\"ok\":true,\"kind\":\"check\",\"attrs\":[");
-    for (i, &attr) in scratch.attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        write_escaped_bytes(out, schema.attr(attr).name());
-    }
-    out.extend_from_slice(if accept {
-        b"],\"accept\":true}\n".as_slice()
-    } else {
-        b"],\"accept\":false}\n".as_slice()
+        Some(())
     });
+    if answered.is_none() {
+        return false;
+    }
     state.metrics.record("check", started.elapsed(), false);
     true
 }

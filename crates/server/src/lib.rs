@@ -32,9 +32,11 @@
 //!   `--pollers` shard threads (default `min(4, cores)`) each own a
 //!   round-robin share of the idle connections in non-blocking mode
 //!   behind a minimal vendored readiness shim (`epoll` on Linux,
-//!   `poll(2)` elsewhere) and hand only
-//!   *readable* connections to the worker pool, so thousands of idle
-//!   keep-alive clients cost zero worker time. Writes are
+//!   `poll(2)` elsewhere). A shard reads a readable connection and
+//!   answers its fast-path `check`s itself; only a wake holding some
+//!   other line goes to the worker pool, so thousands of idle
+//!   keep-alive clients cost zero worker time and the dominant request
+//!   class costs no thread hand-off. Writes are
 //!   readiness-driven too: a response the socket refuses is parked
 //!   with the connection and finished by its owning shard when the
 //!   peer drains — a slow reader costs `writes_parked` increments,

@@ -5,8 +5,9 @@
 //!
 //! 1. **Per-request spans.** Every request gets a monotonic id and a
 //!    fixed-size `SpanRecord` (command, dataset-key hash, queue /
-//!    serve / write phase timings, bytes in/out, outcome). Workers
-//!    write records into a preallocated per-connection
+//!    serve / write phase timings, bytes in/out, outcome). The thread
+//!    serving a wake (its poller shard, or a worker after a hand-off)
+//!    writes records into a preallocated per-connection
 //!    [`PendingSpans`] arena inside `Scratch` — no allocation on the
 //!    steady-state `check` fast path — and the poller-wake epilogue
 //!    publishes them by copy into a lock-light `TraceRing`. The
@@ -104,7 +105,9 @@ pub(crate) const SPAN_WORDS: usize = 9;
 ///
 /// Timings are microseconds. `queue_us` is the wait between the
 /// poller handing the connection to the worker pool and a worker
-/// picking it up (shared by every request served in that wake);
+/// picking it up (shared by every request the worker serves in that
+/// wake); it is 0 for a request answered inline on the poller shard,
+/// including those the shard answered before a hand-off;
 /// `write_us` is the wake's response-flush time, likewise shared.
 /// `end_us` is the publish instant, measured from server start.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -118,9 +121,10 @@ pub(crate) struct SpanRecord {
     /// FNV-1a hash of the dataset cache key; 0 when no dataset was
     /// resolved. Matches the registry's persistence file stem.
     pub key_hash: u64,
-    /// Queue wait before a worker picked the wake up, µs.
+    /// Queue wait before a worker picked the wake up, µs; 0 when the
+    /// poller shard answered the request inline.
     pub queue_us: u64,
-    /// In-worker serve time for this request, µs.
+    /// Serve time for this request, on the shard or the worker, µs.
     pub serve_us: u64,
     /// Response write/flush time for the wake, µs.
     pub write_us: u64,
@@ -274,8 +278,9 @@ pub(crate) const PENDING_SPANS: usize = 64;
 pub struct PendingSpans {
     records: [SpanRecord; PENDING_SPANS],
     len: usize,
-    /// Queue wait for the current wake, µs (stamped by the poller
-    /// dispatch epilogue, shared by every span in the wake).
+    /// Queue wait for the current wake, µs: 0 while the poller shard
+    /// serves it, stamped by the worker that takes a hand-off and
+    /// shared by every span it captures.
     queue_us: u64,
     /// Spans dropped because the arena filled mid-wake.
     overflow: u64,
@@ -320,6 +325,10 @@ pub struct Obs {
     shard_conns: Box<[AtomicU64]>,
     /// Connections currently dispatched to (or queued for) workers.
     dispatched: AtomicU64,
+    /// Readable wakes served to completion on their poller shard.
+    wakes_inline: AtomicU64,
+    /// Readable wakes handed to the worker pool.
+    wakes_pool: AtomicU64,
     /// Jobs sitting in the worker-pool queue; shared with the pool's
     /// `GaugedSender` so the gauge survives without a pool→obs
     /// dependency.
@@ -339,6 +348,8 @@ impl Obs {
             spans_dropped: AtomicU64::new(0),
             shard_conns: (0..pollers.max(1)).map(|_| AtomicU64::new(0)).collect(),
             dispatched: AtomicU64::new(0),
+            wakes_inline: AtomicU64::new(0),
+            wakes_pool: AtomicU64::new(0),
             queue_depth: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -389,9 +400,16 @@ impl Obs {
             .sum()
     }
 
-    /// A connection left the poller for the worker pool.
+    /// A readable wake was served to completion on its poller shard.
+    pub(crate) fn wake_inline(&self) {
+        self.wakes_inline.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A connection left the poller for the worker pool, carrying the
+    /// rest of its wake.
     pub(crate) fn connection_dispatched(&self) {
         self.dispatched.fetch_add(1, Ordering::Relaxed);
+        self.wakes_pool.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A dispatched connection finished its wake.
@@ -828,6 +846,16 @@ pub(crate) fn prometheus_text(state: &ServerState) -> String {
          qid_connections{{state=\"dispatched\"}} {}",
         obs.idle_fds(),
         obs.dispatched_connections()
+    );
+    let _ = writeln!(
+        out,
+        "# HELP qid_wakes_total Readable connection wakes, by where they were served: \
+         inline on the poller shard, or handed to the worker pool.\n\
+         # TYPE qid_wakes_total counter\n\
+         qid_wakes_total{{path=\"inline\"}} {}\n\
+         qid_wakes_total{{path=\"pool\"}} {}",
+        obs.wakes_inline.load(Ordering::Relaxed),
+        obs.wakes_pool.load(Ordering::Relaxed)
     );
     let _ = writeln!(
         out,

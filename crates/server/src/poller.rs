@@ -3,25 +3,34 @@
 //! Connections are sharded round-robin across `--pollers` dedicated
 //! poller threads, each owning its own kernel queue behind the
 //! vendored [`polling`] shim (`epoll` on Linux, `poll(2)` elsewhere,
-//! macOS and the BSDs included). A poller owns every idle
-//! connection of its shard in non-blocking mode; only connections
-//! with bytes to read are handed to the worker pool. A worker drains
-//! what the socket has, answers every complete request line, and
-//! hands the connection back to **its own shard's** poller. Idle
-//! keep-alive connections therefore cost **zero** worker time — the
-//! property that moves the server from tens of clients to thousands —
-//! and readiness scanning plus trace-epilogue work parallelise across
-//! shards.
+//! macOS and the BSDs included). A poller owns every connection of its
+//! shard in non-blocking mode. When one becomes readable, the shard
+//! reads it, frames the lines, and answers every line the
+//! zero-allocation `check` fast path accepts itself; it then flushes
+//! the replies and re-arms the socket, and no worker is involved. Only
+//! at the first line the fast path declines — an audit, a sketch, a
+//! build, a miss, a stale entry, `shutdown` — does the connection go to
+//! the worker pool, carrying the rest of the wake; the worker answers
+//! it and hands the connection back to **its own shard's** poller.
+//! Idle keep-alive connections therefore cost **zero** worker time —
+//! the property that moves the server from tens of clients to
+//! thousands — and the dominant request class costs no thread hand-off.
 //!
-//! Writes are readiness-driven too: a worker flushes the wake's
-//! response batch with non-blocking writes, and if the peer's window
-//! is full it **parks** the unsent bytes with the connection and
-//! returns to the pool. The owning poller re-arms the socket for
-//! *writability* and completes the flush inline on the poller thread,
-//! so a slow or stalled reader can never pin a worker (the previous
-//! core blocked a worker up to 10 s per stalled write). While a
-//! connection is write-parked the server does not read from it —
-//! natural backpressure for a client that pipelines without draining.
+//! Two bounds keep one connection from stalling its shard: a wake
+//! answers at most `MAX_INLINE_LINES_PER_WAKE` lines inline, and a
+//! `check` over more than `MAX_INLINE_CHECK_CELLS` sample cells
+//! (rows × attributes) is left to the pool. Past either, the rest of
+//! the wake goes to the pool.
+//!
+//! Writes are readiness-driven too: a wake's response batch is flushed
+//! with non-blocking writes, and if the peer's window is full the
+//! unsent bytes **park** with the connection on its shard. The shard
+//! re-arms the socket for *writability* and completes the flush inline
+//! on the poller thread, so a slow or stalled reader can never pin a
+//! worker (the previous core blocked a worker up to 10 s per stalled
+//! write). While a connection is write-parked the server does not read
+//! from it — natural backpressure for a client that pipelines without
+//! draining.
 //!
 //! ## Connection state machine
 //!
@@ -31,10 +40,14 @@
 //!
 //! ```text
 //! accepted ──▶ polled (shard poller owns it, armed oneshot readable)
-//!                │  readable
-//!                ▼
-//!            dispatched (one worker owns it: read → frame → answer
-//!                │       → non-blocking flush)
+//!                │  readable: the shard reads and frames the wake
+//!                ├──────────────────────────────┐
+//!                │ every line fast-path         │ a line the shard may
+//!                ▼                              ▼ not answer
+//!            served inline (shard        dispatched (one worker owns
+//!            answers → flushes)          it: answers the rest of the
+//!                │                       wake → non-blocking flush)
+//!                ├──────────────────────────────┘
 //!                │ flushed             │ flush would    │ EOF, error,
 //!                │ clean               │ block          │ shutdown
 //!                ▼                     ▼                ▼
@@ -44,6 +57,13 @@
 //!                                   re-arms readable — or closes if
 //!                                   the wake ended in EOF/shutdown)
 //! ```
+//!
+//! A hand-off carries the wake's state with the connection: its
+//! remaining frames, its EOF flag, and the replies the shard already
+//! rendered into the response buffer, so the worker's answers follow
+//! them in order. One per-line loop serves both sides; the shard runs
+//! it in a fast-path-only mode. A line handed off after the shard took
+//! its `--max-rps` token is not charged again.
 //!
 //! A write-parked connection never visits the worker pool: the poller
 //! finishes the flush itself (responses are already rendered bytes;
@@ -87,11 +107,23 @@ use crate::pool::GaugedSender;
 use crate::proto::Response;
 use crate::server::ServerState;
 
-/// Byte budget one worker spends reading a single connection per
+/// Byte budget a shard spends reading a single connection per
 /// readiness wake-up. A connection with more buffered than this is
 /// re-armed (level-triggered readiness re-fires immediately), so one
-/// fire-hose client cannot pin a worker while others wait.
+/// fire-hose client cannot pin its shard while others wait.
 const MAX_BYTES_PER_WAKE: usize = 1 << 20;
+
+/// Lines (blank and rejected ones included) one wake may take on its
+/// poller shard. The rest of a longer wake goes to the worker pool, so
+/// one pipelining client cannot hold its shard — and every other
+/// connection on it — for long.
+const MAX_INLINE_LINES_PER_WAKE: usize = 32;
+
+/// The largest `check` a poller shard answers itself, in sample rows ×
+/// resolved attributes (~0.5 ms of sort-based query at ~30 ns a cell).
+/// A bigger one goes to the worker pool with the rest of its wake, so
+/// one huge sample cannot stall a shard.
+const MAX_INLINE_CHECK_CELLS: usize = 16 * 1024;
 
 /// The name of the readiness backend [`polling::Poller::new`] picks on
 /// this host (`"epoll"` on Linux, `"poll"`
@@ -312,6 +344,14 @@ pub(crate) struct Conn {
     bucket: Option<TokenBucket>,
     /// Frames decoded this wake (ranges into `framer`'s buffer).
     frames: Vec<Frame>,
+    /// The first frame of the wake not yet answered: where a worker
+    /// resumes a wake its shard handed off.
+    next_frame: usize,
+    /// The wake's read ended in EOF: close once its lines are answered.
+    eof: bool,
+    /// The line at `next_frame` already took its `--max-rps` token on
+    /// the shard before it was handed off.
+    charged: bool,
     /// The wake's response batch. Flushed with non-blocking writes;
     /// bytes the peer's window cannot absorb stay here (write-parked)
     /// until the owning poller sees the socket writable again.
@@ -324,7 +364,7 @@ pub(crate) struct Conn {
     /// Per-connection parse/dispatch arena for the zero-allocation
     /// request fast path.
     scratch: Scratch,
-    /// When the poller handed this connection to the worker pool; the
+    /// When the shard handed this connection to the worker pool; the
     /// worker's wake-up converts it to the spans' queue-wait time.
     dispatched_at: Option<Instant>,
     /// The `--max-conns` admission slot this connection occupies
@@ -345,6 +385,9 @@ impl Conn {
                 .max_rps
                 .map(|rps| TokenBucket::new(rps, Instant::now())),
             frames: Vec::new(),
+            next_frame: 0,
+            eof: false,
+            charged: false,
             out: Vec::new(),
             out_pos: 0,
             close_after_flush: false,
@@ -362,39 +405,49 @@ impl Conn {
     }
 }
 
-/// What a worker decides about a connection after one wake-up.
+/// What a wake decides about its connection.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Disposition {
-    /// Hand the connection back to its shard's poller — armed readable
-    /// for the next request, or writable when the flush parked bytes.
+enum Wake {
+    /// Every line is answered and the replies flushed (or parked): keep
+    /// the connection on its shard, armed readable for the next
+    /// request, or writable while bytes are parked.
     Rearm,
     /// Close it (EOF, I/O error, write failure, or shutdown).
     Close,
+    /// The shard stopped at `conn.next_frame`: the connection goes to
+    /// the worker pool with the rest of the wake.
+    HandOff,
 }
 
-/// Serves one readiness wake-up: drain the socket, answer every
-/// complete line, decide the connection's fate. All working storage
-/// (frame list, line buffer, response batch, parse scratch) lives in
-/// `conn` and is reused, so a steady-state wake allocates nothing.
-pub(crate) fn serve_ready(conn: &mut Conn, state: &ServerState) -> Disposition {
-    // Queue-wait: poller dispatch → a worker actually picking the
-    // connection up. Stamped into every span captured this wake.
-    if let Some(at) = conn.dispatched_at.take() {
-        conn.scratch
-            .spans
-            .set_queue_us(crate::obs::duration_us(at.elapsed()));
-    }
+/// Where a wake's per-line loop runs, and so how far it may go.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// On the poller shard: take at most [`MAX_INLINE_LINES_PER_WAKE`]
+    /// lines, answering only what needs no worker — lines the fast path
+    /// accepts within [`MAX_INLINE_CHECK_CELLS`], blank lines and
+    /// hardening rejections; stop at the first other line.
+    Inline,
+    /// On a worker: answer every remaining line.
+    Full,
+}
+
+/// Reads what the socket has — up to [`MAX_BYTES_PER_WAKE`] — into the
+/// framer and starts a new wake: the frame list, resume point and
+/// response batch are reset. Returns `false` on a read error.
+fn read_wake(conn: &mut Conn, state: &ServerState) -> bool {
     let mut chunk = [0u8; 8192];
     conn.frames.clear();
+    conn.next_frame = 0;
+    conn.charged = false;
     conn.out.clear();
     conn.out_pos = 0;
     conn.close_after_flush = false;
-    let mut eof = false;
+    conn.eof = false;
     let mut total = 0usize;
     while total < MAX_BYTES_PER_WAKE {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
-                eof = true;
+                conn.eof = true;
                 break;
             }
             Ok(n) => {
@@ -403,22 +456,60 @@ pub(crate) fn serve_ready(conn: &mut Conn, state: &ServerState) -> Disposition {
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(_) => return Disposition::Close,
+            Err(_) => return false,
         }
     }
     if total > 0 {
         state.add_bytes_read(total);
     }
-    if eof {
+    if conn.eof {
         // A final line terminated by EOF instead of a newline is still
         // a request: answer it, then close.
         if let Some(tail) = conn.framer.take_eof_tail() {
             conn.frames.push(Frame::Line(tail));
         }
     }
+    true
+}
 
-    let mut close = eof;
-    for i in 0..conn.frames.len() {
+/// Serves one readable wake on the poller shard: reads the socket,
+/// answers what [`Mode::Inline`] allows, and flushes if that was
+/// everything. All working storage lives in `conn` and is reused, so a
+/// steady-state wake of fast-path `check`s allocates nothing.
+fn serve_inline(conn: &mut Conn, state: &ServerState) -> Wake {
+    if !read_wake(conn, state) {
+        return Wake::Close;
+    }
+    serve_lines(conn, state, Mode::Inline)
+}
+
+/// Serves the rest of a wake its shard handed off: every remaining
+/// line, then the flush.
+fn serve_handed_off(conn: &mut Conn, state: &ServerState) -> Wake {
+    // Queue-wait: shard hand-off → a worker actually picking the
+    // connection up. Stamped into every span captured from here on;
+    // the lines the shard answered before the hand-off keep 0.
+    if let Some(at) = conn.dispatched_at.take() {
+        conn.scratch
+            .spans
+            .set_queue_us(crate::obs::duration_us(at.elapsed()));
+    }
+    serve_lines(conn, state, Mode::Full)
+}
+
+/// The one per-line loop, shared by shard and worker: answers the
+/// wake's frames from `conn.next_frame` on, in order, then settles the
+/// wake. In [`Mode::Inline`] it stops at the first line the shard may
+/// not answer and records where, so the worker resumes exactly there
+/// with the replies rendered so far still queued in `conn.out`.
+fn serve_lines(conn: &mut Conn, state: &ServerState, mode: Mode) -> Wake {
+    let mut close = conn.eof;
+    let start = conn.next_frame;
+    for i in start..conn.frames.len() {
+        if mode == Mode::Inline && i - start == MAX_INLINE_LINES_PER_WAKE {
+            conn.next_frame = i;
+            return Wake::HandOff;
+        }
         let range = match &conn.frames[i] {
             Frame::Oversize => {
                 state.on_oversize_line(&mut conn.scratch, &mut conn.out);
@@ -426,27 +517,42 @@ pub(crate) fn serve_ready(conn: &mut Conn, state: &ServerState) -> Disposition {
             }
             Frame::Line(range) => range.clone(),
         };
-        let bytes = conn.framer.line(&range);
-        if bytes.iter().all(|b| b.is_ascii_whitespace()) {
+        if conn.framer.line(&range).iter().all(u8::is_ascii_whitespace) {
             continue; // blank keep-alive lines are free
         }
-        if let Some(bucket) = &mut conn.bucket {
-            if !bucket.try_take(Instant::now()) {
-                state.on_rate_limited(&mut conn.scratch, &mut conn.out);
-                continue;
+        // A line handed off after the shard took its token is not
+        // charged again.
+        if !std::mem::take(&mut conn.charged) {
+            if let Some(bucket) = &mut conn.bucket {
+                if !bucket.try_take(Instant::now()) {
+                    state.on_rate_limited(&mut conn.scratch, &mut conn.out);
+                    continue;
+                }
             }
         }
-        let is_shutdown = state.answer_line(bytes, &mut conn.scratch, &mut conn.out);
-        if is_shutdown {
-            // Flush the acknowledgement before raising the flag, so
-            // the requester normally sees its "bye". Best-effort: a
-            // requester whose own receive window is already full
-            // doesn't get to delay the drain.
-            let write_started = Instant::now();
-            let _ = flush_pending(conn, state);
-            state.finish_wake(&mut conn.scratch, write_started.elapsed());
-            state.initiate_shutdown();
-            return Disposition::Close;
+        let bytes = conn.framer.line(&range);
+        match mode {
+            Mode::Inline => {
+                let (scratch, out) = (&mut conn.scratch, &mut conn.out);
+                if !state.answer_fast(bytes, Instant::now(), scratch, out, MAX_INLINE_CHECK_CELLS) {
+                    conn.next_frame = i;
+                    conn.charged = conn.bucket.is_some();
+                    return Wake::HandOff;
+                }
+            }
+            Mode::Full => {
+                if state.answer_line(bytes, &mut conn.scratch, &mut conn.out) {
+                    // Flush the acknowledgement before raising the
+                    // flag, so the requester normally sees its "bye".
+                    // Best-effort: a requester whose own receive window
+                    // is already full doesn't get to delay the drain.
+                    let write_started = Instant::now();
+                    let _ = flush_pending(conn, state);
+                    state.finish_wake(&mut conn.scratch, write_started.elapsed());
+                    state.initiate_shutdown();
+                    return Wake::Close;
+                }
+            }
         }
         if state.is_shutting_down() {
             // Drain contract: finish the in-flight request,
@@ -455,13 +561,19 @@ pub(crate) fn serve_ready(conn: &mut Conn, state: &ServerState) -> Disposition {
             break;
         }
     }
+    settle(conn, state, close)
+}
+
+/// Ends a wake whose lines are all answered: releases the frames,
+/// flushes the replies and decides the connection's fate.
+fn settle(conn: &mut Conn, state: &ServerState, close: bool) -> Wake {
     conn.framer.consume();
     if conn.out.is_empty() {
         state.finish_wake(&mut conn.scratch, Duration::ZERO);
         return if close || state.is_shutting_down() {
-            Disposition::Close
+            Wake::Close
         } else {
-            Disposition::Rearm
+            Wake::Rearm
         };
     }
     let write_started = Instant::now();
@@ -471,23 +583,22 @@ pub(crate) fn serve_ready(conn: &mut Conn, state: &ServerState) -> Disposition {
     // peer are exactly when the trace matters.
     state.finish_wake(&mut conn.scratch, write_started.elapsed());
     match outcome {
-        FlushOutcome::Error => Disposition::Close,
+        FlushOutcome::Error => Wake::Close,
         FlushOutcome::Done => {
             if close || state.is_shutting_down() {
-                Disposition::Close
+                Wake::Close
             } else {
-                Disposition::Rearm
+                Wake::Rearm
             }
         }
         FlushOutcome::Parked => {
             // The peer's window is full. Park the unsent bytes with
-            // the connection and give it back to its poller, which
-            // arms for writability and finishes the flush — this
-            // worker is free immediately, no matter how stalled the
-            // reader is.
+            // the connection on its shard, which arms for writability
+            // and finishes the flush — no worker waits on a stalled
+            // reader.
             state.metrics.writes_parked.fetch_add(1, Ordering::Relaxed);
             conn.close_after_flush = close || state.is_shutting_down();
-            Disposition::Rearm
+            Wake::Rearm
         }
     }
 }
@@ -605,22 +716,44 @@ pub(crate) fn poller_loop(
         }
         admit(&poller, &rx, &mut idle, &mut next_key, &state);
         for ev in events.drain(..) {
-            // Write-parked connections are completed inline: the
-            // bytes are already rendered, so finishing the flush on
-            // the poller thread costs microseconds and skips a
-            // pointless pool round-trip. They stay in the idle map
-            // (this shard keeps ownership) unless the flush ends them.
-            if idle.get(&ev.key).is_some_and(Conn::parked) {
-                flush_parked(&poller, &mut idle, ev.key, &state);
-                continue;
-            }
-            let Some(conn) = idle.remove(&ev.key) else {
+            let Some(conn) = idle.get_mut(&ev.key) else {
                 continue;
             };
-            // Deregister while a worker owns the socket; `register`
-            // adds it back fresh.
-            let _ = poller.delete(&conn.stream);
-            dispatch(conn, &pool, &handle, &state);
+            // Write-parked connections are completed inline: the
+            // bytes are already rendered, so finishing the flush on
+            // the shard costs microseconds and skips a pointless pool
+            // round-trip.
+            let keep = if conn.parked() {
+                match flush_pending(conn, &state) {
+                    FlushOutcome::Done => !conn.close_after_flush && rearm(&poller, conn, ev.key),
+                    FlushOutcome::Parked => rearm(&poller, conn, ev.key),
+                    FlushOutcome::Error => false,
+                }
+            } else {
+                // A readable wake is served on the shard while it only
+                // holds lines the shard may answer; the first other
+                // line hands the connection, with the rest of the
+                // wake, to the worker pool.
+                match serve_inline(conn, &state) {
+                    Wake::HandOff => {
+                        let conn = idle.remove(&ev.key).expect("served in place");
+                        // Deregister while a worker owns the socket;
+                        // `register` adds it back fresh.
+                        let _ = poller.delete(&conn.stream);
+                        dispatch(conn, &pool, &handle, &state);
+                        continue;
+                    }
+                    wake => {
+                        state.obs().wake_inline();
+                        wake == Wake::Rearm && rearm(&poller, conn, ev.key)
+                    }
+                }
+            };
+            if !keep {
+                if let Some(conn) = idle.remove(&ev.key) {
+                    let _ = poller.delete(&conn.stream);
+                }
+            }
         }
     }
     // Drop (close) every owned connection: poller-registered sockets
@@ -630,37 +763,17 @@ pub(crate) fn poller_loop(
     state.obs().set_shard_conns(shard, 0);
 }
 
-/// Completes (or advances) the flush of a write-parked connection on
-/// its poller thread. `Done` re-arms for readability — level-triggered
-/// readiness fires immediately if the client pipelined more requests —
-/// or closes when the parking wake ended in EOF/shutdown; `Parked`
-/// re-arms for writability; `Error` reaps the connection.
-fn flush_parked(
-    poller: &polling::Poller,
-    idle: &mut HashMap<usize, Conn>,
-    key: usize,
-    state: &ServerState,
-) {
-    let Some(conn) = idle.get_mut(&key) else {
-        return;
+/// Re-arms a connection its shard keeps: for writability while bytes
+/// are parked, else for readability — level-triggered readiness fires
+/// at once if the client already pipelined more. Returns `false` when
+/// the registration is broken and the connection must close.
+fn rearm(poller: &polling::Poller, conn: &Conn, key: usize) -> bool {
+    let interest = if conn.parked() {
+        polling::Event::writable(key)
+    } else {
+        polling::Event::readable(key)
     };
-    let close = match flush_pending(conn, state) {
-        FlushOutcome::Done => {
-            conn.close_after_flush
-                || poller
-                    .modify(&conn.stream, polling::Event::readable(key))
-                    .is_err()
-        }
-        FlushOutcome::Parked => poller
-            .modify(&conn.stream, polling::Event::writable(key))
-            .is_err(),
-        FlushOutcome::Error => true,
-    };
-    if close {
-        if let Some(conn) = idle.remove(&key) {
-            let _ = poller.delete(&conn.stream);
-        }
-    }
+    poller.modify(&conn.stream, interest).is_ok()
 }
 
 /// Drains the registration queue into the shard's idle set. A
@@ -702,8 +815,8 @@ fn alloc_key(next: &mut usize, idle: &HashMap<usize, Conn>) -> usize {
     }
 }
 
-/// Hands one readable connection to the worker pool; the worker
-/// returns it via `handle` when done.
+/// Hands a connection, with the rest of its wake, to the worker pool;
+/// the worker returns it via `handle` when done.
 fn dispatch(mut conn: Conn, pool: &GaugedSender, handle: &PollerHandle, state: &Arc<ServerState>) {
     let handle = handle.clone();
     conn.dispatched_at = Some(Instant::now());
@@ -712,11 +825,12 @@ fn dispatch(mut conn: Conn, pool: &GaugedSender, handle: &PollerHandle, state: &
     // A send error means the pool is gone (shutdown); the connection
     // drops with the closure — EOF, exactly the drain behaviour.
     if !pool.send(move || {
-        match serve_ready(&mut conn, &job_state) {
-            Disposition::Rearm => {
+        match serve_handed_off(&mut conn, &job_state) {
+            Wake::Rearm => {
                 let _ = handle.register(conn);
             }
-            Disposition::Close => {}
+            Wake::Close => {}
+            Wake::HandOff => unreachable!("a worker answers every line"),
         }
         job_state.obs().connection_settled();
     }) {

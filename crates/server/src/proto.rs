@@ -496,9 +496,10 @@ pub struct TraceSpan {
     /// persistence file stem); empty when no dataset was resolved.
     pub key: String,
     /// Wait between poller dispatch and a worker picking the
-    /// connection up.
+    /// connection up; 0 for a request answered inline on its poller
+    /// shard.
     pub queue_us: u64,
-    /// In-worker serve time for this request.
+    /// Serve time for this request, on the shard or the worker.
     pub serve_us: u64,
     /// Response write/flush time for the wake.
     pub write_us: u64,

@@ -556,13 +556,6 @@ impl Registry {
         slot.validated.store(self.stamp_now(), Ordering::Relaxed);
     }
 
-    /// The allocation-free read path: returns the resident entry for
-    /// `key` iff it is built, healthy, and was freshness-checked within
-    /// the last [`RegistryConfig::revalidate_ms`] milliseconds. Counted
-    /// as a cache hit. Returns `None` — never builds, restores, or
-    /// stats — in every other case; callers fall back to
-    /// [`Registry::get_or_load`], whose stat re-opens the window.
-    ///
     /// The configured [`RegistryConfig::revalidate_ms`] window; `0`
     /// means [`Registry::peek`] (and the request fast path built on
     /// it) is disabled.
@@ -570,9 +563,29 @@ impl Registry {
         self.config.revalidate_ms
     }
 
+    /// The allocation-free read path: returns the resident entry for
+    /// `key` iff it is built, healthy, and was freshness-checked within
+    /// the last [`RegistryConfig::revalidate_ms`] milliseconds. Counted
+    /// as a cache hit. Returns `None` — never builds, restores, or
+    /// stats — in every other case; callers fall back to
+    /// [`Registry::get_or_load`], whose stat re-opens the window.
+    ///
     /// With `revalidate_ms == 0` (the default) this always returns
     /// `None`: strict stat-on-every-hit invalidation.
     pub fn peek(&self, key: &CacheKey) -> Option<Arc<Entry>> {
+        self.peek_with(key, |entry| Some(Arc::clone(entry)))
+    }
+
+    /// [`Registry::peek`] for a caller that may still turn the entry
+    /// down: `serve` runs on the fresh resident entry, and the lookup
+    /// counts as a hit (and touches the LRU clock) only when it returns
+    /// `Some`. A declined peek leaves no trace, so the general path
+    /// that answers the request instead counts its one lookup.
+    pub(crate) fn peek_with<R>(
+        &self,
+        key: &CacheKey,
+        serve: impl FnOnce(&Arc<Entry>) -> Option<R>,
+    ) -> Option<R> {
         let window = self.config.revalidate_ms;
         if window == 0 {
             return None;
@@ -587,13 +600,13 @@ impl Registry {
         if stamp == 0 || self.stamp_now().saturating_sub(stamp) >= window {
             return None;
         }
-        let entry = match slot.cell.get() {
-            Some(Ok(entry)) => Arc::clone(entry),
-            _ => return None,
+        let Some(Ok(entry)) = slot.cell.get() else {
+            return None;
         };
+        let served = serve(entry)?;
         self.touch(&slot);
         self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        Some(entry)
+        Some(served)
     }
 
     /// Returns the cached entry for `ds`, building it on first use.

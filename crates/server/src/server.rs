@@ -294,8 +294,9 @@ impl Server {
     /// The loop itself only accepts (and enforces `--max-conns`):
     /// every admitted connection is dealt round-robin to one of the
     /// poller shards (see [`crate::poller`]), each of which owns its
-    /// shard's sockets in non-blocking mode and dispatches only
-    /// *readable* ones to the worker pool.
+    /// shard's sockets in non-blocking mode, answers fast-path
+    /// `check`s itself, and hands a wake to the worker pool only at
+    /// the first line it may not answer.
     pub fn serve(self) -> io::Result<()> {
         let mut pool = WorkerPool::new(self.workers);
         let pool_tx = GaugedSender::new(
@@ -536,6 +537,9 @@ impl ServerState {
     /// request path in-process.
     pub fn answer_line(&self, bytes: &[u8], scratch: &mut Scratch, out: &mut Vec<u8>) -> bool {
         let started = Instant::now();
+        if self.answer_fast(bytes, started, scratch, out, usize::MAX) {
+            return false;
+        }
         let out_start = out.len();
         let Ok(line) = std::str::from_utf8(bytes) else {
             self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -556,26 +560,8 @@ impl ServerState {
             );
             return false;
         };
+        // Not blank: `answer_fast` handles a line that trims to nothing.
         let trimmed = line.trim();
-        if trimmed.is_empty() {
-            return false;
-        }
-        if crate::fastpath::try_answer_check(self, trimmed, scratch, out) {
-            // The fast path's span is captured here (not inside it):
-            // the memoised key hash is a plain field read, so nothing
-            // on this branch allocates.
-            let key_hash = scratch.memo_key_hash();
-            self.obs.note(
-                &mut scratch.spans,
-                obs::CMD_CHECK,
-                obs::OUTCOME_OK,
-                key_hash,
-                started.elapsed(),
-                bytes.len(),
-                out.len() - out_start,
-            );
-            return false;
-        }
         let (response, command, is_error) = match Request::decode(trimmed) {
             Ok(request) => {
                 let command = request.command_name();
@@ -621,6 +607,49 @@ impl ServerState {
             }
         }
         false
+    }
+
+    /// The fast-path prefix of [`ServerState::answer_line`], and the
+    /// one entry point to the zero-allocation `check` path: UTF-8
+    /// check, trim, [`crate::fastpath`], span capture. Returns `true`
+    /// when the line is handled — answered into `out`, or blank once
+    /// trimmed (nothing to answer) — and `false`, with `out` and the
+    /// metrics untouched, when the general path must answer it.
+    /// `max_cells` caps the sample rows × attributes the fast path may
+    /// query for this line (see [`crate::poller`]'s inline bounds).
+    pub(crate) fn answer_fast(
+        &self,
+        bytes: &[u8],
+        started: Instant,
+        scratch: &mut Scratch,
+        out: &mut Vec<u8>,
+        max_cells: usize,
+    ) -> bool {
+        let Ok(line) = std::str::from_utf8(bytes) else {
+            return false; // the general path answers the error
+        };
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            return true;
+        }
+        let out_start = out.len();
+        if !crate::fastpath::try_answer_check(self, trimmed, scratch, out, max_cells) {
+            return false;
+        }
+        // The fast path's span is captured here (not inside it): the
+        // memoised key hash is a plain field read, so nothing on this
+        // branch allocates.
+        let key_hash = scratch.memo_key_hash();
+        self.obs.note(
+            &mut scratch.spans,
+            obs::CMD_CHECK,
+            obs::OUTCOME_OK,
+            key_hash,
+            started.elapsed(),
+            bytes.len(),
+            out.len() - out_start,
+        );
+        true
     }
 
     /// Span capture for a decoded general-path request.

@@ -27,7 +27,7 @@ use quasi_id::server::{Client, RunningServer, Server, ServerConfig};
 
 /// Metric families the scrape must always export (CI greps for these
 /// too; keep `.github/workflows/ci.yml` in sync).
-const REQUIRED_FAMILIES: [&str; 19] = [
+const REQUIRED_FAMILIES: [&str; 20] = [
     "qid_build_info",
     "qid_uptime_seconds",
     "qid_requests_total",
@@ -47,6 +47,7 @@ const REQUIRED_FAMILIES: [&str; 19] = [
     "qid_rejected_busy_total",
     "qid_writes_parked_total",
     "qid_poller_connections",
+    "qid_wakes_total",
 ];
 
 /// One parsed sample line: metric name, sorted labels, value.
