@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use qid_core::filter::{FilterParams, PairSampleFilter, SeparationFilter, TupleSampleFilter};
+use qid_core::filter::{
+    CollisionScratch, FilterParams, PairSampleFilter, SeparationFilter, TupleSampleFilter,
+};
 use qid_core::minkey::GreedyRefineMinKey;
 use qid_core::separation::{PartitionIndex, Refiner};
 use qid_core::sketch::{NonSeparationSketch, SketchParams};
@@ -35,8 +37,9 @@ fn bench_filter_queries(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("tuple_sorted", eps), &eps, |b, _| {
             b.iter(|| black_box(tuple.query_sorted(black_box(&attrs))))
         });
+        let mut scratch = CollisionScratch::new();
         group.bench_with_input(BenchmarkId::new("tuple_hashed", eps), &eps, |b, _| {
-            b.iter(|| black_box(tuple.query_hashed(black_box(&attrs))))
+            b.iter(|| black_box(tuple.query_with(black_box(&attrs), &mut scratch)))
         });
     }
     group.finish();

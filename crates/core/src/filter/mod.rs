@@ -12,15 +12,19 @@
 //!   time `O(|A| · m/ε)`.
 //! * [`TupleSampleFilter`] — this paper's Algorithm 1: store `Θ(m/√ε)`
 //!   uniform *tuples*; reject iff some two stored tuples collide on `A`.
-//!   Query time `O(|A| · (m/√ε) log(m/ε))` by sorting.
+//!   Query time `O(|A| · (m/√ε) log(m/ε))` by sorting (the paper's
+//!   accounting), `O(|A| · m/√ε)` expected by the exact hashed
+//!   [`CollisionScratch`] kernel the query serves.
 //!
 //! Both guarantee failure probability `≤ e^−m`; the tuple filter needs
 //! quadratically fewer samples in `1/ε` (the paper's main result).
 
+mod collision;
 mod pair_filter;
 mod params;
 mod tuple_filter;
 
+pub use collision::CollisionScratch;
 pub use pair_filter::PairSampleFilter;
 pub use params::{FilterParams, GUARANTEE_N_FACTOR};
 pub use tuple_filter::TupleSampleFilter;

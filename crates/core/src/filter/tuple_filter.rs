@@ -1,6 +1,12 @@
 //! Algorithm 1: the improved tuple-sampling filter (`Θ(m/√ε)` samples).
-
-use std::collections::HashSet;
+//!
+//! The served query ([`TupleSampleFilter::query_with`], and the
+//! [`SeparationFilter::query`] impl) is the exact hashed collision
+//! kernel of [`CollisionScratch`]: `O(|A| · r)` expected, allocation-free
+//! in caller-owned buffers, and equal to the sort on every input. The
+//! sort ([`TupleSampleFilter::query_sorted`]) is kept as the paper's
+//! `O(|A| · r log r)` accounting and as the oracle the kernel is tested
+//! against.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -8,7 +14,7 @@ use rand::SeedableRng;
 use qid_dataset::{AttrId, Dataset};
 use qid_sampling::swor::sample_indices;
 
-use super::{FilterDecision, FilterParams, SeparationFilter};
+use super::{CollisionScratch, FilterDecision, FilterParams, SeparationFilter};
 
 /// The paper's Algorithm 1: sample `R` = `Θ(m/√ε)` tuples **without
 /// replacement**; accept `A` iff `A` separates all `C(|R|, 2)` pairs of
@@ -21,9 +27,9 @@ use super::{FilterDecision, FilterParams, SeparationFilter};
 /// over all `2^m` subsets gives the *for-all* guarantee.
 ///
 /// Query cost: duplicate detection on the projection of the sample onto
-/// `A` — `O(|A| · r log r)` by sorting ([`Self::query`], the paper's
-/// accounting) or `O(|A| · r)` expected by hashing
-/// ([`Self::query_hashed`]).
+/// `A` — `O(|A| · r log r)` by sorting ([`Self::query_sorted`], the
+/// paper's accounting) or `O(|A| · r)` expected by the exact hashed
+/// kernel ([`Self::query_with`], what [`Self::query`] serves).
 #[derive(Clone, Debug)]
 pub struct TupleSampleFilter {
     sample: Dataset,
@@ -76,18 +82,8 @@ impl TupleSampleFilter {
     }
 
     /// Sort-based query, as accounted in the paper:
-    /// `O(|A| · r log r)` comparisons.
+    /// `O(|A| · r log r)` comparisons. The oracle for [`Self::query_with`].
     pub fn query_sorted(&self, attrs: &[AttrId]) -> FilterDecision {
-        let mut order = Vec::new();
-        self.query_sorted_into(attrs, &mut order)
-    }
-
-    /// [`Self::query_sorted`] with a caller-provided scratch buffer for
-    /// the row-order permutation, so repeated queries (the server's
-    /// steady-state `check` path) allocate nothing once `order` has
-    /// grown to the sample size. The buffer's contents on entry are
-    /// irrelevant; on return it holds the sorted permutation.
-    pub fn query_sorted_into(&self, attrs: &[AttrId], order: &mut Vec<u32>) -> FilterDecision {
         let n = self.sample.n_rows();
         if n < 2 {
             return FilterDecision::Accept;
@@ -97,8 +93,7 @@ impl TupleSampleFilter {
             // fails on some pair.
             return FilterDecision::Reject;
         }
-        order.clear();
-        order.extend(0..n as u32);
+        let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_unstable_by(|&a, &b| self.sample.cmp_projected(a as usize, b as usize, attrs));
         for w in order.windows(2) {
             if self
@@ -112,30 +107,23 @@ impl TupleSampleFilter {
         FilterDecision::Accept
     }
 
-    /// Hash-based query: `O(|A| · r)` expected, early exit on the first
-    /// collision.
-    pub fn query_hashed(&self, attrs: &[AttrId]) -> FilterDecision {
-        let n = self.sample.n_rows();
-        if n < 2 {
-            return FilterDecision::Accept;
+    /// The served query: the exact hashed collision kernel over the
+    /// sample, `O(|A| · r)` expected, early exit on the first confirmed
+    /// collision. Equal to [`Self::query_sorted`] on every input; the
+    /// steady-state `check` path allocates nothing once `scratch` has
+    /// grown to the sample size.
+    pub fn query_with(&self, attrs: &[AttrId], scratch: &mut CollisionScratch) -> FilterDecision {
+        if scratch.has_collision(&self.sample, attrs) {
+            FilterDecision::Reject
+        } else {
+            FilterDecision::Accept
         }
-        if attrs.is_empty() {
-            return FilterDecision::Reject;
-        }
-        let mut seen: HashSet<Vec<u32>> = HashSet::with_capacity(n);
-        for row in 0..n {
-            let key: Vec<u32> = attrs.iter().map(|&a| self.sample.code(row, a)).collect();
-            if !seen.insert(key) {
-                return FilterDecision::Reject;
-            }
-        }
-        FilterDecision::Accept
     }
 }
 
 impl SeparationFilter for TupleSampleFilter {
     fn query(&self, attrs: &[AttrId]) -> FilterDecision {
-        self.query_sorted(attrs)
+        self.query_with(attrs, &mut CollisionScratch::new())
     }
 
     fn sample_size(&self) -> usize {
@@ -203,37 +191,21 @@ mod tests {
         let ds = fixture(100);
         let f = TupleSampleFilter::build(&ds, FilterParams::new(0.1), 1);
         assert_eq!(f.query(&[]), FilterDecision::Reject);
-        assert_eq!(f.query_hashed(&[]), FilterDecision::Reject);
+        assert_eq!(f.query_sorted(&[]), FilterDecision::Reject);
     }
 
     #[test]
     fn sorted_and_hashed_agree() {
         let ds = fixture(300);
         let f = TupleSampleFilter::build(&ds, FilterParams::new(0.05), 7);
-        for subset in [vec![0], vec![1], vec![2], vec![0, 2], vec![1, 2]] {
-            let a = attrs(&subset);
-            assert_eq!(f.query_sorted(&a), f.query_hashed(&a), "subset {subset:?}");
-        }
-    }
-
-    #[test]
-    fn query_sorted_into_agrees_and_reuses_buffer() {
-        let ds = fixture(300);
-        let f = TupleSampleFilter::build(&ds, FilterParams::new(0.05), 7);
-        let mut order = Vec::new();
+        let mut scratch = CollisionScratch::new();
         for subset in [vec![0], vec![1], vec![2], vec![0, 2], vec![1, 2]] {
             let a = attrs(&subset);
             assert_eq!(
-                f.query_sorted_into(&a, &mut order),
                 f.query_sorted(&a),
+                f.query_with(&a, &mut scratch),
                 "subset {subset:?}"
             );
-        }
-        // Once grown, the scratch buffer never reallocates.
-        let cap = order.capacity();
-        for subset in [vec![0], vec![1], vec![0, 2]] {
-            f.query_sorted_into(&attrs(&subset), &mut order);
-            assert_eq!(order.capacity(), cap);
         }
     }
 

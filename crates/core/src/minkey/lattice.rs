@@ -10,14 +10,16 @@
 //!   non-keys sharing a prefix, and kept only if **all** its
 //!   `ℓ−1`-subsets are non-keys (guaranteeing minimality by
 //!   construction);
-//! * key checks are partition refinements on the (usually sampled)
-//!   data set.
+//! * each candidate's key check is the early-exit mode of the exact
+//!   hashed collision kernel ([`CollisionScratch::has_collision`]) on
+//!   the (usually sampled) data set, one scratch reused across the
+//!   whole enumeration.
 
 use std::collections::HashSet;
 
 use qid_dataset::{AttrId, Dataset};
 
-use crate::separation::unseparated_pairs;
+use crate::filter::CollisionScratch;
 
 /// Limits for the lattice search.
 #[derive(Clone, Copy, Debug)]
@@ -53,11 +55,13 @@ pub fn enumerate_minimal_keys(ds: &Dataset, cfg: LatticeConfig) -> Vec<Vec<AttrI
         return vec![Vec::new()];
     }
 
+    let mut table = CollisionScratch::new();
+
     // Level 1.
     let mut non_keys: Vec<Vec<usize>> = Vec::new();
     for a in 0..m {
         let attrs = [AttrId::new(a)];
-        if unseparated_pairs(ds, &attrs) == 0 {
+        if !table.has_collision(ds, &attrs) {
             keys.push(vec![AttrId::new(a)]);
         } else {
             non_keys.push(vec![a]);
@@ -98,7 +102,7 @@ pub fn enumerate_minimal_keys(ds: &Dataset, cfg: LatticeConfig) -> Vec<Vec<AttrI
         let mut next_non_keys = Vec::new();
         for cand in candidates {
             let attrs: Vec<AttrId> = cand.iter().map(|&a| AttrId::new(a)).collect();
-            if unseparated_pairs(ds, &attrs) == 0 {
+            if !table.has_collision(ds, &attrs) {
                 keys.push(attrs);
             } else {
                 next_non_keys.push(cand);

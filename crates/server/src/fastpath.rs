@@ -23,7 +23,10 @@
 //!   statting the source inside the configured revalidation window and
 //!   counts the hit only once the answer is certain;
 //! * attribute resolution and the filter query run in reusable scratch
-//!   buffers ([`qid_core::filter::TupleSampleFilter::query_sorted_into`]);
+//!   buffers: the query is the exact hashed collision kernel
+//!   ([`qid_core::filter::TupleSampleFilter::query_with`]), `O(|A| · r)`
+//!   expected, over a [`qid_core::filter::CollisionScratch`] that grows
+//!   to the sample size once and is reused by every later `check`;
 //! * the response is serialised straight into the connection's write
 //!   batch with `json::write_escaped_bytes`, byte-identical to
 //!   what [`crate::proto::Response::encode`] would have produced.
@@ -49,7 +52,7 @@
 
 use std::time::{Duration, Instant};
 
-use qid_core::filter::FilterDecision;
+use qid_core::filter::{CollisionScratch, FilterDecision};
 use qid_dataset::AttrId;
 
 use crate::json::write_escaped_bytes;
@@ -68,8 +71,8 @@ pub struct Scratch {
     attrs: Vec<AttrId>,
     /// Dedup table, one flag per schema attribute.
     seen: Vec<bool>,
-    /// Row-order permutation for the sort-based filter query.
-    order: Vec<u32>,
+    /// Row hashes and probe table of the collision kernel.
+    collisions: CollisionScratch,
     /// The memoised cache key (canonicalisation is the one allocating
     /// step, paid once per revalidation window).
     memo: Option<KeyMemo>,
@@ -221,7 +224,7 @@ pub(crate) fn try_answer_check(
         }
         let accept = entry
             .filter
-            .query_sorted_into(&scratch.attrs, &mut scratch.order)
+            .query_with(&scratch.attrs, &mut scratch.collisions)
             == FilterDecision::Accept;
         // Byte-identical to `Response::Check { .. }.encode()` plus newline.
         out.extend_from_slice(b"{\"ok\":true,\"kind\":\"check\",\"attrs\":[");

@@ -120,9 +120,11 @@ const MAX_BYTES_PER_WAKE: usize = 1 << 20;
 const MAX_INLINE_LINES_PER_WAKE: usize = 32;
 
 /// The largest `check` a poller shard answers itself, in sample rows ×
-/// resolved attributes (~0.5 ms of sort-based query at ~30 ns a cell).
-/// A bigger one goes to the worker pool with the rest of its wake, so
-/// one huge sample cannot stall a shard.
+/// resolved attributes. Sized for a sort-based query (~0.5 ms at
+/// ~30 ns a cell); the hashed collision kernel the fast path runs takes
+/// ~1 ns a cell, so the bound is ~16 µs of query. A bigger one goes to
+/// the worker pool with the rest of its wake, so one huge sample cannot
+/// stall a shard.
 const MAX_INLINE_CHECK_CELLS: usize = 16 * 1024;
 
 /// The name of the readiness backend [`polling::Poller::new`] picks on

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use qid_core::filter::CollisionScratch;
 use qid_core::minkey::{enumerate_minimal_keys, GreedyRefineMinKey, LatticeConfig};
-use qid_core::separation::group_sizes;
 
 use crate::fastpath::Scratch;
 use crate::metrics::Metrics;
@@ -870,11 +870,11 @@ fn dispatch(request: &Request, state: &ServerState, cache: &mut EntryCache) -> R
                     max_candidates: MAX_LATTICE_CANDIDATES,
                 },
             );
+            let mut table = CollisionScratch::new();
             let keys = keys
                 .into_iter()
                 .map(|key| {
-                    let sizes = group_sizes(sample, &key);
-                    let unique = sizes.iter().filter(|&&s| s == 1).count();
+                    let unique = table.count_unique(sample, &key);
                     let frac = if sample.n_rows() == 0 {
                         0.0
                     } else {
