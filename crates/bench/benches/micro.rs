@@ -1,9 +1,12 @@
 //! **E6 — Criterion micro-benchmarks** for the paper's cost claims:
 //! filter query time (`O(|A|·m/ε)` vs `O(|A|·(m/√ε)·log(m/ε))`),
-//! sketch construction, partition refinement, and the greedy cover.
+//! sketch construction, partition refinement, and the greedy cover —
+//! plus the serving tier's source-stamp throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::io::Write as _;
+use std::time::Instant;
 
 use qid_core::filter::{
     CollisionScratch, FilterParams, PairSampleFilter, SeparationFilter, TupleSampleFilter,
@@ -13,6 +16,7 @@ use qid_core::separation::{PartitionIndex, Refiner};
 use qid_core::sketch::{NonSeparationSketch, SketchParams};
 use qid_dataset::generator::covtype_like_scaled;
 use qid_dataset::AttrId;
+use qid_server::registry::SourceStamp;
 
 fn covtype_small() -> qid_dataset::Dataset {
     covtype_like_scaled(7, 20_000)
@@ -98,10 +102,41 @@ fn bench_refinement(c: &mut Criterion) {
     group.finish();
 }
 
+/// `SourceStamp::capture` — the whole-content hash every cold build,
+/// append check and disk restore pays — over a generated 16 MB CSV in
+/// the page cache, reported as MB/s.
+fn bench_source_stamp(_: &mut Criterion) {
+    let path = std::env::temp_dir().join(format!("qid-micro-stamp-{}.csv", std::process::id()));
+    let mut out = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+    writeln!(out, "id,zip,age,sex").unwrap();
+    for i in 0u64..900_000 {
+        writeln!(out, "{i},{},{},{}", 90_000 + i % 997, 18 + i % 71, i % 2).unwrap();
+    }
+    out.flush().unwrap();
+    drop(out);
+    let path_str = path.to_str().unwrap();
+    let bytes = std::fs::metadata(&path).unwrap().len();
+    black_box(SourceStamp::capture(path_str).unwrap()); // warm the page cache
+    let reps = 10;
+    let start = Instant::now();
+    for _ in 0..reps {
+        black_box(SourceStamp::capture(black_box(path_str)).unwrap());
+    }
+    let secs = start.elapsed().as_secs_f64();
+    eprintln!(
+        "bench {:<44} {:>12.0} MB/s ({reps} captures of {:.1} MB)",
+        "source_stamp/capture",
+        (reps * bytes) as f64 / 1e6 / secs,
+        bytes as f64 / 1e6
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 criterion_group!(
     benches,
     bench_filter_queries,
     bench_builds,
-    bench_refinement
+    bench_refinement,
+    bench_source_stamp
 );
 criterion_main!(benches);

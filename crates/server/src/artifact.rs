@@ -16,10 +16,10 @@
 //! allows (u8/u16/u32) and dictionary integers are zigzag varints.
 //!
 //! ```text
-//! artifact = "QIDA" · version u16 · header · kmv · sample · pairs · fnv64 u64
+//! artifact = "QIDA" · version u16 · header · kmv · sample · pairs · checksum u64
 //! header   = path str · eps_bits u64 · seed u64 · rows var · attrs var
-//!            · len u64 · mtime_s u64 · mtime_ns u32 · prefix_fnv u64
-//!            · full_fnv u64 · captured_ms u64 · checkpoint
+//!            · len u64 · mtime_s u64 · mtime_ns u32 · prefix_hash u64
+//!            · full_hash u64 · captured_ms u64 · checkpoint
 //! checkpoint = 0u8 | 1u8 · capacity var · seen var · next_accept var
 //!            · w_bits u64 · rng 4×u64
 //! kmv      = attrs × (count var · count × u64)
@@ -32,7 +32,13 @@
 //! ```
 //!
 //! Fixed-width integers are little-endian, `var` is LEB128, and the
-//! trailing FNV-64 covers every preceding byte. Bytes read back from
+//! trailing checksum is the hash of every preceding byte under the
+//! word-wide `ContentHasher` that also computes the source stamp's
+//! `prefix_hash` and `full_hash` (the `freshness` module specifies it),
+//! so a change confined to one aligned 8-byte word of the body is
+//! always caught. The version is read before the checksum: an artifact
+//! of another version (whose checksum may be another hash) is reported
+//! as such, never as corrupt. Bytes read back from
 //! disk are untrusted: the decoder checks every length against the
 //! bytes that remain, every code against its dictionary and every
 //! table's width against the header *before* a `Column` or `Dataset` is
@@ -47,15 +53,18 @@ use qid_core::sketch::{DistinctSketch, SketchParams};
 use qid_core::stream::{IngestCheckpoint, SkipState};
 use qid_dataset::{Attribute, Column, DataType, Dataset, Schema, Value};
 
-use crate::freshness::{SourceStamp, FNV_OFFSET, FNV_PRIME};
+/// The artifact checksum: the source stamps' content hash.
+pub(crate) use crate::freshness::content_hash as checksum;
+use crate::freshness::SourceStamp;
 use crate::registry::CacheKey;
 
 const MAGIC: &[u8; 4] = b"QIDA";
 
 /// On-disk format version; bump on any layout change so old files are
 /// rejected, not misread. Versions 1–3 were the text formats
-/// (`.sample.csv` + `.meta.json` + `.pairs.*`); 4 is this artifact.
-pub(crate) const VERSION: u16 = 4;
+/// (`.sample.csv` + `.meta.json` + `.pairs.*`); 4 was this layout with
+/// FNV-1a stamp hashes and checksum; 5 is this artifact.
+pub(crate) const VERSION: u16 = 5;
 
 /// A decode result; the error says what was wrong.
 type Decoded<T> = Result<T, &'static str>;
@@ -126,8 +135,8 @@ pub(crate) fn encode(
     put_u64(&mut out, s.len);
     put_u64(&mut out, s.mtime_s);
     out.extend_from_slice(&s.mtime_ns.to_le_bytes());
-    put_u64(&mut out, s.prefix_fnv);
-    put_u64(&mut out, s.full_fnv);
+    put_u64(&mut out, s.prefix_hash);
+    put_u64(&mut out, s.full_hash);
     put_u64(&mut out, s.captured_ms);
     match &header.ingest {
         None => out.push(0),
@@ -160,23 +169,24 @@ pub(crate) fn encode(
             put_table(&mut out, table);
         }
     }
-    let sum = fnv64(&out);
+    let sum = checksum(&out);
     put_u64(&mut out, sum);
     out
 }
 
-/// Verifies the checksum and parses everything but the two tables.
+/// Checks the version, verifies the checksum and parses everything but
+/// the two tables.
 pub(crate) fn parse(bytes: &[u8]) -> Decoded<Artifact<'_>> {
     if bytes.len() < MAGIC.len() + 2 + 8 || &bytes[..MAGIC.len()] != MAGIC {
         return Err("not an artifact");
     }
     let (body, sum) = bytes.split_at(bytes.len() - 8);
-    if fnv64(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
-        return Err("checksum mismatch");
-    }
     let mut r = Reader(&body[MAGIC.len()..]);
     if r.u16()? != VERSION {
         return Err("unsupported version");
+    }
+    if checksum(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
+        return Err("checksum mismatch");
     }
     let key = CacheKey {
         path: r.str()?.to_string(),
@@ -195,8 +205,8 @@ pub(crate) fn parse(bytes: &[u8]) -> Decoded<Artifact<'_>> {
         len: r.u64()?,
         mtime_s: r.u64()?,
         mtime_ns: u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes")),
-        prefix_fnv: r.u64()?,
-        full_fnv: r.u64()?,
+        prefix_hash: r.u64()?,
+        full_hash: r.u64()?,
         captured_ms: r.u64()?,
     };
     let ingest = match r.u8()? {
@@ -366,13 +376,6 @@ pub fn inspect(dir: &Path) -> Vec<ArtifactInfo> {
 }
 
 // ----------------------------------------------------------- codec
-
-/// FNV-1a over `bytes` — the artifact checksum.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -641,8 +644,8 @@ mod tests {
                 len: bits,
                 mtime_s: bits.rotate_left(7),
                 mtime_ns: bits as u32,
-                prefix_fnv: !bits,
-                full_fnv: bits.rotate_left(31),
+                prefix_hash: !bits,
+                full_hash: bits.rotate_left(31),
                 captured_ms: bits ^ 0x5555,
             },
             ingest: ingest.then_some(IngestCheckpoint {
@@ -786,7 +789,7 @@ mod tests {
         let reseal = |mut bytes: Vec<u8>| {
             if bytes.len() >= 8 {
                 let body = bytes.len() - 8;
-                let sum = fnv64(&bytes[..body]);
+                let sum = checksum(&bytes[..body]);
                 bytes[body..].copy_from_slice(&sum.to_le_bytes());
             }
             bytes

@@ -74,11 +74,15 @@ use qid_core::stream::PairIngest;
 use crate::artifact;
 use crate::build;
 use crate::disk;
-use crate::freshness::{self, Freshness, FNV_OFFSET, FNV_PRIME};
+use crate::freshness::{self, Freshness};
 use crate::proto::{sketch_params, DatasetRef, LoadMode};
 
 pub use crate::build::{Entry, COLUMN_SKETCH_K};
 pub use crate::freshness::{SourceStamp, FINGERPRINT_PREFIX, MTIME_RACE_WINDOW_MS};
+
+/// 64-bit FNV-1a parameters for [`CacheKey::fnv64`].
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The registry's exact cache identity. `eps` is keyed by bit pattern
 /// (the wire carries the same `f64` both ways, so equal requests hash
@@ -2528,7 +2532,7 @@ mod tests {
         );
         bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
         let body = bytes.len() - 8;
-        let sum = artifact::fnv64(&bytes[..body]);
+        let sum = artifact::checksum(&bytes[..body]);
         bytes[body..].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&file, bytes).unwrap();
 
@@ -2547,6 +2551,50 @@ mod tests {
             "stats on a stream entry must not silently materialise"
         );
         assert_eq!(entry.cols.len(), 2, "stats answers from column sketches");
+    }
+
+    #[test]
+    fn v4_artifacts_are_rejected_and_the_lookup_rebuilds() {
+        let dir = unique_dir("v4-artifact");
+        let path = fixture_csv("v4.csv", 300);
+        let ds = dsref(&path);
+        let config = RegistryConfig {
+            cache_dir: Some(dir.clone()),
+            ..RegistryConfig::default()
+        };
+        {
+            let reg = Registry::with_config(config.clone());
+            reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+            // A clean shutdown: the key is in the journal's resident set.
+        }
+
+        // Seal the artifact the way a version-4 writer did: FNV-1a over
+        // the body, behind version 4. Its stamp hashes are FNV-1a too,
+        // so trusting any field of it would compare apples to oranges.
+        let file = artifact::path(&dir, CacheKey::of(&ds).fnv64());
+        let mut bytes = std::fs::read(&file).expect("artifact persisted");
+        bytes[4..6].copy_from_slice(&4u16.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = bytes[..body].iter().fold(FNV_OFFSET, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        });
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&file, &bytes).unwrap();
+        assert_eq!(artifact::parse(&bytes).err(), Some("unsupported version"));
+
+        // Startup re-admission skips the key instead of restoring it.
+        let reg = Registry::with_config(config);
+        assert_eq!(reg.len(), 0, "a v4 artifact must not be re-admitted");
+        assert_eq!(reg.disk_hits(), 0);
+        let misses = reg.misses();
+        let (entry, hit) = reg.get_or_load(&ds, LoadMode::Stream);
+        assert!(!hit);
+        assert_eq!(entry.unwrap().rows, 300);
+        assert_eq!(reg.disk_hits(), 0, "a v4 artifact must not restore");
+        assert_eq!(reg.misses(), misses + 1, "the rejected restore is a miss");
+        let rebuilt = std::fs::read(&file).expect("the rebuild re-persists");
+        assert_eq!(rebuilt[4..6], artifact::VERSION.to_le_bytes());
+        assert!(artifact::parse(&rebuilt).is_ok());
     }
 
     #[test]
