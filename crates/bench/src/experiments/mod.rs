@@ -1,5 +1,5 @@
-//! The experiment functions behind each bench target (see DESIGN.md's
-//! experiment index: T1 and E1–E6).
+//! The experiment functions behind each bench target: T1 and E1–E7
+//! (the README's bench-target table maps each one to its target).
 
 mod kkt_worst;
 mod lemma3;
@@ -7,7 +7,6 @@ mod lemma4;
 mod minkey_cmp;
 mod open_question;
 mod scaling;
-mod server;
 mod sketch_acc;
 mod table1;
 
@@ -17,6 +16,5 @@ pub use lemma4::{run_lemma4, Lemma4Config};
 pub use minkey_cmp::{run_minkey_comparison, MinKeyConfig};
 pub use open_question::{run_open_question, OpenQuestionConfig};
 pub use scaling::{run_scaling, ScalingConfig};
-pub use server::{run_server_bench, ModeStats, ServerBenchConfig, ServerBenchResult};
 pub use sketch_acc::{run_hard_instance_decode, run_sketch_accuracy, SketchAccuracyConfig};
 pub use table1::{run_table1, Table1Config};

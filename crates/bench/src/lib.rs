@@ -1,9 +1,10 @@
 //! # qid-bench — the paper's evaluation, regenerated
 //!
-//! Each experiment in DESIGN.md's index (T1, E1–E6) lives in
-//! [`experiments`] as a plain function returning a [`report::Table`];
-//! the `benches/*.rs` targets are thin wrappers that run them at full
-//! scale, and the integration tests smoke-run them at reduced scale.
+//! Each experiment (T1, E1–E7; the README's bench-target table maps
+//! each one to its target) lives in [`experiments`] as a plain
+//! function returning a [`report::Table`]; the `benches/*.rs` targets
+//! are thin wrappers that run them at full scale, and the integration
+//! tests smoke-run them at reduced scale.
 //!
 //! Scale control: experiments take a [`Scale`]; `Scale::from_env()`
 //! reads `QID_SCALE` (`full`, `default`, or `smoke`).

@@ -5,9 +5,9 @@
 //! (millions × 388). Those files are not redistributable here, so each
 //! generator reproduces the *structural* properties the algorithms are
 //! sensitive to — row count, attribute count, per-attribute cardinality
-//! and skew, functional dependencies and one-hot blocks — as argued in
-//! DESIGN.md. When real CSVs are available, [`crate::csv::read_csv_path`]
-//! loads them with the same downstream API.
+//! and skew, functional dependencies and one-hot blocks. When real CSVs
+//! are available, [`crate::csv::read_csv_path`] loads them with the
+//! same downstream API.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -23,8 +23,8 @@ pub enum BenchmarkSet {
     /// UCI Covtype shape: 581,012 rows × 54 attributes.
     Covtype,
     /// US Census CPS 2016 shape: 388 attributes; row count configurable
-    /// (the real file has millions of rows; both algorithms' costs are
-    /// independent of `n`, see DESIGN.md).
+    /// (the real file has millions of rows; both filters' sample sizes
+    /// are independent of `n`).
     Cps,
 }
 

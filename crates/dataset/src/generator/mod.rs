@@ -7,7 +7,9 @@
 //!   workloads, plus [`adult_like`] / [`covtype_like`] / [`cps_like`]
 //!   which instantiate it to reproduce the *shapes* of the paper's
 //!   three evaluation data sets (UCI Adult, UCI Covtype, US Census CPS
-//!   2016 — see DESIGN.md for the substitution rationale).
+//!   2016; those files are not redistributable, so the substitutes
+//!   keep their row and attribute counts, cardinalities, skew and
+//!   dependencies).
 //! * the two adversarial constructions from the
 //!   paper's lower-bound proofs: the grid data set `[q]^m` of Lemma 3
 //!   (kept implicit: `q^m` rows are never materialised) and the

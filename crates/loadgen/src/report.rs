@@ -82,10 +82,9 @@ impl BenchReport {
         }
     }
 
-    /// Renders the report as one JSON object (the shape embedded in
-    /// `BENCH_server.json`'s `saturation` rows; every field is
-    /// documented in `docs/BENCHMARKS.md`).
-    pub fn to_json_value(&self) -> Json {
+    /// Renders the report as one JSON line, the shape `qid bench --json`
+    /// prints (every field is documented in `docs/BENCHMARKS.md`).
+    pub fn to_json(&self) -> String {
         obj(vec![
             ("mode", s(&self.mode)),
             ("connections", Json::Int(self.connections as i64)),
@@ -102,11 +101,7 @@ impl BenchReport {
             ("bytes_sent", Json::Int(self.bytes_sent as i64)),
             ("bytes_received", Json::Int(self.bytes_received as i64)),
         ])
-    }
-
-    /// [`Self::to_json_value`] rendered to a string.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+        .render()
     }
 }
 

@@ -967,4 +967,19 @@ mod tests {
         // An earlier instant must not panic or mint tokens.
         assert!(!bucket.try_take(t0 - Duration::from_secs(5)));
     }
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        // A reply is one small write; with Nagle on, the next one
+        // waits for the peer's delayed ACK (~40 ms on Linux loopback).
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let limits = ConnLimits {
+            max_line_bytes: 1024,
+            max_rps: None,
+        };
+        let conn = Conn::new(accepted, &limits).expect("conn prepared");
+        assert_eq!(conn.stream.nodelay().ok(), Some(true));
+    }
 }

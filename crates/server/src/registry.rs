@@ -1621,44 +1621,48 @@ mod tests {
 
     #[test]
     fn persistence_restores_without_a_scan() {
-        let dir = unique_dir("persist");
-        let path = fixture_csv("warm.csv", 400);
-        // Journal off: this test pins the lazy on-demand restore path,
-        // which still serves WAL-less dirs (and keys outside the
-        // journal's resident set). Eager re-admission has its own
-        // tests below.
-        let config = RegistryConfig {
-            cache_dir: Some(dir.clone()),
-            wal_max_bytes: 0,
-            ..RegistryConfig::default()
-        };
-        let first = Registry::with_config(config.clone());
-        let (built, _) = first.get_or_load(&dsref(&path), LoadMode::Stream);
-        let built = built.unwrap();
-        assert_eq!(first.misses(), 1);
-        drop(first);
+        // Both build modes persist the sample; a restarted registry's
+        // stream lookup (what `audit` and `check` take) restores it.
+        for mode in [LoadMode::Stream, LoadMode::Memory] {
+            let dir = unique_dir("persist");
+            let path = fixture_csv("warm.csv", 400);
+            // Journal off: this test pins the lazy on-demand restore
+            // path, which still serves WAL-less dirs (and keys outside
+            // the journal's resident set). Eager re-admission has its
+            // own tests below.
+            let config = RegistryConfig {
+                cache_dir: Some(dir.clone()),
+                wal_max_bytes: 0,
+                ..RegistryConfig::default()
+            };
+            let first = Registry::with_config(config.clone());
+            let (built, _) = first.get_or_load(&dsref(&path), mode);
+            let built = built.unwrap();
+            assert_eq!(first.misses(), 1);
+            drop(first);
 
-        // A "restarted server": a fresh registry over the same dir.
-        let second = Registry::with_config(config);
-        let (restored, hit) = second.get_or_load(&dsref(&path), LoadMode::Stream);
-        let restored = restored.unwrap();
-        assert!(!hit);
-        assert_eq!(second.misses(), 0, "no source scan on a warm start");
-        assert_eq!(second.disk_hits(), 1);
-        assert_eq!(restored.rows, built.rows);
-        assert_eq!(restored.attrs, built.attrs);
-        assert_eq!(
-            restored.filter.sample().n_rows(),
-            built.filter.sample().n_rows()
-        );
-        // The restored sample answers queries identically.
-        use qid_dataset::AttrId;
-        for attrs in [vec![AttrId::new(0)], vec![AttrId::new(1)]] {
+            // A "restarted server": a fresh registry over the same dir.
+            let second = Registry::with_config(config);
+            let (restored, hit) = second.get_or_load(&dsref(&path), LoadMode::Stream);
+            let restored = restored.unwrap();
+            assert!(!hit);
+            assert_eq!(second.misses(), 0, "{mode:?}: no scan on a warm start");
+            assert_eq!(second.disk_hits(), 1, "{mode:?}");
+            assert_eq!(restored.rows, built.rows);
+            assert_eq!(restored.attrs, built.attrs);
             assert_eq!(
-                restored.filter.query(&attrs),
-                built.filter.query(&attrs),
-                "restored filter must agree on {attrs:?}"
+                restored.filter.sample().n_rows(),
+                built.filter.sample().n_rows()
             );
+            // The restored sample answers queries identically.
+            use qid_dataset::AttrId;
+            for attrs in [vec![AttrId::new(0)], vec![AttrId::new(1)]] {
+                assert_eq!(
+                    restored.filter.query(&attrs),
+                    built.filter.query(&attrs),
+                    "{mode:?}: restored filter must agree on {attrs:?}"
+                );
+            }
         }
     }
 
