@@ -8,6 +8,7 @@
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::mpsc;
 
 use crate::builder::DatasetBuilder;
 use crate::dataset::Dataset;
@@ -48,21 +49,69 @@ impl Default for CsvOptions {
     }
 }
 
+/// Unescaped field text the framer stage of a
+/// [`scan_rows`](CsvTupleSource::scan_rows) puts in one batch before it
+/// hands the batch to the row stage: the size a full-source scan uses.
+pub const SCAN_BATCH_BYTES: usize = 64 << 10;
+
+/// Batches one [`scan_rows`](CsvTupleSource::scan_rows) keeps in
+/// circulation between its two stages, recycled rather than
+/// reallocated.
+const SCAN_BATCHES: usize = 3;
+
+/// Framed records, end to end, in reused buffers.
+#[derive(Debug, Default)]
+struct Batch {
+    /// The records' unescaped fields, end to end, each field followed
+    /// by the delimiter byte except a record's last, after which the
+    /// next record starts.
+    fields: String,
+    /// The end offset in `fields` of each field.
+    ends: Vec<usize>,
+    /// Per record, one past its last field's entry in `ends`.
+    records: Vec<usize>,
+    /// What stopped the framing after the last record.
+    stop: Stop,
+}
+
+/// Why a batch holds no further records.
+#[derive(Debug, Default)]
+enum Stop {
+    /// The batch is full; more records may follow.
+    #[default]
+    More,
+    /// The input ended.
+    End,
+    /// Framing the next record failed: the first error in source order
+    /// after the batch's records.
+    Failed(DatasetError),
+}
+
+impl Batch {
+    /// Empties the batch for refilling, keeping its buffers.
+    fn clear(&mut self) {
+        self.fields.clear();
+        self.ends.clear();
+        self.records.clear();
+    }
+
+    /// Record `k`'s text start in `fields` and its field ends.
+    fn record(&self, k: usize) -> (usize, &[usize]) {
+        let first = if k == 0 { 0 } else { self.records[k - 1] };
+        let start = if first == 0 { 0 } else { self.ends[first - 1] };
+        (start, &self.ends[first..self.records[k]])
+    }
+}
+
 /// Frames one logical CSV record at a time (which may span multiple
-/// physical lines when quotes contain newlines) into reused buffers, so
-/// framing allocates nothing once the buffers have grown to the longest
-/// record seen.
+/// physical lines when quotes contain newlines) into a [`Batch`], so
+/// framing allocates nothing once the buffers have grown.
 struct RecordReader<R: BufRead> {
     reader: R,
     delimiter: u8,
     line: usize,
     /// The raw text of the current record, line terminators included.
     raw: String,
-    /// The current record's unescaped fields, each followed by the
-    /// delimiter byte except the last.
-    fields: String,
-    /// The end offset in `fields` of each field of the current record.
-    ends: Vec<usize>,
 }
 
 impl<R: BufRead> RecordReader<R> {
@@ -72,17 +121,32 @@ impl<R: BufRead> RecordReader<R> {
             delimiter,
             line: 0,
             raw: String::new(),
-            fields: String::new(),
-            ends: Vec::new(),
         }
     }
 
-    /// Frames the next record into `fields`/`ends`; `Ok(false)` at EOF.
-    fn advance(&mut self) -> Result<bool, DatasetError> {
+    /// Refills `batch` with the next records until it holds `budget`
+    /// bytes of field text, the input ends or a record fails to frame;
+    /// `budget == 0` frames at most one.
+    fn fill(&mut self, batch: &mut Batch, budget: usize) {
+        batch.clear();
+        batch.stop = loop {
+            match self.advance(batch) {
+                Ok(true) if batch.fields.len() < budget => {}
+                Ok(true) => break Stop::More,
+                Ok(false) => break Stop::End,
+                Err(e) => break Stop::Failed(e),
+            }
+        };
+    }
+
+    /// Frames the next record onto the end of `batch`; `Ok(false)` at
+    /// EOF.
+    fn advance(&mut self, batch: &mut Batch) -> Result<bool, DatasetError> {
         self.raw.clear();
-        self.fields.clear();
-        self.ends.clear();
-        let mut at = Framing::default();
+        let mut at = Framing {
+            field_start: batch.fields.len(),
+            ..Framing::default()
+        };
         loop {
             if self.reader.read_line(&mut self.raw)? == 0 {
                 if self.raw.is_empty() {
@@ -101,19 +165,23 @@ impl<R: BufRead> RecordReader<R> {
                 self.delimiter,
                 self.line,
                 &mut at,
-                &mut self.fields,
-                &mut self.ends,
+                &mut batch.fields,
+                &mut batch.ends,
             )? {
+                batch.records.push(batch.ends.len());
                 return Ok(true);
             }
         }
     }
 }
 
-/// Splits the fields of a framed record at their `ends`, skipping the
-/// delimiter byte after each.
-fn split_fields<'a>(fields: &'a str, ends: &'a [usize]) -> impl ExactSizeIterator<Item = &'a str> {
-    let mut start = 0;
+/// Splits the fields of a framed record starting at `start` at their
+/// `ends`, skipping the delimiter byte after each.
+fn split_fields<'a>(
+    fields: &'a str,
+    mut start: usize,
+    ends: &'a [usize],
+) -> impl ExactSizeIterator<Item = &'a str> {
     ends.iter().map(move |&end| {
         let field = &fields[start..end];
         start = end + 1;
@@ -233,6 +301,7 @@ fn type_field<'a>(field: &'a str, opts: &CsvOptions) -> ValueRef<'a> {
 #[derive(Debug)]
 pub struct CsvRow<'a> {
     fields: &'a str,
+    start: usize,
     ends: &'a [usize],
     opts: &'a CsvOptions,
     interner: &'a mut Interner,
@@ -242,7 +311,7 @@ impl<'a> CsvRow<'a> {
     /// The typed fields, in attribute order.
     pub fn values(&self) -> impl ExactSizeIterator<Item = ValueRef<'a>> + 'a {
         let opts = self.opts;
-        split_fields(self.fields, self.ends).map(move |f| type_field(f, opts))
+        split_fields(self.fields, self.start, self.ends).map(move |f| type_field(f, opts))
     }
 
     /// The row as owned values, text shared through the source's intern
@@ -299,16 +368,77 @@ const STREAM_INTERN_LIMIT: usize = 1 << 16;
 ///
 /// [`next_row`](Self::next_row) yields each row borrowed, typed in
 /// place; [`next_tuple`](TupleSource::next_tuple) is `next_row` plus the
-/// owned conversion ([`CsvRow::to_values`]).
-pub struct CsvTupleSource<R: BufRead = Box<dyn BufRead>> {
+/// owned conversion ([`CsvRow::to_values`]). [`scan_rows`](Self::scan_rows)
+/// feeds every row to a closure with the framing on a helper thread.
+pub struct CsvTupleSource<R: BufRead = Box<dyn BufRead + Send>> {
     records: RecordReader<R>,
+    rows: Rows,
+    /// The records framed and not yet all yielded.
+    batch: Batch,
+    /// The next record of `batch` to yield.
+    next: usize,
+}
+
+/// The row stage of a scan: turns framed records into data rows.
+struct Rows {
     opts: CsvOptions,
     names: Vec<String>,
     interner: Interner,
-    /// True while the current record is a data row not yet yielded (the
-    /// first record of a headerless source).
-    pending: bool,
     rows_read: usize,
+}
+
+impl Rows {
+    /// Whether record `k` of `batch` is a data row, counting it if so.
+    /// A blank line is not one; a ragged row is an error.
+    fn admit(&mut self, batch: &Batch, k: usize) -> Result<bool, DatasetError> {
+        let (start, ends) = batch.record(k);
+        let got = ends.len();
+        if got == 1 && batch.fields[start..ends[0]].trim().is_empty() && self.names.len() != 1 {
+            return Ok(false);
+        }
+        if got != self.names.len() {
+            return Err(DatasetError::RowArity {
+                row: self.rows_read,
+                expected: self.names.len(),
+                got,
+            });
+        }
+        self.rows_read += 1;
+        Ok(true)
+    }
+
+    /// Record `k` of `batch` as a row.
+    fn row<'a>(&'a mut self, batch: &'a Batch, k: usize) -> CsvRow<'a> {
+        let (start, ends) = batch.record(k);
+        CsvRow {
+            fields: &batch.fields,
+            start,
+            ends,
+            opts: &self.opts,
+            interner: &mut self.interner,
+        }
+    }
+
+    /// Feeds the data rows among `batch`'s records from `from` on to
+    /// `each`, in order; then `Ok(true)` if more records may follow, or
+    /// the framing error that ended the batch.
+    fn walk(
+        &mut self,
+        batch: &mut Batch,
+        from: usize,
+        each: &mut impl FnMut(CsvRow<'_>),
+    ) -> Result<bool, DatasetError> {
+        for k in from..batch.records.len() {
+            if self.admit(batch, k)? {
+                each(self.row(batch, k));
+            }
+        }
+        match std::mem::take(&mut batch.stop) {
+            Stop::More => Ok(true),
+            Stop::End => Ok(false),
+            Stop::Failed(e) => Err(e),
+        }
+    }
 }
 
 impl CsvTupleSource {
@@ -319,12 +449,12 @@ impl CsvTupleSource {
     }
 
     /// Streams CSV from any reader.
-    pub fn from_reader<R: Read + 'static>(
+    pub fn from_reader<R: Read + Send + 'static>(
         reader: R,
         opts: &CsvOptions,
     ) -> Result<Self, DatasetError> {
         Self::from_bufread(
-            Box::new(BufReader::new(reader)) as Box<dyn BufRead>,
+            Box::new(BufReader::new(reader)) as Box<dyn BufRead + Send>,
             opts,
             Interner::with_limit(STREAM_INTERN_LIMIT),
         )
@@ -351,14 +481,17 @@ impl CsvTupleSource {
     ) -> Result<Self, DatasetError> {
         let mut file = File::open(path)?;
         file.seek(SeekFrom::Start(offset))?;
-        let reader = Box::new(BufReader::new(file.take(len))) as Box<dyn BufRead>;
+        let reader = Box::new(BufReader::new(file.take(len))) as Box<dyn BufRead + Send>;
         Ok(CsvTupleSource {
             records: RecordReader::new(reader, opts.delimiter),
-            opts: opts.clone(),
-            names,
-            interner: Interner::with_limit(STREAM_INTERN_LIMIT),
-            pending: false,
-            rows_read: 0,
+            rows: Rows {
+                opts: opts.clone(),
+                names,
+                interner: Interner::with_limit(STREAM_INTERN_LIMIT),
+                rows_read: 0,
+            },
+            batch: Batch::default(),
+            next: 0,
         })
     }
 }
@@ -370,30 +503,38 @@ impl<R: BufRead> CsvTupleSource<R> {
         interner: Interner,
     ) -> Result<Self, DatasetError> {
         let mut records = RecordReader::new(reader, opts.delimiter);
-        let (names, pending) = if !records.advance()? {
-            (Vec::new(), false)
-        } else if opts.has_header {
-            let names = split_fields(&records.fields, &records.ends)
-                .map(|f| if opts.trim { f.trim() } else { f }.to_string())
-                .collect();
-            (names, false)
+        let mut batch = Batch::default();
+        // The first record names the attributes, or is the first data
+        // row of a headerless source.
+        let (names, next) = if !records.advance(&mut batch)? {
+            (Vec::new(), 0)
         } else {
-            let width = records.ends.len();
-            ((0..width).map(|i| format!("col{i}")).collect(), true)
+            let (start, ends) = batch.record(0);
+            if opts.has_header {
+                let names = split_fields(&batch.fields, start, ends)
+                    .map(|f| if opts.trim { f.trim() } else { f }.to_string())
+                    .collect();
+                (names, 1)
+            } else {
+                ((0..ends.len()).map(|i| format!("col{i}")).collect(), 0)
+            }
         };
         Ok(CsvTupleSource {
             records,
-            opts: opts.clone(),
-            names,
-            interner,
-            pending,
-            rows_read: 0,
+            rows: Rows {
+                opts: opts.clone(),
+                names,
+                interner,
+                rows_read: 0,
+            },
+            batch,
+            next,
         })
     }
 
     /// Data rows yielded so far (the stream length, once exhausted).
     pub fn rows_read(&self) -> usize {
-        self.rows_read
+        self.rows.rows_read
     }
 
     /// Yields the next data row, borrowed and typed in place, or
@@ -402,38 +543,113 @@ impl<R: BufRead> CsvTupleSource<R> {
     /// [`next_tuple`](TupleSource::next_tuple).
     pub fn next_row(&mut self) -> Result<Option<CsvRow<'_>>, DatasetError> {
         loop {
-            if !std::mem::take(&mut self.pending) && !self.records.advance()? {
+            while self.next < self.batch.records.len() {
+                let k = self.next;
+                self.next += 1;
+                if self.rows.admit(&self.batch, k)? {
+                    return Ok(Some(self.rows.row(&self.batch, k)));
+                }
+            }
+            // Framed inline, one record at a time.
+            self.batch.clear();
+            self.next = 0;
+            if !self.records.advance(&mut self.batch)? {
                 return Ok(None);
             }
-            let got = self.records.ends.len();
-            if got == 1 && self.records.fields.trim().is_empty() && self.names.len() != 1 {
-                continue;
-            }
-            if got != self.names.len() {
-                return Err(DatasetError::RowArity {
-                    row: self.rows_read,
-                    expected: self.names.len(),
-                    got,
-                });
-            }
-            self.rows_read += 1;
-            return Ok(Some(CsvRow {
-                fields: &self.records.fields,
-                ends: &self.records.ends,
-                opts: &self.opts,
-                interner: &mut self.interner,
-            }));
         }
     }
 }
 
+impl<R: BufRead + Send> CsvTupleSource<R> {
+    /// Feeds every remaining data row to `each`, in source order.
+    ///
+    /// The scan runs in two stages joined by a bounded channel. A
+    /// helper thread frames records ahead into batches of about
+    /// `batch_bytes` of field text ([`SCAN_BATCH_BYTES`] for a
+    /// full-source scan; `0` puts every record in a batch of its own).
+    /// The calling thread checks each record for blank lines and arity
+    /// and hands `each` the row, typed on access, exactly as
+    /// [`next_row`](Self::next_row) yields it. A few batches circulate
+    /// between the stages and are reused, so memory stays bounded
+    /// whatever the source's length. The first error in source order
+    /// wins, as with `next_row`: a framing error reaches the calling
+    /// thread only after every record before it. On an error the
+    /// framer stops at its next hand-off and is joined before this
+    /// returns; it never reads past what the reader yields, so a
+    /// `Take`-capped reader bounds it.
+    pub fn scan_rows(
+        self,
+        batch_bytes: usize,
+        mut each: impl FnMut(CsvRow<'_>),
+    ) -> Result<(), DatasetError> {
+        let CsvTupleSource {
+            mut records,
+            mut rows,
+            mut batch,
+            next,
+        } = self;
+        if !rows.walk(&mut batch, next, &mut each)? {
+            return Ok(());
+        }
+        let framer = &mut records;
+        std::thread::scope(|scope| {
+            let (full_tx, full_rx) = mpsc::sync_channel::<Batch>(SCAN_BATCHES);
+            let (free_tx, free_rx) = mpsc::sync_channel::<Batch>(SCAN_BATCHES);
+            free_tx.send(batch).expect("the receiver is alive");
+            for _ in 1..SCAN_BATCHES {
+                free_tx
+                    .send(Batch::default())
+                    .expect("the receiver is alive");
+            }
+            let framing = scope.spawn(move || {
+                while let Ok(mut batch) = free_rx.recv() {
+                    framer.fill(&mut batch, batch_bytes);
+                    let last = !matches!(batch.stop, Stop::More);
+                    // A failed send means the row stage has stopped.
+                    if full_tx.send(batch).is_err() || last {
+                        return;
+                    }
+                }
+            });
+            let walked = walk_batches(&mut rows, full_rx, free_tx, &mut each);
+            // The channels are gone, so a framer mid-batch stops at its
+            // next hand-off.
+            if let Err(panic) = framing.join() {
+                std::panic::resume_unwind(panic);
+            }
+            walked
+        })
+    }
+}
+
+/// The row stage of [`CsvTupleSource::scan_rows`]: walks each framed
+/// batch in order and returns it to the framer for reuse, until the
+/// input ends or a record fails. Dropping the channels on return is
+/// what stops the framer early.
+fn walk_batches(
+    rows: &mut Rows,
+    full: mpsc::Receiver<Batch>,
+    free: mpsc::SyncSender<Batch>,
+    each: &mut impl FnMut(CsvRow<'_>),
+) -> Result<(), DatasetError> {
+    // The framer hangs up early only by panicking, which the caller
+    // re-raises.
+    while let Ok(mut batch) = full.recv() {
+        if !rows.walk(&mut batch, 0, each)? {
+            break;
+        }
+        let _ = free.send(batch);
+    }
+    Ok(())
+}
+
 impl<R: BufRead> TupleSource for CsvTupleSource<R> {
     fn attr_names(&self) -> Vec<String> {
-        self.names.clone()
+        self.rows.names.clone()
     }
 
     fn n_attrs(&self) -> usize {
-        self.names.len()
+        self.rows.names.len()
     }
 
     fn next_tuple(&mut self) -> Result<Option<Vec<Value>>, DatasetError> {

@@ -19,7 +19,7 @@ use std::sync::{Arc, OnceLock};
 use qid_core::filter::{FilterParams, SeparationFilter, TupleSampleFilter};
 use qid_core::sketch::{DistinctSketch, NonSeparationSketch};
 use qid_core::stream::{sketch_from_stream, PairIngest, TupleIngest};
-use qid_dataset::csv::{read_csv, CsvOptions, CsvTupleSource};
+use qid_dataset::csv::{read_csv, CsvOptions, CsvTupleSource, SCAN_BATCH_BYTES};
 use qid_dataset::{AttrId, Dataset, DatasetError, DatasetTupleSource, TupleSource};
 
 use crate::freshness::SourceStamp;
@@ -147,10 +147,13 @@ struct Feed {
 /// of `path` through the sinks `start` returns, and reads not one byte
 /// past `range.end` — the stamped length.
 ///
-/// Rows come from the CSV reader's borrowed cursor
-/// ([`CsvTupleSource::next_row`]): each field is typed and hashed into
-/// its column sketch in place, and an owned tuple is built only for a
-/// row a reservoir keeps — `O(r log(n/r))` rows, not `n`.
+/// Rows come from the CSV reader's two-stage scan
+/// ([`CsvTupleSource::scan_rows`]): a helper thread frames records
+/// while this thread types each field and hashes it into its column
+/// sketch in place, and builds an owned tuple only for a row a
+/// reservoir keeps — `O(r log(n/r))` rows, not `n`. The sinks see
+/// every row in source order on this thread, so what they hold is
+/// what a serial scan would leave.
 ///
 /// With `names == None` the range starts at offset 0 with the header
 /// row, whose attribute names `start` receives. Otherwise `range.start`
@@ -175,12 +178,9 @@ fn scan(
             &opts,
         ),
     };
-    let mut src = opened.map_err(|e| format!("reading {path}: {e}"))?;
+    let src = opened.map_err(|e| format!("reading {path}: {e}"))?;
     let mut feed = start(src.attr_names());
-    while let Some(mut row) = src
-        .next_row()
-        .map_err(|e| format!("streaming {path}: {e}"))?
-    {
+    src.scan_rows(SCAN_BATCH_BYTES, |mut row| {
         for (sk, v) in feed.cols.iter_mut().zip(row.values()) {
             sk.observe_ref(v);
         }
@@ -190,7 +190,8 @@ fn scan(
         if let Some(tuples) = &mut feed.tuples {
             tuples.push_with(|| row.to_values());
         }
-    }
+    })
+    .map_err(|e| format!("streaming {path}: {e}"))?;
     Ok(feed)
 }
 
@@ -466,6 +467,24 @@ mod tests {
             build_entry(&dsref(path), LoadMode::Stream, SourceStamp::capture(path)).unwrap();
         let sketch = build_sketch(path, &entry, SEED).unwrap();
         (entry, sketch)
+    }
+
+    #[test]
+    fn a_ragged_row_in_the_first_batch_fails_the_build() {
+        // ~1.5 MB with a ragged row in the first batch: the first error
+        // in source order, as the serial scan reported it.
+        let mut text = String::from("a,b,c\n");
+        for i in 0..100_000 {
+            text += &if i == 4 {
+                "4,x\n".into()
+            } else {
+                format!("{i},x-{i},{}\n", i % 7)
+            };
+        }
+        let path = write("ragged.csv", &text);
+        let err =
+            build_entry(&dsref(&path), LoadMode::Stream, SourceStamp::capture(&path)).unwrap_err();
+        assert!(err.ends_with(": row 4: expected 3 values, got 2"), "{err}");
     }
 
     #[test]

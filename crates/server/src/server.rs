@@ -21,6 +21,11 @@ use crate::registry::{CacheKey, Entry, Registry, RegistryConfig};
 use crate::resolve::resolve_attr_names;
 use crate::WorkerPool;
 
+/// The most descriptor-table slots [`Server::bind`] reserves up front
+/// (fewer when the soft `RLIMIT_NOFILE` is lower): 512 KiB of kernel
+/// table on 64-bit Linux.
+const FD_TABLE_RESERVE: u64 = 65_536;
+
 /// Caps `audit`'s lattice search, matching the CLI's limit.
 const MAX_LATTICE_CANDIDATES: usize = 500_000;
 
@@ -224,7 +229,16 @@ impl Server {
     /// Binds the listener (and the `--metrics-addr` exposition
     /// listener, when configured) and builds the shared state. No
     /// threads are spawned until [`Server::serve`].
+    ///
+    /// First it grows the process's descriptor table to the soft
+    /// `RLIMIT_NOFILE` (at most 65,536 slots) while the process may
+    /// still be single-threaded: a table shared by threads grows only
+    /// after an RCU grace period, which would otherwise land on the
+    /// first request to open a descriptor past each power of two. Best
+    /// effort: if it fails, the table grows on demand.
     pub fn bind(config: &ServerConfig) -> io::Result<Server> {
+        let _ = polling::fd_limit()
+            .and_then(|soft| polling::reserve_fds(soft.min(FD_TABLE_RESERVE) as usize));
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let metrics_listener = match &config.metrics_addr {

@@ -222,6 +222,40 @@ fn full_session_load_audit_check_metrics_shutdown() {
     server.shutdown();
 }
 
+/// `FDSize:` of process `pid`: the slots in its descriptor table.
+#[cfg(target_os = "linux")]
+fn fd_table_size(pid: u32) -> u64 {
+    std::fs::read_to_string(format!("/proc/{pid}/status"))
+        .unwrap()
+        .lines()
+        .find_map(|line| line.strip_prefix("FDSize:"))
+        .expect("an FDSize line")
+        .trim()
+        .parse()
+        .unwrap()
+}
+
+/// A server grows its descriptor table to the soft `RLIMIT_NOFILE`
+/// (capped at 65,536) before serving, so no request pays the table's
+/// growth: a table shared by threads grows only after an RCU grace
+/// period.
+#[test]
+#[cfg(target_os = "linux")]
+fn server_reserves_its_descriptor_table_at_startup() {
+    let limits = std::fs::read_to_string("/proc/self/limits").unwrap();
+    let soft = limits
+        .lines()
+        .find(|line| line.starts_with("Max open files"))
+        .and_then(|line| line.split_whitespace().nth(3))
+        .expect("a Max open files line");
+    // The child inherits this process's limits.
+    let want = soft.parse::<u64>().map_or(65_536, |soft| soft.min(65_536));
+    let server = ServerUnderTest::spawn(1);
+    let size = fd_table_size(server.child.id());
+    assert!(size >= want, "FDSize {size}, soft limit {soft}");
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_clients_share_one_cached_sketch() {
     let csv = fixture_csv("concurrent.csv");
