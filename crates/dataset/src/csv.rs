@@ -66,10 +66,10 @@ struct Batch {
     /// by the delimiter byte except a record's last, after which the
     /// next record starts.
     fields: String,
-    /// The end offset in `fields` of each field.
-    ends: Vec<usize>,
+    /// The end offset in `fields` of each field ([`batch_offset`]).
+    ends: Vec<u32>,
     /// Per record, one past its last field's entry in `ends`.
-    records: Vec<usize>,
+    records: Vec<u32>,
     /// What stopped the framing after the last record.
     stop: Stop,
 }
@@ -96,11 +96,21 @@ impl Batch {
     }
 
     /// Record `k`'s text start in `fields` and its field ends.
-    fn record(&self, k: usize) -> (usize, &[usize]) {
-        let first = if k == 0 { 0 } else { self.records[k - 1] };
-        let start = if first == 0 { 0 } else { self.ends[first - 1] };
-        (start, &self.ends[first..self.records[k]])
+    fn record(&self, k: usize) -> (usize, &[u32]) {
+        let first = k.checked_sub(1).map_or(0, |j| self.records[j] as usize);
+        let start = first.checked_sub(1).map_or(0, |j| self.ends[j] as usize);
+        (start, &self.ends[first..self.records[k] as usize])
     }
+}
+
+/// `at` as an offset into a [`Batch`]: a record whose field text would
+/// reach past `u32::MAX` bytes of its batch fails at its `line` rather
+/// than wrapping.
+fn batch_offset(at: usize, line: usize) -> Result<u32, DatasetError> {
+    u32::try_from(at).map_err(|_| DatasetError::Csv {
+        line,
+        message: format!("record too long: its fields pass {} bytes", u32::MAX),
+    })
 }
 
 /// Frames one logical CSV record at a time (which may span multiple
@@ -168,7 +178,9 @@ impl<R: BufRead> RecordReader<R> {
                 &mut batch.fields,
                 &mut batch.ends,
             )? {
-                batch.records.push(batch.ends.len());
+                batch
+                    .records
+                    .push(batch_offset(batch.ends.len(), self.line)?);
                 return Ok(true);
             }
         }
@@ -180,9 +192,10 @@ impl<R: BufRead> RecordReader<R> {
 fn split_fields<'a>(
     fields: &'a str,
     mut start: usize,
-    ends: &'a [usize],
+    ends: &'a [u32],
 ) -> impl ExactSizeIterator<Item = &'a str> {
     ends.iter().map(move |&end| {
+        let end = end as usize;
         let field = &fields[start..end];
         start = end + 1;
         field
@@ -222,7 +235,7 @@ fn frame(
     line_no: usize,
     at: &mut Framing,
     out: &mut String,
-    ends: &mut Vec<usize>,
+    ends: &mut Vec<u32>,
 ) -> Result<bool, DatasetError> {
     let bytes = raw.as_bytes();
     let end = trim_newline(raw).len();
@@ -255,7 +268,7 @@ fn frame(
         } else {
             if b == delimiter && !at.in_quotes {
                 let field_end = out.len() + (i - at.copied);
-                ends.push(field_end);
+                ends.push(batch_offset(field_end, line_no)?);
                 at.field_start = field_end + 1;
             }
             i += 1;
@@ -266,7 +279,7 @@ fn frame(
         return Ok(true);
     }
     out.push_str(&raw[at.copied..end]);
-    ends.push(out.len());
+    ends.push(batch_offset(out.len(), line_no)?);
     Ok(false)
 }
 
@@ -302,7 +315,7 @@ fn type_field<'a>(field: &'a str, opts: &CsvOptions) -> ValueRef<'a> {
 pub struct CsvRow<'a> {
     fields: &'a str,
     start: usize,
-    ends: &'a [usize],
+    ends: &'a [u32],
     opts: &'a CsvOptions,
     interner: &'a mut Interner,
 }
@@ -393,7 +406,10 @@ impl Rows {
     fn admit(&mut self, batch: &Batch, k: usize) -> Result<bool, DatasetError> {
         let (start, ends) = batch.record(k);
         let got = ends.len();
-        if got == 1 && batch.fields[start..ends[0]].trim().is_empty() && self.names.len() != 1 {
+        if got == 1
+            && batch.fields[start..ends[0] as usize].trim().is_empty()
+            && self.names.len() != 1
+        {
             return Ok(false);
         }
         if got != self.names.len() {
@@ -692,6 +708,18 @@ fn write_record<'a, W: Write>(w: &mut W, fields: impl Iterator<Item = &'a str>) 
 mod tests {
     use super::*;
     use crate::schema::DataType;
+
+    #[test]
+    fn a_batch_offset_past_u32_max_is_an_error_naming_its_line() {
+        let max = u32::MAX as usize;
+        assert_eq!(batch_offset(max, 7).unwrap(), u32::MAX);
+        match batch_offset(max + 1, 7) {
+            Err(DatasetError::Csv { line: 7, message }) => {
+                assert!(message.contains("too long"), "{message}")
+            }
+            other => panic!("expected a CSV error at line 7, got {other:?}"),
+        }
+    }
 
     #[test]
     fn open_suffix_reads_exactly_the_byte_range() {

@@ -1,6 +1,6 @@
 //! Building entries: the one source scan ([`scan`]) and the three
-//! things it feeds — a cold stream build ([`build_entry`]), an append
-//! absorb ([`absorb`]) and the first in-process sketch
+//! things it feeds — a cold build in either mode ([`build_entry`]), an
+//! append absorb ([`absorb`]) and the first in-process sketch
 //! ([`build_sketch`]).
 //!
 //! Every scan reads exactly the bytes its stamp describes: a cold build
@@ -13,14 +13,13 @@
 use std::fs::File;
 use std::io::Read as _;
 use std::ops::Range;
-use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, OnceLock};
 
 use qid_core::filter::{FilterParams, SeparationFilter, TupleSampleFilter};
 use qid_core::sketch::{DistinctSketch, NonSeparationSketch};
 use qid_core::stream::{sketch_from_stream, PairIngest, TupleIngest};
-use qid_dataset::csv::{read_csv, CsvOptions, CsvTupleSource, SCAN_BATCH_BYTES};
-use qid_dataset::{AttrId, Dataset, DatasetError, DatasetTupleSource, TupleSource};
+use qid_dataset::csv::{CsvOptions, CsvTupleSource, SCAN_BATCH_BYTES};
+use qid_dataset::{AttrId, Dataset, DatasetBuilder, DatasetError, DatasetTupleSource, TupleSource};
 
 use crate::freshness::SourceStamp;
 use crate::proto::{sketch_params, DatasetRef, LoadMode};
@@ -34,7 +33,9 @@ pub const COLUMN_SKETCH_K: usize = 256;
 /// The artifacts cached for one dataset: the tuple sample (Theorem 1),
 /// the per-column distinct-count sketches, the lazily built
 /// non-separation sketch (Theorem 2), and — for memory-mode loads —
-/// the materialised dataset.
+/// the materialised dataset. Both modes draw the sample by the same
+/// scan, so a memory-mode entry holds the very sample, checkpoint and
+/// answers of the stream-mode entry for the same source and seed.
 #[derive(Debug)]
 pub struct Entry {
     /// The resident tuple-sample filter (always present).
@@ -56,18 +57,17 @@ pub struct Entry {
     /// column sketches, the materialised dataset's codes (if any), and
     /// the retained resumable-ingest tuples (a second copy of the
     /// sample rows, kept so appends can resume). Together with the
-    /// lazily added non-separation sketch bytes this is what LRU
-    /// eviction charges against [`crate::registry::RegistryConfig::cache_bytes`].
+    /// lazily built sketch's bytes ([`Entry::footprint`]) this is what
+    /// LRU eviction charges against [`crate::registry::RegistryConfig::cache_bytes`].
     pub stored_bytes: usize,
     /// Source-file stamp captured *before* the building scan, so a
     /// file rewritten mid-scan still reads as changed on the next hit.
     /// `None` when the source could not be statted.
     pub source: Option<SourceStamp>,
     /// The paused streaming build (reservoir + RNG) this entry's
-    /// sample came from. `Some` for stream-built and checkpoint-
-    /// restored entries; appends resume it over just the new suffix.
-    /// `None` for memory-mode entries (they rebuild fully — the
-    /// materialised dataset must cover the appended rows anyway) and
+    /// sample came from. `Some` for built and checkpoint-restored
+    /// entries, so the key's artifact always carries the checkpoint;
+    /// appends resume it over just the new suffix. `None` for
     /// pre-checkpoint restores.
     pub(crate) ingest: Option<TupleIngest>,
     /// The paused pair-sample build behind the non-separation sketch,
@@ -75,15 +75,11 @@ pub struct Entry {
     /// process — so an append can advance the sketch over the suffix
     /// instead of re-scanning. Written at most once, like the sketch.
     pub(crate) pair_ingest: OnceLock<PairIngest>,
-    /// The lazily built Theorem 2 sketch: written once (concurrent
-    /// `sketch` queries collapse onto one build), dropped with the
-    /// entry.
-    pub(crate) sketch_cell: OnceLock<Result<Arc<NonSeparationSketch>, String>>,
-    /// Bytes the built sketch adds to the resident total; swapped to 0
-    /// exactly once when the bytes are released (eviction, unload, or
-    /// reclaim after a lost race), so the accounting never
-    /// double-subtracts.
-    pub(crate) sketch_bytes: AtomicUsize,
+    /// The lazily built Theorem 2 sketch and its resident bytes (the
+    /// pairs plus the retained pair-sample tuples, weighed once when
+    /// the cell is set): written once (concurrent `sketch` queries
+    /// collapse onto one build), dropped with the entry.
+    pub(crate) sketch_cell: OnceLock<Result<(Arc<NonSeparationSketch>, usize), String>>,
 }
 
 impl Entry {
@@ -111,28 +107,40 @@ impl Entry {
             ingest,
             pair_ingest: OnceLock::new(),
             sketch_cell: OnceLock::new(),
-            sketch_bytes: AtomicUsize::new(0),
         }
     }
 
     /// The cached non-separation sketch, if one has been built for this
     /// entry (see [`crate::registry::Registry::sketch_for`]).
     pub fn sketch(&self) -> Option<Arc<NonSeparationSketch>> {
-        self.sketch_cell
-            .get()
-            .and_then(|r| r.as_ref().ok().cloned())
+        match self.sketch_cell.get() {
+            Some(Ok((sketch, _))) => Some(Arc::clone(sketch)),
+            _ => None,
+        }
     }
 
-    /// True iff this entry can absorb a pure append without a re-scan
-    /// (it carries resumable ingest state).
+    /// What this entry holds resident: [`Entry::stored_bytes`] plus its
+    /// built sketch's bytes, if any.
+    pub(crate) fn footprint(&self) -> u64 {
+        let sketch = match self.sketch_cell.get() {
+            Some(Ok((_, bytes))) => *bytes,
+            _ => 0,
+        };
+        (self.stored_bytes + sketch) as u64
+    }
+
+    /// True iff this entry can absorb a pure append without a re-scan:
+    /// it carries resumable ingest state and no materialised dataset,
+    /// which would have to cover the appended rows too.
     pub fn append_capable(&self) -> bool {
-        self.ingest.is_some()
+        self.ingest.is_some() && self.dataset.is_none()
     }
 }
 
 /// The sinks one source scan advances: the tuple reservoir, the
-/// per-column distinct-count sketches and the pair reservoirs behind
-/// the non-separation sketch. A scan feeds whichever are present.
+/// per-column distinct-count sketches, the pair reservoirs behind the
+/// non-separation sketch and the materialised rows. A scan feeds
+/// whichever are present.
 #[derive(Default)]
 struct Feed {
     /// The paused Theorem 1 sample build.
@@ -141,6 +149,8 @@ struct Feed {
     cols: Vec<DistinctSketch>,
     /// The paused Theorem 2 pair-sample build.
     pairs: Option<PairIngest>,
+    /// Every row, for a memory-mode entry's dataset.
+    rows: Option<DatasetBuilder>,
 }
 
 /// The one source scan: feeds every data row stored in bytes `range`
@@ -180,6 +190,9 @@ fn scan(
     };
     let src = opened.map_err(|e| format!("reading {path}: {e}"))?;
     let mut feed = start(src.attr_names());
+    // The scan has already checked each row's arity, so the builder can
+    // only fail on a column past `u32::MAX` distinct values.
+    let mut overflow = None;
     src.scan_rows(SCAN_BATCH_BYTES, |mut row| {
         for (sk, v) in feed.cols.iter_mut().zip(row.values()) {
             sk.observe_ref(v);
@@ -190,9 +203,17 @@ fn scan(
         if let Some(tuples) = &mut feed.tuples {
             tuples.push_with(|| row.to_values());
         }
+        if let Some(rows) = &mut feed.rows {
+            if let Err(e) = rows.push_row(row.to_values()) {
+                overflow.get_or_insert(e);
+            }
+        }
     })
     .map_err(|e| format!("streaming {path}: {e}"))?;
-    Ok(feed)
+    match overflow {
+        Some(e) => Err(format!("reading {path}: {e}")),
+        None => Ok(feed),
+    }
 }
 
 /// The bytes a stamp describes: `[0, len)`, or the whole file when the
@@ -215,67 +236,53 @@ pub(crate) fn build_entry(
         return Err(format!("eps must be in (0, 1), got {}", ds.eps));
     }
     let params = FilterParams::new(ds.eps);
-    match mode {
-        LoadMode::Memory => {
-            let dataset = File::open(&ds.path)
-                .map_err(DatasetError::from)
-                .and_then(|file| read_csv(file.take(stamped_len(source)), &CsvOptions::default()))
-                .map_err(|e| format!("reading {}: {e}", ds.path))?;
-            let (rows, attrs) = (dataset.n_rows(), dataset.n_attrs());
-            big_enough(rows, attrs)?;
-            let filter = TupleSampleFilter::build(&dataset, params, ds.seed);
-            let cols = cols_from_dataset(&dataset);
-            // No resumable ingest: a memory-mode entry must cover any
-            // appended rows in its materialised dataset anyway, so an
-            // append rebuilds it fully.
-            Ok(Entry::new(
-                filter,
-                Some(dataset),
-                cols,
-                rows,
-                attrs,
-                source,
-                None,
-            ))
-        }
-        LoadMode::Stream => {
-            // Driven through a TupleIngest (the same computation
-            // `tuple_filter_from_stream` runs) so the reservoir + RNG
-            // state stays on the entry: a later pure append resumes it
-            // over just the new suffix. The same pass feeds the column
-            // sketches.
-            let feed = scan(&ds.path, 0..stamped_len(source), None, |names| Feed {
-                cols: (0..names.len())
-                    .map(|_| DistinctSketch::new(COLUMN_SKETCH_K))
-                    .collect(),
-                tuples: Some(TupleIngest::new(names, params, ds.seed)),
-                pairs: None,
-            })?;
-            let entry = sampled(&ds.path, feed, params, source)?;
-            big_enough(entry.rows, entry.attrs)?;
-            Ok(entry)
-        }
-    }
+    // Driven through a TupleIngest (the same computation
+    // `tuple_filter_from_stream` runs) so the reservoir + RNG state
+    // stays on the entry: a later pure append resumes it over just the
+    // new suffix. The same pass feeds the column sketches or, in memory
+    // mode, materialises the rows, whose dictionaries then give the
+    // column sketches in `O(distinct)`.
+    let memory = mode == LoadMode::Memory;
+    let feed = scan(&ds.path, 0..stamped_len(source), None, |names| Feed {
+        cols: if memory {
+            Vec::new()
+        } else {
+            (0..names.len())
+                .map(|_| DistinctSketch::new(COLUMN_SKETCH_K))
+                .collect()
+        },
+        rows: memory.then(|| DatasetBuilder::new(&names)),
+        tuples: Some(TupleIngest::new(names, params, ds.seed)),
+        pairs: None,
+    })?;
+    let entry = sampled(&ds.path, feed, params, source)?;
+    big_enough(entry.rows, entry.attrs)?;
+    Ok(entry)
 }
 
-/// The stream entry a scan fed: the sample its reservoir holds, its
-/// column sketches, and the reservoir itself, parked for the next
-/// append.
+/// The entry a scan fed: the sample its reservoir holds, its column
+/// sketches, the materialised dataset if the scan kept the rows, and
+/// the reservoir itself, parked for the next append.
 fn sampled(
     path: &str,
     feed: Feed,
     params: FilterParams,
     source: Option<SourceStamp>,
 ) -> Result<Entry, String> {
-    let ingest = feed.tuples.expect("a stream scan feeds tuples");
+    let ingest = feed.tuples.expect("an entry scan feeds tuples");
     let filter = ingest
         .to_filter(params)
         .map_err(|e| format!("streaming {path}: {e}"))?;
-    let (rows, attrs) = (ingest.rows(), feed.cols.len());
+    let dataset = feed.rows.map(DatasetBuilder::finish);
+    let cols = match &dataset {
+        Some(dataset) => cols_from_dataset(dataset),
+        None => feed.cols,
+    };
+    let (rows, attrs) = (ingest.rows(), ingest.names().len());
     Ok(Entry::new(
         filter,
-        None,
-        feed.cols,
+        dataset,
+        cols,
         rows,
         attrs,
         source,
@@ -314,6 +321,7 @@ pub(crate) fn absorb(
         tuples: Some(ingest),
         cols: old.cols.clone(),
         pairs: old.pair_ingest.get().cloned(),
+        rows: None,
     })?;
     let pairs = feed.pairs.take();
     let entry = sampled(path, feed, FilterParams::new(eps), Some(new))?;

@@ -18,10 +18,13 @@
 //!   losers block until the winner's artifacts are ready, so two
 //!   clients racing on a cold dataset still cause exactly one CSV scan.
 //! * **LRU eviction.** With [`RegistryConfig::cache_bytes`] set, every
-//!   admit that pushes the resident total (each entry's
-//!   [`Entry::stored_bytes`]) over budget evicts least-recently-used
-//!   entries until the total fits again. The entry being returned is
-//!   never evicted, so a single over-budget dataset still works.
+//!   admit that pushes the resident total over budget evicts
+//!   least-recently-used entries until the total fits again. The total
+//!   is summed from the resident entries themselves (each one's
+//!   [`Entry::stored_bytes`] plus its built sketch) wherever it is
+//!   read, so no ledger can drift from what the slots hold. The entry
+//!   being returned is never evicted, so a single over-budget dataset
+//!   still works.
 //! * **Disk persistence.** With [`RegistryConfig::cache_dir`] set,
 //!   every entry read from the source is persisted as one checksummed
 //!   artifact per key ([`crate::artifact`]); a later miss — in this
@@ -342,7 +345,6 @@ pub struct Registry {
     /// are immune to wall-clock jumps).
     born: Instant,
     clock: AtomicU64,
-    resident_bytes: AtomicU64,
     /// The cumulative lifecycle counters, in an `Arc` because the
     /// journal's flusher thread journals them independently of the
     /// registry's lifetime (see [`crate::wal`]).
@@ -500,7 +502,6 @@ impl Registry {
             config,
             born: Instant::now(),
             clock: AtomicU64::new(0),
-            resident_bytes: AtomicU64::new(0),
             counters: Arc::clone(&counters),
             wal: wal.clone(),
             restarts,
@@ -665,77 +666,49 @@ impl Registry {
         entry: &Arc<Entry>,
     ) -> Result<Arc<NonSeparationSketch>, String> {
         let key = CacheKey::of(ds);
-        let result = entry
-            .sketch_cell
-            .get_or_init(|| {
-                if entry.dataset.is_none() {
-                    let dir = self.config.cache_dir.as_deref();
-                    if let Some(sk) =
-                        dir.and_then(|dir| disk::restore_sketch(dir, &key, entry, sketch_params()))
-                    {
-                        self.count(Paid::Restored, false);
-                        return Ok(self.admit_sketch(entry, sk, &key));
-                    }
-                    self.count(Paid::Scanned, false);
+        let result = match entry.sketch_cell.get_or_init(|| {
+            if entry.dataset.is_none() {
+                let dir = self.config.cache_dir.as_deref();
+                if let Some(sk) =
+                    dir.and_then(|dir| disk::restore_sketch(dir, &key, entry, sketch_params()))
+                {
+                    self.count(Paid::Restored, false);
+                    return Ok(self.admit_sketch(entry, sk, &key));
                 }
-                let built = build::build_sketch(&key.path, entry, ds.seed)?;
-                self.persist(&key, entry, Some(&built));
-                Ok(self.admit_sketch(entry, built, &key))
-            })
-            .clone();
-        self.enforce_budget(&key);
-        // If the entry lost its slot while the sketch was building
-        // (eviction, unload, stale swap), reclaim the bytes the build
-        // charged; the swap-to-zero protocol guarantees exactly one of
-        // this branch and `forget_bytes` wins.
-        let still_resident = self
-            .shard(&key)
-            .read()
-            .expect("shard lock")
-            .get(&key)
-            .is_some_and(|slot| {
-                slot.cell
-                    .get()
-                    .is_some_and(|r| r.as_ref().is_ok_and(|e| Arc::ptr_eq(e, entry)))
-            });
-        if !still_resident {
-            let orphaned = entry.sketch_bytes.swap(0, Ordering::SeqCst);
-            if orphaned > 0 {
-                self.resident_bytes
-                    .fetch_sub(orphaned as u64, Ordering::SeqCst);
+                self.count(Paid::Scanned, false);
             }
-        }
+            let built = build::build_sketch(&key.path, entry, ds.seed)?;
+            self.persist(&key, entry, Some(&built));
+            Ok(self.admit_sketch(entry, built, &key))
+        }) {
+            Ok((sketch, _)) => Ok(Arc::clone(sketch)),
+            Err(e) => Err(e.clone()),
+        };
+        self.enforce_budget(&key);
         result
     }
 
-    /// Books a freshly built (or restored) sketch into the byte
-    /// accounting and wraps it for the cell. The resident total is
-    /// bumped *before* the per-entry byte count becomes visible, so a
-    /// concurrent `forget_bytes` can never subtract bytes that were
-    /// not yet added. The charge includes the
-    /// paused pair-sample tuples retained alongside the sketch (set on
-    /// `entry.pair_ingest` before this call), so LRU eviction sees the
-    /// full cost of keeping the sketch append-resumable.
+    /// Weighs a freshly built (or restored) sketch once and wraps it
+    /// for the cell. The weight includes the paused pair-sample tuples
+    /// retained alongside the sketch (set on `entry.pair_ingest` before
+    /// this call), so LRU eviction sees the full cost of keeping the
+    /// sketch append-resumable.
     fn admit_sketch(
         &self,
         entry: &Entry,
         sketch: NonSeparationSketch,
         key: &CacheKey,
-    ) -> Arc<NonSeparationSketch> {
-        let sketch = Arc::new(sketch);
+    ) -> (Arc<NonSeparationSketch>, usize) {
         let bytes = sketch.stored_bytes()
             + entry
                 .pair_ingest
                 .get()
                 .map_or(0, PairIngest::retained_bytes);
-        self.resident_bytes
-            .fetch_add(bytes as u64, Ordering::SeqCst);
-        entry.sketch_bytes.store(bytes, Ordering::SeqCst);
         self.emit(RegistryEvent::SketchBuilt {
             key: key.fnv64(),
             bytes: bytes as u64,
         });
-        sketch
+        (Arc::new(sketch), bytes)
     }
 
     /// Drops the resident entry and its persisted artifact, if any.
@@ -748,8 +721,7 @@ impl Registry {
             let mut map = self.shard(&key).write().expect("shard lock");
             match map.get(&key) {
                 Some(slot) if slot.cell.get().is_some() => {
-                    let slot = map.remove(&key).expect("slot present");
-                    self.forget_bytes(&slot);
+                    map.remove(&key);
                     true
                 }
                 _ => false,
@@ -776,16 +748,9 @@ impl Registry {
         let mut entries = 0u64;
         for shard in &self.shards {
             let mut map = shard.write().expect("shard lock");
-            let completed: Vec<CacheKey> = map
-                .iter()
-                .filter(|(_, slot)| slot.cell.get().is_some())
-                .map(|(key, _)| key.clone())
-                .collect();
-            for key in completed {
-                let slot = map.remove(&key).expect("slot present");
-                self.forget_bytes(&slot);
-                entries += 1;
-            }
+            let before = map.len();
+            map.retain(|_, slot| slot.cell.get().is_none());
+            entries += (before - map.len()) as u64;
         }
         let files = self.config.cache_dir.as_deref().map_or(0, |dir| {
             artifact::list(dir)
@@ -795,6 +760,20 @@ impl Registry {
         });
         self.emit(RegistryEvent::Purged { entries, files });
         entries + files
+    }
+
+    /// The resident total: every resident entry's footprint — its
+    /// [`Entry::stored_bytes`] plus its built sketch, if any.
+    fn resident_bytes(&self) -> u64 {
+        let mut total = 0;
+        for shard in &self.shards {
+            for slot in shard.read().expect("shard lock").values() {
+                if let Some(Ok(entry)) = slot.cell.get() {
+                    total += entry.footprint();
+                }
+            }
+        }
+        total
     }
 
     /// Number of resident entries.
@@ -846,7 +825,7 @@ impl Registry {
             upgrades: self.counters.upgrades.load(Ordering::Relaxed),
             append_updates: self.counters.append_updates.load(Ordering::Relaxed),
             sweep_refreshes: self.counters.sweep_refreshes.load(Ordering::Relaxed),
-            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
+            resident_bytes: self.resident_bytes(),
             datasets: self.len(),
             restarts: self.restarts,
             wal_replayed_events: self.wal_replayed_events,
@@ -1024,8 +1003,8 @@ impl Registry {
     }
 
     /// Replaces `seen` with a fresh empty slot iff it is still `key`'s
-    /// slot, releasing the replaced entry's bytes. `None` means a racer
-    /// replaced (or removed) it first; the caller looks again.
+    /// slot. `None` means a racer replaced (or removed) it first; the
+    /// caller looks again.
     fn swap_if_current(&self, key: &CacheKey, seen: &Slot) -> Option<Slot> {
         let mut map = self.shard(key).write().expect("shard lock");
         if !map.get(key).is_some_and(|cur| Arc::ptr_eq(cur, seen)) {
@@ -1033,9 +1012,7 @@ impl Registry {
         }
         let fresh: Slot = Arc::new(SlotInner::default());
         self.touch(&fresh);
-        if let Some(old) = map.insert(key.clone(), Arc::clone(&fresh)) {
-            self.forget_bytes(&old);
-        }
+        map.insert(key.clone(), Arc::clone(&fresh));
         Some(fresh)
     }
 
@@ -1119,10 +1096,9 @@ impl Registry {
         (result, Paid::Scanned)
     }
 
-    /// Books a filled entry: an absorb's advanced sketch, the entry's
-    /// resident bytes, its lifecycle event and — for anything read from
-    /// the source — its artifact, so a restart resumes from it rather
-    /// than re-scanning.
+    /// Books a filled entry: an absorb's advanced sketch, its lifecycle
+    /// event and — for anything read from the source — its artifact, so
+    /// a restart resumes from it rather than re-scanning.
     fn admit(
         &self,
         key: &CacheKey,
@@ -1132,28 +1108,15 @@ impl Registry {
     ) -> Arc<Entry> {
         let entry = Arc::new(entry);
         if let Some(sketch) = sketch {
-            let sketch = self.admit_sketch(&entry, sketch, key);
-            let _ = entry.sketch_cell.set(Ok(sketch));
+            let _ = entry
+                .sketch_cell
+                .set(Ok(self.admit_sketch(&entry, sketch, key)));
         }
-        self.resident_bytes
-            .fetch_add(entry.stored_bytes as u64, Ordering::Relaxed);
         self.emit(event);
         if !matches!(event, RegistryEvent::Restored { .. }) {
             self.persist(key, &entry, entry.sketch().as_deref());
         }
         entry
-    }
-
-    /// Subtracts a removed slot's resident bytes from the total —
-    /// including the entry's built sketch, whose byte count is swapped
-    /// to zero so a concurrent [`Registry::sketch_for`] reclaim can
-    /// never subtract it a second time.
-    fn forget_bytes(&self, slot: &Slot) {
-        if let Some(Ok(entry)) = slot.cell.get() {
-            let sketch = entry.sketch_bytes.swap(0, Ordering::SeqCst);
-            self.resident_bytes
-                .fetch_sub((entry.stored_bytes + sketch) as u64, Ordering::SeqCst);
-        }
     }
 
     /// Evicts least-recently-used completed entries until the resident
@@ -1164,11 +1127,12 @@ impl Registry {
         let Some(budget) = self.config.cache_bytes else {
             return;
         };
-        if self.resident_bytes.load(Ordering::Relaxed) <= budget {
+        let mut total = self.resident_bytes();
+        if total <= budget {
             return;
         }
-        // Snapshot (key, stamp, bytes) of every evictable entry, oldest
-        // first. The stamp race with concurrent touches makes this an
+        // Snapshot (key, stamp) of every evictable entry, oldest first.
+        // The stamp race with concurrent touches makes this an
         // approximate LRU, which is all a cache needs.
         let mut candidates: Vec<(CacheKey, u64)> = Vec::new();
         for shard in &self.shards {
@@ -1181,30 +1145,21 @@ impl Registry {
         }
         candidates.sort_by_key(|&(_, stamp)| stamp);
         for (key, _) in candidates {
-            if self.resident_bytes.load(Ordering::Relaxed) <= budget {
+            if total <= budget {
                 break;
             }
             let mut map = self.shard(&key).write().expect("shard lock");
-            if let Some(slot) = map.get(&key) {
-                if matches!(slot.cell.get(), Some(Ok(_))) {
-                    let slot = map.remove(&key).expect("slot present");
-                    // Capture the footprint before `forget_bytes` swaps
-                    // the sketch bytes to zero.
-                    let bytes = match slot.cell.get() {
-                        Some(Ok(entry)) => {
-                            (entry.stored_bytes as u64)
-                                + entry.sketch_bytes.load(Ordering::SeqCst) as u64
-                        }
-                        _ => 0,
-                    };
-                    self.forget_bytes(&slot);
-                    self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.emit(RegistryEvent::Evicted {
-                        key: key.fnv64(),
-                        bytes,
-                    });
-                }
-            }
+            let Some(Ok(entry)) = map.get(&key).and_then(|slot| slot.cell.get()) else {
+                continue;
+            };
+            let bytes = entry.footprint();
+            map.remove(&key);
+            total = total.saturating_sub(bytes);
+            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+            self.emit(RegistryEvent::Evicted {
+                key: key.fnv64(),
+                bytes,
+            });
         }
     }
 
@@ -2146,6 +2101,127 @@ mod tests {
         assert!(reg.sketch_for(&ds, &entry).is_err());
         // …and no bytes were charged for it.
         assert_eq!(reg.snapshot().resident_bytes, entry.stored_bytes as u64);
+    }
+
+    /// What `entry` holds resident: its stored bytes plus, once built,
+    /// its sketch's pairs and the pair-sample tuples kept beside them.
+    fn held_bytes(entry: &Entry) -> u64 {
+        let sketch = entry.sketch().map_or(0, |sk| {
+            sk.stored_bytes()
+                + entry
+                    .pair_ingest
+                    .get()
+                    .map_or(0, PairIngest::retained_bytes)
+        });
+        (entry.stored_bytes + sketch) as u64
+    }
+
+    #[test]
+    fn a_sketch_built_for_an_entry_that_left_its_slot_is_not_resident() {
+        // (a) The entry is unloaded while a caller still holds it.
+        let path = fixture_csv("orphan-unload.csv", 300);
+        let ds = dsref(&path);
+        let reg = Registry::new();
+        let held = reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        assert!(reg.unload(&ds));
+        reg.sketch_for(&ds, &held).unwrap();
+        assert!(held.sketch().is_some(), "the held entry got its sketch");
+        assert_eq!(reg.snapshot().resident_bytes, 0);
+
+        // (b) A rewrite swaps a rebuilt slot in under a held entry. A
+        // materialised entry builds its sketch from its own rows, so the
+        // build succeeds although the source has moved on.
+        let dir = unique_dir("orphan-swap");
+        let path = dir.join("swap.csv");
+        write_fixture(&path, 300, 0);
+        let ds = dsref(path.to_str().unwrap());
+        let reg = Registry::new();
+        let held = reg.get_or_load(&ds, LoadMode::Memory).0.unwrap();
+        write_fixture(&path, 400, 9);
+        let rebuilt = reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        assert!(
+            !Arc::ptr_eq(&held, &rebuilt),
+            "the rewrite swapped the slot"
+        );
+        reg.sketch_for(&ds, &rebuilt).unwrap();
+        reg.sketch_for(&ds, &held).unwrap();
+        assert!(held.sketch().is_some(), "the held entry got its sketch");
+        assert_eq!(reg.snapshot().resident_bytes, held_bytes(&rebuilt));
+        assert!(reg.unload(&ds));
+        assert_eq!(reg.snapshot().resident_bytes, 0);
+    }
+
+    #[test]
+    fn a_materialised_upgrade_keeps_the_stream_sample_and_answers() {
+        // Columns whose combinations repeat a few times among 3,000 rows,
+        // so many attribute sets sit between keys and ε-bad sets and
+        // the sample decides them.
+        let dir = unique_dir("parity");
+        let path = dir.join("parity.csv");
+        let mut csv = String::from("a,b,c,d,e\n");
+        for i in 0..3_000u64 {
+            let (a, b, c, d, e) = (i % 1_500, (i * 7) % 40, i % 3, (i / 3) % 97, i % 250);
+            csv += &format!("{a},{b},{c},{d},{e}\n");
+        }
+        std::fs::write(&path, csv).unwrap();
+        let path = path.to_str().unwrap();
+        let subsets: Vec<Vec<AttrId>> = (1u32..32)
+            .map(|mask| {
+                (0..5)
+                    .filter(|a| (mask >> a) & 1 == 1)
+                    .map(AttrId::new)
+                    .collect()
+            })
+            .collect();
+        for eps in [0.01, 0.002] {
+            for seed in 1..=6 {
+                let ds = DatasetRef {
+                    path: path.into(),
+                    eps,
+                    seed,
+                };
+                let reg = Registry::new();
+                let stream = reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+                let upgraded = reg.get_or_load_materialised(&ds).0.unwrap();
+                assert!(upgraded.dataset.is_some());
+                assert_eq!(
+                    sample_rows(stream.filter.sample()),
+                    sample_rows(upgraded.filter.sample()),
+                    "eps {eps}, seed {seed}: the sample"
+                );
+                for attrs in &subsets {
+                    assert_eq!(
+                        stream.filter.query(attrs),
+                        upgraded.filter.query(attrs),
+                        "eps {eps}, seed {seed}: {attrs:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn after_an_upgrade_and_a_restart_appends_still_absorb() {
+        let dir = unique_dir("upgrade-checkpoint");
+        let path = fixture_csv("upgrade-checkpoint.csv", 400);
+        let ds = dsref(&path);
+        let config = RegistryConfig {
+            cache_dir: Some(dir),
+            ..RegistryConfig::default()
+        };
+        let first = Registry::with_config(config.clone());
+        first.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        let upgraded = first.get_or_load_materialised(&ds).0.unwrap();
+        assert!(upgraded.dataset.is_some());
+        drop(first);
+
+        let second = Registry::with_config(config);
+        let misses = second.misses();
+        append_rows(&path, 400, 200, 0);
+        let (entry, _) = second.get_or_load(&ds, LoadMode::Stream);
+        assert_eq!(entry.unwrap().rows, 600);
+        assert_eq!(second.append_updates(), 1, "the restored entry absorbs");
+        assert_eq!(second.misses(), misses, "no scan after the restart");
     }
 
     // ------------------------------------ append + revalidation suite
