@@ -1,12 +1,13 @@
-//! Building entries: the one source scan ([`scan`]) and the three
+//! Building entries: the one source scan ([`scan`]) and the four
 //! things it feeds — a cold build in either mode ([`build_entry`]), an
-//! append absorb ([`absorb`]) and the first in-process sketch
-//! ([`build_sketch`]).
+//! append absorb ([`absorb`]), the first in-process sketch
+//! ([`build_sketch`]) and the rows of an entry built without them
+//! ([`materialise`]).
 //!
 //! Every scan reads exactly the bytes its stamp describes: a cold build
 //! reads `[0, stamp.len)` of the stamp captured before it started, an
-//! absorb reads `[old.len, new.len)`, and the sketch scan reads the
-//! entry's `[0, stamp.len)`. Rows appended while a scan runs are
+//! absorb reads `[old.len, new.len)`, and the sketch and rows scans read
+//! the entry's `[0, stamp.len)`. Rows appended while a scan runs are
 //! therefore never fed twice — they are left for the next revalidation
 //! to classify as an append and absorb exactly once.
 
@@ -31,18 +32,15 @@ use crate::proto::{sketch_params, DatasetRef, LoadMode};
 pub const COLUMN_SKETCH_K: usize = 256;
 
 /// The artifacts cached for one dataset: the tuple sample (Theorem 1),
-/// the per-column distinct-count sketches, the lazily built
-/// non-separation sketch (Theorem 2), and — for memory-mode loads —
-/// the materialised dataset. Both modes draw the sample by the same
-/// scan, so a memory-mode entry holds the very sample, checkpoint and
-/// answers of the stream-mode entry for the same source and seed.
+/// the per-column distinct-count sketches, and two write-once cells —
+/// the lazily built non-separation sketch (Theorem 2) and the
+/// materialised rows. Every entry is built by the same scan, so an
+/// entry holds the very sample, checkpoint and answers of any other
+/// entry for the same source and seed, whether or not its rows are set.
 #[derive(Debug)]
 pub struct Entry {
     /// The resident tuple-sample filter (always present).
     pub filter: TupleSampleFilter,
-    /// The fully materialised dataset — `None` for stream-mode loads
-    /// and disk-restored entries, where only the sample is kept.
-    pub dataset: Option<Dataset>,
     /// Per-column KMV distinct-count sketches (one per attribute, in
     /// schema order), built during the loading pass so `stats` always
     /// answers without materialising. Every construction path produces
@@ -54,11 +52,11 @@ pub struct Entry {
     /// Attribute count.
     pub attrs: usize,
     /// Approximate resident bytes at build time: the sample, the
-    /// column sketches, the materialised dataset's codes (if any), and
-    /// the retained resumable-ingest tuples (a second copy of the
-    /// sample rows, kept so appends can resume). Together with the
-    /// lazily built sketch's bytes ([`Entry::footprint`]) this is what
-    /// LRU eviction charges against [`crate::registry::RegistryConfig::cache_bytes`].
+    /// column sketches, and the retained resumable-ingest tuples (a
+    /// second copy of the sample rows, kept so appends can resume).
+    /// Together with the two cells' bytes (`Entry::footprint`) this is
+    /// what LRU eviction charges against
+    /// [`crate::registry::RegistryConfig::cache_bytes`].
     pub stored_bytes: usize,
     /// Source-file stamp captured *before* the building scan, so a
     /// file rewritten mid-scan still reads as changed on the next hit.
@@ -80,12 +78,17 @@ pub struct Entry {
     /// the cell is set): written once (concurrent `sketch` queries
     /// collapse onto one build), dropped with the entry.
     pub(crate) sketch_cell: OnceLock<Result<(Arc<NonSeparationSketch>, usize), String>>,
+    /// The materialised rows and their code bytes, weighed once when
+    /// the cell is set: by the memory-mode scan that built the entry,
+    /// or later by [`materialise`] (concurrent memory-mode lookups
+    /// collapse onto one scan). Written once, a failed scan too, and
+    /// dropped with the entry; an absorb starts an entry without them.
+    pub(crate) dataset_cell: OnceLock<Result<(Dataset, usize), String>>,
 }
 
 impl Entry {
     pub(crate) fn new(
         filter: TupleSampleFilter,
-        dataset: Option<Dataset>,
         cols: Vec<DistinctSketch>,
         rows: usize,
         attrs: usize,
@@ -93,12 +96,10 @@ impl Entry {
         ingest: Option<TupleIngest>,
     ) -> Entry {
         let stored_bytes = filter.stored_bytes()
-            + dataset.as_ref().map_or(0, |ds| ds.code_bytes())
             + cols.iter().map(DistinctSketch::stored_bytes).sum::<usize>()
             + ingest.as_ref().map_or(0, TupleIngest::retained_bytes);
         Entry {
             filter,
-            dataset,
             cols,
             rows,
             attrs,
@@ -107,6 +108,7 @@ impl Entry {
             ingest,
             pair_ingest: OnceLock::new(),
             sketch_cell: OnceLock::new(),
+            dataset_cell: OnceLock::new(),
         }
     }
 
@@ -119,21 +121,32 @@ impl Entry {
         }
     }
 
+    /// The materialised dataset, once a memory-mode lookup has set it.
+    pub fn dataset(&self) -> Option<&Dataset> {
+        match self.dataset_cell.get() {
+            Some(Ok((dataset, _))) => Some(dataset),
+            _ => None,
+        }
+    }
+
     /// What this entry holds resident: [`Entry::stored_bytes`] plus its
-    /// built sketch's bytes, if any.
+    /// built sketch's and materialised rows' bytes, if any.
     pub(crate) fn footprint(&self) -> u64 {
         let sketch = match self.sketch_cell.get() {
             Some(Ok((_, bytes))) => *bytes,
             _ => 0,
         };
-        (self.stored_bytes + sketch) as u64
+        let rows = match self.dataset_cell.get() {
+            Some(Ok((_, bytes))) => *bytes,
+            _ => 0,
+        };
+        (self.stored_bytes + sketch + rows) as u64
     }
 
     /// True iff this entry can absorb a pure append without a re-scan:
-    /// it carries resumable ingest state and no materialised dataset,
-    /// which would have to cover the appended rows too.
+    /// it carries resumable ingest state.
     pub fn append_capable(&self) -> bool {
-        self.ingest.is_some() && self.dataset.is_none()
+        self.ingest.is_some()
     }
 }
 
@@ -273,21 +286,17 @@ fn sampled(
     let filter = ingest
         .to_filter(params)
         .map_err(|e| format!("streaming {path}: {e}"))?;
-    let dataset = feed.rows.map(DatasetBuilder::finish);
+    let dataset = feed.rows.map(weighed);
     let cols = match &dataset {
-        Some(dataset) => cols_from_dataset(dataset),
+        Some((dataset, _)) => cols_from_dataset(dataset),
         None => feed.cols,
     };
     let (rows, attrs) = (ingest.rows(), ingest.names().len());
-    Ok(Entry::new(
-        filter,
-        dataset,
-        cols,
-        rows,
-        attrs,
-        source,
-        Some(ingest),
-    ))
+    let entry = Entry::new(filter, cols, rows, attrs, source, Some(ingest));
+    if let Some(dataset) = dataset {
+        let _ = entry.dataset_cell.set(Ok(dataset));
+    }
+    Ok(entry)
 }
 
 /// Rejects a source too small for a sample to say anything.
@@ -348,7 +357,7 @@ pub(crate) fn build_sketch(
     seed: u64,
 ) -> Result<NonSeparationSketch, String> {
     let params = sketch_params();
-    if let Some(dataset) = &entry.dataset {
+    if let Some(dataset) = entry.dataset() {
         let mut src = DatasetTupleSource::new(dataset);
         return sketch_from_stream(&mut src, params, seed).map_err(|e| e.to_string());
     }
@@ -363,17 +372,40 @@ pub(crate) fn build_sketch(
     let sketch = pairs
         .to_sketch(params)
         .map_err(|e| format!("streaming {path}: {e}"))?;
-    // The sample and the sketch must describe the same data: if the
-    // source changed between the entry build and this scan, fail now —
-    // the stamp-on-hit check will rebuild the entry (and with it this
-    // sketch) on the next lookup.
-    if SourceStamp::capture(path) != entry.source {
-        return Err(format!(
-            "{path} changed while the sketch was building; retry"
-        ));
-    }
+    still_stamped(path, entry, "sketch")?;
     let _ = entry.pair_ingest.set(pairs);
     Ok(sketch)
+}
+
+/// Materialises `entry`'s rows, weighed for its dataset cell, by one
+/// scan of the stamped bytes of `path` that feeds nothing else.
+pub(crate) fn materialise(path: &str, entry: &Entry) -> Result<(Dataset, usize), String> {
+    let feed = scan(path, 0..stamped_len(entry.source), None, |names| Feed {
+        rows: Some(DatasetBuilder::new(&names)),
+        ..Feed::default()
+    })?;
+    still_stamped(path, entry, "dataset")?;
+    Ok(weighed(feed.rows.expect("a rows scan feeds rows")))
+}
+
+/// Finishes a scan's rows and weighs their codes once.
+fn weighed(rows: DatasetBuilder) -> (Dataset, usize) {
+    let dataset = rows.finish();
+    let bytes = dataset.code_bytes();
+    (dataset, bytes)
+}
+
+/// The sample and what a later scan built beside it must describe the
+/// same data: if the source changed between the entry build and that
+/// scan, fail now — the stamp-on-hit check will rebuild the entry (and
+/// with it `what`) on the next lookup.
+fn still_stamped(path: &str, entry: &Entry, what: &str) -> Result<(), String> {
+    if SourceStamp::capture(path) != entry.source {
+        return Err(format!(
+            "{path} changed while the {what} was building; retry"
+        ));
+    }
+    Ok(())
 }
 
 /// Column sketches for a materialised dataset, fed from the column

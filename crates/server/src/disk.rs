@@ -18,18 +18,11 @@ use crate::build::{Entry, COLUMN_SKETCH_K};
 use crate::freshness::SourceStamp;
 use crate::registry::CacheKey;
 
-/// True iff `h` describes exactly `entry` of `key`: the same key, shape
-/// and source stamp. Only then may the artifact's pair sample be paired
-/// with the entry's tuple sample.
-fn describes(h: &Header, key: &CacheKey, entry: &Entry) -> bool {
-    h.key == *key && (h.rows, h.attrs, Some(h.source)) == (entry.rows, entry.attrs, entry.source)
-}
-
-/// Publishes `entry` as `key`'s artifact under `dir` — with `sketch`'s
-/// pair sample, or else with the pair section of the artifact it
-/// replaces when that describes the very same data (a materialising
-/// upgrade or a memory-mode load re-persists an unchanged source and
-/// must not drop the persisted pair sample). Best-effort: a failed
+/// Publishes `entry` as `key`'s artifact under `dir`, with `sketch`'s
+/// pair sample when there is one. An entry is persisted only when no
+/// usable artifact described its data (a scan that found none, an
+/// absorb) or with its new sketch, so the artifact this replaces never
+/// holds a pair sample that still describes `entry`. Best-effort: a failed
 /// persist only costs the next restart a re-scan. Entries built from an
 /// unstattable source cannot be validated on restore, so they are not
 /// persisted.
@@ -49,18 +42,7 @@ pub(crate) fn persist(
         source,
         ingest: entry.ingest.as_ref().map(TupleIngest::checkpoint),
     };
-    let old = match sketch {
-        Some(_) => None,
-        None => std::fs::read(artifact::path(dir, key.fnv64())).ok(),
-    };
-    let kept = old
-        .as_deref()
-        .and_then(|bytes| artifact::parse(bytes).ok())
-        .filter(|old| describes(&old.header, key, entry))
-        .and_then(|old| old.pairs().ok().flatten());
-    let pairs = sketch
-        .map(|sk| (sk.params(), sk.pairs()))
-        .or(kept.as_ref().map(|(params, table)| (*params, table)));
+    let pairs = sketch.map(|sk| (sk.params(), sk.pairs()));
     let bytes = artifact::encode(&header, &entry.cols, entry.filter.sample(), pairs);
     let _ = artifact::publish(dir, key, &bytes);
 }
@@ -133,7 +115,9 @@ pub(crate) fn restore_sketch(
 ) -> Option<NonSeparationSketch> {
     let bytes = std::fs::read(artifact::path(dir, key.fnv64())).ok()?;
     let art = artifact::parse(&bytes).ok()?;
-    if !describes(&art.header, key, entry) {
+    let h = &art.header;
+    let shape = (h.rows, h.attrs, Some(h.source));
+    if h.key != *key || shape != (entry.rows, entry.attrs, entry.source) {
         return None; // a stem collision, or sketch and sample describe different data
     }
     let (stored, pairs) = art.pairs().ok()??;
@@ -187,15 +171,7 @@ pub(crate) fn restore(dir: &Path, key: &CacheKey) -> Option<Entry> {
         .iter()
         .map(|minima| DistinctSketch::from_minima(COLUMN_SKETCH_K, minima.iter().copied()))
         .collect();
-    Some(Entry::new(
-        filter,
-        None,
-        cols,
-        h.rows,
-        h.attrs,
-        Some(now),
-        ingest,
-    ))
+    Some(Entry::new(filter, cols, h.rows, h.attrs, Some(now), ingest))
 }
 
 /// How old a `*.tmp` file must be before the startup sweep removes it.

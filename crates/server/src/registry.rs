@@ -18,11 +18,12 @@
 //!   losers block until the winner's artifacts are ready, so two
 //!   clients racing on a cold dataset still cause exactly one CSV scan.
 //! * **LRU eviction.** With [`RegistryConfig::cache_bytes`] set, every
-//!   admit that pushes the resident total over budget evicts
-//!   least-recently-used entries until the total fits again. The total
-//!   is summed from the resident entries themselves (each one's
-//!   [`Entry::stored_bytes`] plus its built sketch) wherever it is
-//!   read, so no ledger can drift from what the slots hold. The entry
+//!   fill that pushes the resident total over budget — a slot's entry,
+//!   or an entry's sketch or rows cell — evicts least-recently-used
+//!   entries until the total fits again. The total is summed from the
+//!   resident entries themselves (each one's [`Entry::stored_bytes`]
+//!   plus its set cells) wherever it is read, so no ledger can drift
+//!   from what the slots hold. The entry
 //!   being returned is never evicted, so a single over-budget dataset
 //!   still works.
 //! * **Disk persistence.** With [`RegistryConfig::cache_dir`] set,
@@ -39,14 +40,15 @@
 //!   still hashes to the recorded stamp, ending on a row boundary, is a
 //!   pure append: the entry's paused ingest resumes over just the new
 //!   suffix, bit-identical to a cold rebuild (`cache_append_updates`).
-//! * **One lookup path.** [`Registry::get_or_load`],
-//!   [`Registry::get_or_load_materialised`], [`Registry::sweep`] and
-//!   startup re-admission all go through one resolver: it classifies
-//!   the resident slot once (fresh, appended, stale, sample-only when a
-//!   materialised entry is wanted, or absent), acts on that, and
-//!   reports what this caller paid — shared, absorbed, restored or
-//!   scanned. The hit, miss and disk-hit counters are bumped in one
-//!   place from that value, so each lookup counts exactly once.
+//! * **One lookup path.** [`Registry::get_or_load`] in either mode,
+//!   [`Registry::sweep`] and startup re-admission all go through one
+//!   resolver: it classifies the resident slot once (fresh, appended,
+//!   stale, pending or absent), acts on that, and reports what this
+//!   caller paid — shared, absorbed, restored or scanned. Every fill
+//!   restores first. A memory-mode lookup then sets the entry's rows
+//!   cell if it is empty. The hit, miss and disk-hit counters are
+//!   bumped in one place from the dearest step paid, so each lookup
+//!   counts exactly once.
 //! * **Background revalidation.** [`Registry::sweep`] (driven by the
 //!   server's `--sweep-ms` thread) walks resident entries, re-stamps
 //!   fresh ones (keeping the [`Registry::peek`] window open so the
@@ -174,8 +176,8 @@ type Shard = RwLock<HashMap<CacheKey, Slot>>;
 /// How the registry is sized and where it persists.
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
-    /// LRU memory budget in bytes over every entry's
-    /// [`Entry::stored_bytes`]; `None` disables eviction.
+    /// LRU memory budget in bytes over every entry's footprint (its
+    /// [`Entry::stored_bytes`] plus its set cells); `None` disables eviction.
     pub cache_bytes: Option<u64>,
     /// Directory for the persistent warm tier (one checksummed binary
     /// artifact per key, plus the registry journal); `None` disables
@@ -229,7 +231,7 @@ impl Default for RegistryConfig {
 /// artifacts and trace spans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RegistryEvent {
-    /// A cold build scanned the source and produced a new entry.
+    /// A scan of the source produced a new entry or set an entry's rows.
     Built {
         /// FNV-1a hash of the entry's cache key.
         key: u64,
@@ -302,7 +304,7 @@ pub struct RegistrySnapshot {
     /// concurrent build — the scan was still shared).
     pub hits: u64,
     /// Lookups that scanned the source (cold builds, stale rebuilds,
-    /// materialisation upgrades, failed builds).
+    /// materialising scans, failed builds).
     pub misses: u64,
     /// Lookups answered by restoring a persisted sample from
     /// [`RegistryConfig::cache_dir`] — no source scan.
@@ -311,8 +313,9 @@ pub struct RegistrySnapshot {
     pub evictions: u64,
     /// Rebuilds forced by a source mtime/len change.
     pub stale_rebuilds: u64,
-    /// Sample-only entries upgraded to a materialised dataset (each is
-    /// also a miss — the upgrade re-scans the source).
+    /// Rows-only scans that set the rows of an entry built or
+    /// restored without them, for a memory-mode lookup (each is also a
+    /// miss — the scan reads the whole stamped source).
     pub upgrades: u64,
     /// Grown sources absorbed incrementally (suffix-only scans; these
     /// are *not* stale rebuilds and not misses).
@@ -322,7 +325,8 @@ pub struct RegistrySnapshot {
     /// counted).
     pub sweep_refreshes: u64,
     /// Current resident total: every entry's [`Entry::stored_bytes`]
-    /// plus its built non-separation sketch, if any.
+    /// plus its built non-separation sketch and materialised rows, if
+    /// any.
     pub resident_bytes: u64,
     /// Entries currently resident.
     pub datasets: usize,
@@ -393,15 +397,13 @@ enum Paid {
     Scanned,
 }
 
-/// Who is resolving a key. It decides what counts as usable, how an
-/// empty slot is filled, and whether the resolution is a lookup.
+/// Who is resolving a key. It decides how an empty slot is filled and
+/// whether the resolution is a lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Want {
-    /// A lookup for an entry built in this mode.
+    /// A lookup in this mode: a memory-mode lookup also sets the
+    /// entry's rows.
     Lookup(LoadMode),
-    /// A lookup that needs the materialised dataset: a sample-only
-    /// entry is upgraded by a memory-mode scan.
-    Materialised,
     /// The background sweeper: refreshes changed resident entries and
     /// never creates a slot or waits on one.
     Sweep,
@@ -410,16 +412,11 @@ enum Want {
 }
 
 impl Want {
-    /// How this caller fills an empty slot; `stale` is the entry a
-    /// rebuild replaces (the sweeper rebuilds in its mode).
-    fn fill(self, stale: Option<&Entry>) -> Fill {
+    /// How this caller fills an empty slot.
+    fn fill(self) -> Fill {
         match self {
             Want::Readmit => Fill::Restore,
             Want::Lookup(mode) => Fill::Scan(mode),
-            Want::Materialised => Fill::Scan(LoadMode::Memory),
-            Want::Sweep if stale.is_some_and(|e| e.dataset.is_some()) => {
-                Fill::Scan(LoadMode::Memory)
-            }
             Want::Sweep => Fill::Scan(LoadMode::Stream),
         }
     }
@@ -436,19 +433,15 @@ enum Found {
     /// The source grew by a pure append the entry can absorb.
     Appended(Slot, Arc<Entry>, SourceStamp),
     /// The source changed in a way only a rebuild covers.
-    Stale(Slot, Arc<Entry>),
-    /// Fresh, but sample-only where the caller needs the dataset.
-    SampleOnly(Slot),
+    Stale(Slot),
 }
 
 /// How a slot is filled.
 enum Fill {
     /// Restore the key's artifact; never scan.
     Restore,
-    /// Scan the source in this mode. A stream fill restores the
-    /// artifact instead when it is usable; a memory fill never does —
-    /// the disk tier holds samples only, and an explicit memory-mode
-    /// load exists to pre-materialise.
+    /// Restore the key's artifact when it is usable, else scan the
+    /// source in this mode.
     Scan(LoadMode),
     /// Absorb the appended suffix into the old entry, falling back to a
     /// full stream scan if that fails.
@@ -615,30 +608,24 @@ impl Registry {
     }
 
     /// Returns the cached entry for `ds`, building it on first use.
+    /// With [`LoadMode::Memory`] the entry's rows are set too
+    /// ([`Entry::dataset`]): by the cold scan itself, or by one
+    /// rows-only scan of the entry's stamped bytes when the entry was
+    /// built, restored or absorbed without them (`cache_upgrades`).
+    /// Concurrent callers collapse onto one scan either way.
     ///
     /// The boolean is `true` iff the lookup was answered without paying
     /// a source scan or restore *by this caller*: a resident entry, a
     /// wait on a concurrent build, or a suffix-only append absorb. It is
-    /// `false` for cold builds, disk restores and stale rebuilds. Failed
-    /// builds are evicted so a later request can retry (e.g. after the
-    /// file appears).
+    /// `false` for cold builds, disk restores, stale rebuilds and rows
+    /// scans. Failed builds are evicted so a later request can retry
+    /// (e.g. after the file appears).
     pub fn get_or_load(
         &self,
         ds: &DatasetRef,
         mode: LoadMode,
     ) -> (Result<Arc<Entry>, String>, bool) {
         let (result, paid) = self.resolve(&CacheKey::of(ds), ds, Want::Lookup(mode));
-        (result, paid <= Paid::Absorbed)
-    }
-
-    /// Like [`Registry::get_or_load`] with [`LoadMode::Memory`], but
-    /// additionally upgrades a sample-only entry (stream-mode or
-    /// disk-restored) to a fully materialised one — `stats` and `mask`
-    /// need the whole dataset. Concurrent upgraders collapse onto one
-    /// re-scan (the same way cold builds do); only the upgrader whose
-    /// scan ran counts a miss.
-    pub fn get_or_load_materialised(&self, ds: &DatasetRef) -> (Result<Arc<Entry>, String>, bool) {
-        let (result, paid) = self.resolve(&CacheKey::of(ds), ds, Want::Materialised);
         (result, paid <= Paid::Absorbed)
     }
 
@@ -666,15 +653,17 @@ impl Registry {
         entry: &Arc<Entry>,
     ) -> Result<Arc<NonSeparationSketch>, String> {
         let key = CacheKey::of(ds);
+        let mut set = false;
         let result = match entry.sketch_cell.get_or_init(|| {
-            if entry.dataset.is_none() {
-                let dir = self.config.cache_dir.as_deref();
-                if let Some(sk) =
-                    dir.and_then(|dir| disk::restore_sketch(dir, &key, entry, sketch_params()))
-                {
-                    self.count(Paid::Restored, false);
-                    return Ok(self.admit_sketch(entry, sk, &key));
-                }
+            set = true;
+            let dir = self.config.cache_dir.as_deref();
+            if let Some(sk) =
+                dir.and_then(|dir| disk::restore_sketch(dir, &key, entry, sketch_params()))
+            {
+                self.count(Paid::Restored, false);
+                return Ok(self.admit_sketch(entry, sk, &key));
+            }
+            if entry.dataset().is_none() {
                 self.count(Paid::Scanned, false);
             }
             let built = build::build_sketch(&key.path, entry, ds.seed)?;
@@ -684,7 +673,9 @@ impl Registry {
             Ok((sketch, _)) => Ok(Arc::clone(sketch)),
             Err(e) => Err(e.clone()),
         };
-        self.enforce_budget(&key);
+        if set && result.is_ok() {
+            self.enforce_budget(&key);
+        }
         result
     }
 
@@ -763,7 +754,7 @@ impl Registry {
     }
 
     /// The resident total: every resident entry's footprint — its
-    /// [`Entry::stored_bytes`] plus its built sketch, if any.
+    /// [`Entry::stored_bytes`] plus its set cells.
     fn resident_bytes(&self) -> u64 {
         let mut total = 0;
         for shard in &self.shards {
@@ -877,7 +868,8 @@ impl Registry {
     /// The one lookup path. Looks at `key`'s slot once, acts on what it
     /// found — share it, wait on it, or swap in a fresh slot and fill
     /// that — and looks again only when a racer replaced the slot
-    /// first. Counts the resolution exactly once, from what this caller
+    /// first. A memory-mode lookup then sets the entry's rows. Counts
+    /// the resolution exactly once, from the dearest step this caller
     /// paid. A sweep of a key it does not own, or a re-admission of a
     /// key already present, does nothing: an empty error, paid nothing.
     fn resolve(
@@ -886,47 +878,63 @@ impl Registry {
         ds: &DatasetRef,
         want: Want,
     ) -> (Result<Arc<Entry>, String>, Paid) {
-        let mut paid = Paid::Shared;
-        let result = loop {
+        let (mut result, mut paid) = loop {
             let (slot, fill) = match self.find(key, want) {
-                Found::Fresh(entry) => break Ok(entry),
+                Found::Fresh(entry) => break (Ok(entry), Paid::Shared),
                 Found::Absent | Found::Pending(_) if want == Want::Sweep => {
-                    break Err(String::new())
+                    break (Err(String::new()), Paid::Shared)
                 }
-                Found::Absent => (self.insert_or_adopt(key), want.fill(None)),
-                _ if want == Want::Readmit => break Err(String::new()),
-                Found::Pending(slot) => (slot, want.fill(None)),
+                Found::Absent => (self.insert_or_adopt(key), want.fill()),
+                _ if want == Want::Readmit => break (Err(String::new()), Paid::Shared),
+                Found::Pending(slot) => (slot, want.fill()),
                 Found::Appended(seen, old, new) => match self.swap_if_current(key, &seen) {
                     Some(slot) => (slot, Fill::Absorb(old, new)),
                     None => continue,
                 },
-                Found::Stale(seen, old) => match self.swap_if_current(key, &seen) {
+                Found::Stale(seen) => match self.swap_if_current(key, &seen) {
                     Some(slot) => {
                         self.counters.stale_rebuilds.fetch_add(1, Ordering::Relaxed);
                         self.emit(RegistryEvent::StaleRebuild { key: key.fnv64() });
-                        (slot, want.fill(Some(&old)))
-                    }
-                    None => continue,
-                },
-                Found::SampleOnly(seen) => match self.swap_if_current(key, &seen) {
-                    Some(slot) => {
-                        self.counters.upgrades.fetch_add(1, Ordering::Relaxed);
-                        (slot, want.fill(None))
+                        (slot, want.fill())
                     }
                     None => continue,
                 },
             };
-            let (result, step) = self.fill(key, ds, &slot, fill);
-            paid = paid.max(step);
-            // Waiting on a racer's stream fill can hand a materialising
-            // caller a sample-only entry: look again.
-            if want == Want::Materialised && result.as_ref().is_ok_and(|e| e.dataset.is_none()) {
-                continue;
-            }
-            break result;
+            break self.fill(key, ds, &slot, fill);
         };
-        self.count(paid, matches!(want, Want::Lookup(_) | Want::Materialised));
+        if let (Want::Lookup(LoadMode::Memory), Ok(entry)) = (want, &result) {
+            let (rows, step) = self.materialise(key, entry);
+            paid = paid.max(step);
+            if let Err(e) = rows {
+                result = Err(e);
+            }
+        }
+        self.count(paid, matches!(want, Want::Lookup(_)));
         (result, paid)
+    }
+
+    /// Sets `entry`'s rows cell by one rows-only scan of its stamped
+    /// bytes, unless it is set already — or waits on the caller whose
+    /// scan is setting it. The scan is an upgrade: it counts in
+    /// `cache_upgrades` and reports the entry's new footprint as a
+    /// [`RegistryEvent::Built`]. Returns the cell's outcome and what this
+    /// caller paid.
+    fn materialise(&self, key: &CacheKey, entry: &Entry) -> (Result<(), String>, Paid) {
+        let mut paid = Paid::Shared;
+        let result = entry.dataset_cell.get_or_init(|| {
+            paid = Paid::Scanned;
+            self.counters.upgrades.fetch_add(1, Ordering::Relaxed);
+            build::materialise(&key.path, entry)
+        });
+        if paid == Paid::Scanned && result.is_ok() {
+            let bytes = entry.footprint();
+            self.emit(RegistryEvent::Built {
+                key: key.fnv64(),
+                bytes,
+            });
+            self.enforce_budget(key);
+        }
+        (result.as_ref().map(|_| ()).map_err(Clone::clone), paid)
     }
 
     /// Looks at `key`'s slot and classifies it once for `want`. Lookups
@@ -963,16 +971,12 @@ impl Registry {
         match verdict {
             Freshness::Fresh => {
                 self.stamp_validated(&slot);
-                if want == Want::Materialised && entry.dataset.is_none() {
-                    Found::SampleOnly(slot)
-                } else {
-                    Found::Fresh(entry)
-                }
+                Found::Fresh(entry)
             }
             Freshness::Appended { new } if entry.append_capable() => {
                 Found::Appended(slot, entry, new)
             }
-            _ => Found::Stale(slot, entry),
+            _ => Found::Stale(slot),
         }
     }
 
@@ -1019,8 +1023,9 @@ impl Registry {
     /// Runs the slot's one-time fill — or waits on whichever caller's
     /// fill got there first — then drops a failed slot so a later
     /// request retries, or opens the peek window (the fill captured a
-    /// fresh stamp) and enforces the LRU budget. Returns what this
-    /// caller paid: [`Paid::Shared`] unless its own fill ran.
+    /// fresh stamp) and, when this caller's fill ran, enforces the LRU
+    /// budget. Returns what this caller paid: [`Paid::Shared`] unless
+    /// its own fill ran.
     fn fill(
         &self,
         key: &CacheKey,
@@ -1044,7 +1049,9 @@ impl Registry {
             }
         } else {
             self.stamp_validated(slot);
-            self.enforce_budget(key);
+            if paid != Paid::Shared {
+                self.enforce_budget(key);
+            }
         }
         (result, paid)
     }
@@ -1060,7 +1067,7 @@ impl Registry {
         let stem = key.fnv64();
         let restore = || {
             let entry = disk::restore(self.config.cache_dir.as_deref()?, key)?;
-            let bytes = entry.stored_bytes as u64;
+            let bytes = entry.footprint();
             let event = RegistryEvent::Restored { key: stem, bytes };
             Some(self.admit(key, entry, None, event))
         };
@@ -1082,15 +1089,14 @@ impl Registry {
                     None => (Err("no usable artifact".to_string()), Paid::Shared),
                 };
             }
-            Fill::Scan(LoadMode::Stream) => match restore() {
+            Fill::Scan(mode) => match restore() {
                 Some(entry) => return (Ok(entry), Paid::Restored),
-                None => LoadMode::Stream,
+                None => mode,
             },
-            Fill::Scan(LoadMode::Memory) => LoadMode::Memory,
         };
         let source = SourceStamp::capture(&key.path);
         let result = build::build_entry(ds, mode, source).map(|entry| {
-            let bytes = entry.stored_bytes as u64;
+            let bytes = entry.footprint();
             self.admit(key, entry, None, RegistryEvent::Built { key: stem, bytes })
         });
         (result, Paid::Scanned)
@@ -1098,7 +1104,8 @@ impl Registry {
 
     /// Books a filled entry: an absorb's advanced sketch, its lifecycle
     /// event and — for anything read from the source — its artifact, so
-    /// a restart resumes from it rather than re-scanning.
+    /// a restart resumes from it rather than re-scanning. The artifact
+    /// holds the sample and checkpoint, never the rows.
     fn admit(
         &self,
         key: &CacheKey,
@@ -1408,7 +1415,7 @@ mod tests {
         let reg = Registry::new();
         let (entry, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
         let entry = entry.unwrap();
-        assert!(entry.dataset.is_none());
+        assert!(entry.dataset().is_none());
         assert_eq!(entry.rows, 500);
         assert_eq!(entry.attrs, 2);
         // m=2, eps=0.01 → 20 sampled tuples.
@@ -1461,20 +1468,20 @@ mod tests {
         let path = fixture_csv("upgrade.csv", 300);
         let reg = Registry::new();
         let (entry, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
-        assert!(entry.unwrap().dataset.is_none());
-        let (upgraded, hit) = reg.get_or_load_materialised(&dsref(&path));
+        assert!(entry.unwrap().dataset().is_none());
+        let (upgraded, hit) = reg.get_or_load(&dsref(&path), LoadMode::Memory);
         assert!(!hit, "an upgrade re-scans, so it is not a hit");
-        assert!(upgraded.unwrap().dataset.is_some());
+        assert!(upgraded.unwrap().dataset().is_some());
         assert_eq!(reg.len(), 1);
         // The upgraded entry is now the cached one.
-        let (again, hit) = reg.get_or_load_materialised(&dsref(&path));
+        let (again, hit) = reg.get_or_load(&dsref(&path), LoadMode::Memory);
         assert!(hit);
         let again = again.unwrap();
-        assert!(again.dataset.is_some());
+        assert!(again.dataset().is_some());
         assert_eq!(reg.hits(), 1);
         assert_eq!(reg.misses(), 2);
-        // The replaced sample-only entry's bytes were released.
-        assert_eq!(reg.snapshot().resident_bytes, again.stored_bytes as u64);
+        // The rows are weighed on the one resident entry.
+        assert_eq!(reg.snapshot().resident_bytes, again.footprint());
     }
 
     #[test]
@@ -1482,13 +1489,13 @@ mod tests {
         let path = fixture_csv("upgrade-race.csv", 400);
         let reg = Arc::new(Registry::new());
         let (entry, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream); // 1 miss
-        assert!(entry.unwrap().dataset.is_none());
+        assert!(entry.unwrap().dataset().is_none());
         let entries: Vec<Arc<Entry>> = std::thread::scope(|scope| {
             (0..4)
                 .map(|_| {
                     let reg = Arc::clone(&reg);
                     let ds = dsref(&path);
-                    scope.spawn(move || reg.get_or_load_materialised(&ds).0.unwrap())
+                    scope.spawn(move || reg.get_or_load(&ds, LoadMode::Memory).0.unwrap())
                 })
                 .collect::<Vec<_>>()
                 .into_iter()
@@ -1496,14 +1503,14 @@ mod tests {
                 .collect()
         });
         for e in &entries {
-            assert!(e.dataset.is_some());
+            assert!(e.dataset().is_some());
             assert!(
                 Arc::ptr_eq(&entries[0], e),
                 "all upgraders share one rebuilt entry"
             );
         }
-        // Stream build + exactly one upgrade re-scan; the other three
-        // upgraders waited on the same slot and count as hits.
+        // Stream build + exactly one rows scan; the other three
+        // upgraders waited on the same rows cell and count as hits.
         assert_eq!(reg.misses(), 2);
         assert_eq!(reg.hits(), 3);
     }
@@ -1767,8 +1774,8 @@ mod tests {
 
     #[test]
     fn materialised_upgrade_ignores_the_disk_tier() {
-        // A disk-restored entry has no dataset; stats/mask must still
-        // get one (via a scan), not loop on restore.
+        // A disk-restored entry has no rows; a memory-mode lookup
+        // still gets them, by one rows scan.
         let dir = unique_dir("upgrade-disk");
         let path = fixture_csv("updisk.csv", 300);
         let config = RegistryConfig {
@@ -1782,19 +1789,19 @@ mod tests {
         let second = Registry::with_config(config);
         // The stream lookup restores the sample-only entry from disk…
         let (restored, _) = second.get_or_load(&dsref(&path), LoadMode::Stream);
-        assert!(restored.unwrap().dataset.is_none());
+        assert!(restored.unwrap().dataset().is_none());
         assert_eq!(second.disk_hits(), 1, "the sample-only restore");
-        // …and materialising it pays a scan rather than looping on
-        // the restore.
-        let (entry, _) = second.get_or_load_materialised(&dsref(&path));
-        assert!(entry.unwrap().dataset.is_some());
+        // …and materialising it pays one scan of its stamped bytes.
+        let (entry, _) = second.get_or_load(&dsref(&path), LoadMode::Memory);
+        assert!(entry.unwrap().dataset().is_some());
         assert_eq!(second.misses(), 1, "the materialising scan");
     }
 
     #[test]
     fn memory_mode_loads_bypass_the_disk_tier() {
-        // An explicit memory-mode load exists to pre-materialise; the
-        // sample-only disk tier must not silently downgrade it.
+        // An explicit memory-mode load exists to pre-materialise: it
+        // restores the sample, then scans the rows. A lookup counts
+        // only its dearest step, so this is one miss and no disk hit.
         let dir = unique_dir("memory-disk");
         let path = fixture_csv("memdisk.csv", 300);
         let config = RegistryConfig {
@@ -1808,8 +1815,11 @@ mod tests {
         let second = Registry::with_config(config);
         let (entry, hit) = second.get_or_load(&dsref(&path), LoadMode::Memory);
         assert!(!hit);
-        assert!(entry.unwrap().dataset.is_some(), "memory load materialises");
-        assert_eq!(second.disk_hits(), 0, "restore skipped for memory mode");
+        assert!(
+            entry.unwrap().dataset().is_some(),
+            "memory load materialises"
+        );
+        assert_eq!(second.disk_hits(), 0, "the rows scan is the dearest step");
         assert_eq!(second.misses(), 1);
     }
 
@@ -1997,8 +2007,8 @@ mod tests {
         let (entry, _) = first.get_or_load(&ds, LoadMode::Stream);
         let built = first.sketch_for(&ds, &entry.unwrap()).unwrap();
         drop(first);
-        // A memory-mode load re-scans and re-persists the same source
-        // without building a sketch: the pair section must survive.
+        // A memory-mode load restores the artifact and scans only the
+        // rows; it persists nothing, so the pair section survives.
         let second = Registry::with_config(config.clone());
         second.get_or_load(&ds, LoadMode::Memory).0.unwrap();
         drop(second);
@@ -2072,13 +2082,13 @@ mod tests {
         let reg = Registry::new();
         let (_, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
         assert_eq!(reg.snapshot().upgrades, 0);
-        let (entry, _) = reg.get_or_load_materialised(&dsref(&path));
-        assert!(entry.unwrap().dataset.is_some());
+        let (entry, _) = reg.get_or_load(&dsref(&path), LoadMode::Memory);
+        assert!(entry.unwrap().dataset().is_some());
         let snap = reg.snapshot();
         assert_eq!(snap.upgrades, 1);
         assert_eq!(snap.misses, 2, "the upgrade is also a miss");
         // A second materialised lookup is a hit, not another upgrade.
-        let (_, hit) = reg.get_or_load_materialised(&dsref(&path));
+        let (_, hit) = reg.get_or_load(&dsref(&path), LoadMode::Memory);
         assert!(hit);
         assert_eq!(reg.snapshot().upgrades, 1);
     }
@@ -2182,8 +2192,8 @@ mod tests {
                 };
                 let reg = Registry::new();
                 let stream = reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
-                let upgraded = reg.get_or_load_materialised(&ds).0.unwrap();
-                assert!(upgraded.dataset.is_some());
+                let upgraded = reg.get_or_load(&ds, LoadMode::Memory).0.unwrap();
+                assert!(upgraded.dataset().is_some());
                 assert_eq!(
                     sample_rows(stream.filter.sample()),
                     sample_rows(upgraded.filter.sample()),
@@ -2211,8 +2221,8 @@ mod tests {
         };
         let first = Registry::with_config(config.clone());
         first.get_or_load(&ds, LoadMode::Stream).0.unwrap();
-        let upgraded = first.get_or_load_materialised(&ds).0.unwrap();
-        assert!(upgraded.dataset.is_some());
+        let upgraded = first.get_or_load(&ds, LoadMode::Memory).0.unwrap();
+        assert!(upgraded.dataset().is_some());
         drop(first);
 
         let second = Registry::with_config(config);
@@ -2222,6 +2232,196 @@ mod tests {
         assert_eq!(entry.unwrap().rows, 600);
         assert_eq!(second.append_updates(), 1, "the restored entry absorbs");
         assert_eq!(second.misses(), misses, "no scan after the restart");
+    }
+
+    #[test]
+    fn a_memory_loaded_key_absorbs_a_pure_append_in_the_foreground_and_in_a_sweep() {
+        for sweep in [false, true] {
+            let path = fixture_csv("memory-append.csv", 400);
+            let ds = dsref(&path);
+            let reg = Registry::new();
+            let loaded = reg.get_or_load(&ds, LoadMode::Memory).0.unwrap();
+            assert!(loaded.dataset().is_some());
+            let misses = reg.misses();
+
+            append_rows(&path, 400, 300, 0);
+            if sweep {
+                assert_eq!(reg.sweep(), 1, "the sweeper refreshes the entry");
+            }
+            let (absorbed, hit) = reg.get_or_load(&ds, LoadMode::Stream);
+            let absorbed = absorbed.unwrap();
+            assert!(hit, "sweep {sweep}: the absorb is not a scan");
+            assert_eq!(reg.append_updates(), 1, "sweep {sweep}");
+            assert_eq!(reg.misses(), misses, "sweep {sweep}");
+            assert_eq!(reg.snapshot().stale_rebuilds, 0, "sweep {sweep}");
+            assert_eq!(absorbed.rows, 700);
+            assert!(
+                absorbed.dataset().is_none(),
+                "an absorb starts without rows"
+            );
+            let cold = Registry::new()
+                .get_or_load(&ds, LoadMode::Stream)
+                .0
+                .unwrap();
+            assert_eq!(
+                sample_rows(absorbed.filter.sample()),
+                sample_rows(cold.filter.sample()),
+                "sweep {sweep}"
+            );
+            assert_eq!(absorbed.cols, cold.cols, "sweep {sweep}");
+
+            // The next memory load scans the rows of the absorbed entry.
+            let upgrades = reg.snapshot().upgrades;
+            let again = reg.get_or_load(&ds, LoadMode::Memory).0.unwrap();
+            assert!(Arc::ptr_eq(&again, &absorbed), "the rows join the entry");
+            assert_eq!(reg.snapshot().upgrades, upgrades + 1, "sweep {sweep}");
+            assert_eq!(reg.misses(), misses + 1, "sweep {sweep}");
+            match crate::server::stats_response(&again) {
+                crate::proto::Response::Stats { rows, exact, .. } => {
+                    assert_eq!(rows, 700);
+                    assert!(exact, "sweep {sweep}: stats is exact again");
+                }
+                other => panic!("expected stats, got {other:?}"),
+            }
+        }
+    }
+
+    /// One step of [`every_three_step_lifecycle_counts_and_serves_like_a_cold_build`].
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Step {
+        StreamLookup,
+        MemoryLookup,
+        Append,
+        Rewrite,
+        Sweep,
+    }
+
+    /// What the table expects of one key, before a step.
+    #[derive(Default)]
+    struct Model {
+        /// An entry is resident.
+        resident: bool,
+        /// Its rows are set.
+        materialised: bool,
+        /// The source grew by a pure append since it was built.
+        appended: bool,
+        /// The source was rewritten since it was built.
+        rewritten: bool,
+    }
+
+    impl Model {
+        /// Applies `step`; returns whether it scans the source (a miss).
+        fn step(&mut self, step: Step) -> bool {
+            let current = self.resident && !self.appended && !self.rewritten;
+            let scans = match step {
+                Step::StreamLookup => !self.resident || self.rewritten,
+                Step::MemoryLookup => !(current && self.materialised),
+                Step::Sweep => self.resident && self.rewritten,
+                Step::Append => {
+                    self.appended = true;
+                    return false;
+                }
+                Step::Rewrite => {
+                    self.rewritten = true;
+                    return false;
+                }
+            };
+            if step == Step::Sweep && !self.resident {
+                return false;
+            }
+            self.materialised = match step {
+                Step::MemoryLookup => true,
+                _ => current && self.materialised,
+            };
+            self.resident = true;
+            self.appended = false;
+            self.rewritten = false;
+            scans
+        }
+    }
+
+    #[test]
+    fn every_three_step_lifecycle_counts_and_serves_like_a_cold_build() {
+        use qid_dataset::csv::{read_csv_path, CsvOptions};
+        const STEPS: [Step; 5] = [
+            Step::StreamLookup,
+            Step::MemoryLookup,
+            Step::Append,
+            Step::Rewrite,
+            Step::Sweep,
+        ];
+        for n in 0..STEPS.len().pow(3) {
+            let steps = [STEPS[n % 5], STEPS[n / 5 % 5], STEPS[n / 25]];
+            let dir = unique_dir("lifecycle");
+            let file = dir.join("life.csv");
+            write_fixture(&file, 300, 0);
+            let path = file.to_str().unwrap().to_string();
+            let ds = dsref(&path);
+            let key = CacheKey::of(&ds);
+            let reg = Registry::new();
+            let (mut model, mut rows, mut salt) = (Model::default(), 300, 0);
+            let (mut lookups, mut misses, mut sweep_scans) = (0, 0, 0);
+            for (i, &step) in steps.iter().enumerate() {
+                let at = format!("{steps:?} step {i}");
+                let scans = u64::from(model.step(step));
+                misses += scans;
+                if step == Step::Sweep {
+                    sweep_scans += scans;
+                }
+                let served = match step {
+                    Step::StreamLookup | Step::MemoryLookup => {
+                        lookups += 1;
+                        let mode = match step {
+                            Step::MemoryLookup => LoadMode::Memory,
+                            _ => LoadMode::Stream,
+                        };
+                        let entry = reg.get_or_load(&ds, mode).0.unwrap();
+                        if mode == LoadMode::Memory {
+                            let read = read_csv_path(&path, &CsvOptions::default()).unwrap();
+                            let dataset = entry.dataset().expect("a memory lookup sets the rows");
+                            assert_eq!(sample_rows(dataset), sample_rows(&read), "{at}");
+                        }
+                        Some(entry)
+                    }
+                    Step::Append => {
+                        append_rows(&path, rows, 40, salt);
+                        rows += 40;
+                        None
+                    }
+                    Step::Rewrite => {
+                        salt += 1;
+                        rows = 300 + 30 * salt as usize;
+                        write_fixture(&file, rows, salt);
+                        None
+                    }
+                    Step::Sweep => {
+                        reg.sweep();
+                        let slot = reg.shard(&key).read().unwrap().get(&key).cloned();
+                        slot.and_then(|slot| slot.cell.get()?.clone().ok())
+                    }
+                };
+                assert_eq!(reg.misses(), misses, "{at}: misses");
+                // A sweep's stale rebuild is a scan, so a miss, though
+                // not a lookup.
+                assert_eq!(
+                    reg.hits() + reg.misses(),
+                    lookups + sweep_scans,
+                    "{at}: hits + misses"
+                );
+                if let Some(entry) = served {
+                    let cold = Registry::new()
+                        .get_or_load(&ds, LoadMode::Stream)
+                        .0
+                        .unwrap();
+                    assert_eq!(entry.rows, rows, "{at}");
+                    assert_eq!(
+                        sample_rows(entry.filter.sample()),
+                        sample_rows(cold.filter.sample()),
+                        "{at}: the served sample"
+                    );
+                }
+            }
+        }
     }
 
     // ------------------------------------ append + revalidation suite
@@ -2627,7 +2827,7 @@ mod tests {
         assert_eq!(reg.misses(), 1, "rejected restore falls back to a scan");
         assert_eq!(reg.snapshot().upgrades, 0);
         assert!(
-            entry.dataset.is_none(),
+            entry.dataset().is_none(),
             "stats on a stream entry must not silently materialise"
         );
         assert_eq!(entry.cols.len(), 2, "stats answers from column sketches");

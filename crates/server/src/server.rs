@@ -820,8 +820,8 @@ pub fn handle_request(request: &Request, state: &ServerState) -> Response {
 /// Resolved registry entries shared across the sub-commands of one
 /// batch, keyed by cache key. A cached `Arc<Entry>` is reused without
 /// touching the registry again (no second hit/miss is recorded — the
-/// batch paid one resolution); a materialisation upgrade replaces the
-/// cached pointer so later sub-commands see the upgraded entry.
+/// batch paid one resolution); a `load` replaces the cached pointer so
+/// later sub-commands see what it loaded.
 #[derive(Default)]
 struct EntryCache {
     entries: std::collections::HashMap<CacheKey, Arc<Entry>>,
@@ -839,40 +839,22 @@ impl EntryCache {
         self.entries.insert(key, Arc::clone(&entry));
         Ok(entry)
     }
-
-    /// The entry for `ds` with an explicit load mode (the `load`
-    /// command), updating the cache with whatever came back.
-    fn loaded_entry(
-        &mut self,
-        state: &ServerState,
-        ds: &DatasetRef,
-        mode: LoadMode,
-    ) -> (Result<Arc<Entry>, String>, bool) {
-        let (result, cached) = match mode {
-            LoadMode::Stream => state.registry.get_or_load(ds, mode),
-            // An explicit memory-mode load exists to pre-materialise:
-            // upgrade a resident sample-only entry instead of handing
-            // it back untouched.
-            LoadMode::Memory => state.registry.get_or_load_materialised(ds),
-        };
-        if let Ok(entry) = &result {
-            self.entries.insert(CacheKey::of(ds), Arc::clone(entry));
-        }
-        (result, cached)
-    }
 }
 
 /// Dispatches one non-batch request, resolving entries through `cache`.
 fn dispatch(request: &Request, state: &ServerState, cache: &mut EntryCache) -> Response {
     match request {
         Request::Batch { .. } => unreachable!("handled by handle_request"),
-        Request::Load { ds, mode } => match cache.loaded_entry(state, ds, *mode) {
-            (Ok(entry), cached) => Response::Loaded {
-                rows: entry.rows,
-                attrs: entry.attrs,
-                sample: entry.filter.sample().n_rows(),
-                cached,
-            },
+        Request::Load { ds, mode } => match state.registry.get_or_load(ds, *mode) {
+            (Ok(entry), cached) => {
+                cache.entries.insert(CacheKey::of(ds), Arc::clone(&entry));
+                Response::Loaded {
+                    rows: entry.rows,
+                    attrs: entry.attrs,
+                    sample: entry.filter.sample().n_rows(),
+                    cached,
+                }
+            }
             (Err(message), _) => Response::Error { message },
         },
         Request::Audit { ds, max_key_size } => with_entry(state, ds, cache, |entry| {
@@ -968,10 +950,7 @@ fn dispatch(request: &Request, state: &ServerState, cache: &mut EntryCache) -> R
                 // input it needs — no materialisation. A memory-loaded
                 // entry plans against the full data (its internal
                 // sampling then draws from all n rows).
-                let data = entry
-                    .dataset
-                    .as_ref()
-                    .unwrap_or_else(|| entry.filter.sample());
+                let data = entry.dataset().unwrap_or_else(|| entry.filter.sample());
                 let params = qid_core::filter::FilterParams::new(ds.eps);
                 let plan = qid_core::masking::plan_masking(data, params, *budget, ds.seed);
                 Response::Mask {
@@ -981,7 +960,7 @@ fn dispatch(request: &Request, state: &ServerState, cache: &mut EntryCache) -> R
                         .map(|&a| data.schema().attr(a).name().to_string())
                         .collect(),
                     residual_key_size: plan.residual_key_size,
-                    full_data: entry.dataset.is_some(),
+                    full_data: entry.dataset().is_some(),
                 }
             })
         }
@@ -1028,7 +1007,7 @@ fn dispatch(request: &Request, state: &ServerState, cache: &mut EntryCache) -> R
 /// `stats` on a stream entry can never silently materialise the whole
 /// dataset — `cache_upgrades` stays at 0 unless `load --mode memory`
 /// asks for it.
-fn stats_response(entry: &Entry) -> Response {
+pub(crate) fn stats_response(entry: &Entry) -> Response {
     fn exact_stats(dataset: &qid_dataset::Dataset) -> Response {
         Response::Stats {
             rows: dataset.n_rows(),
@@ -1044,7 +1023,7 @@ fn stats_response(entry: &Entry) -> Response {
                 .collect(),
         }
     }
-    if let Some(dataset) = &entry.dataset {
+    if let Some(dataset) = entry.dataset() {
         return exact_stats(dataset);
     }
     let cols = &entry.cols;

@@ -11,10 +11,11 @@
 //! ```
 //!
 //! All commands run on a `Θ(m/√ε)` tuple sample (the paper's
-//! Algorithm 1 sampling), so they work at any data size. `audit` and
-//! `key` build that sample in one streaming pass (a size-`r`
-//! reservoir), so their memory is `O(m/√ε)`, not `O(n·m)`; pass
-//! `--exact` to materialise the file instead.
+//! Algorithm 1 sampling), so they work at any data size. `audit`,
+//! `key` and `check` build that sample in one streaming pass (a
+//! size-`r` reservoir, the draw `qid serve` holds for the same file,
+//! ε and seed), so their memory is `O(m/√ε)`, not `O(n·m)`; pass
+//! `--exact` to `audit` or `key` to materialise the file instead.
 //!
 //! Resident service (build the sample once, query it many times):
 //!
@@ -1124,9 +1125,14 @@ fn cmd_bench(args: &[String]) -> ExitCode {
 
 fn cmd_oneshot(opts: Opts) -> ExitCode {
     let params = FilterParams::new(opts.eps);
-    // `audit` and `key` only need the Θ(m/√ε) sample: build it in one
-    // streaming pass instead of materialising all n·m values.
-    let streamed = matches!(opts.command.as_str(), "audit" | "key") && !opts.exact;
+    // `audit`, `key` and `check` only need the Θ(m/√ε) sample: draw it
+    // in one streaming pass, the server's reservoir, instead of
+    // materialising all n·m values.
+    let streamed = match opts.command.as_str() {
+        "audit" | "key" => !opts.exact,
+        "check" => true,
+        _ => false,
+    };
     if streamed {
         return cmd_streamed(&opts, params);
     }
@@ -1164,26 +1170,6 @@ fn cmd_oneshot(opts: Opts) -> ExitCode {
                     100.0 * col.dict_size() as f64 / ds.n_rows() as f64
                 );
             }
-        }
-        "check" => {
-            let Some(spec) = &opts.attrs else {
-                eprintln!("check requires --attrs");
-                return ExitCode::FAILURE;
-            };
-            let attrs = match resolve_attrs(&ds, spec) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let filter = TupleSampleFilter::build(&ds, params, opts.seed);
-            let decision = filter.query(&attrs);
-            outln!("\n{:?}: {decision:?}", names(&ds, &attrs));
-            outln!(
-                "(Accept = separates all sampled pairs — candidate quasi-identifier;\n\
-                  Reject = misses ≥ one sampled pair — not an eps-separation key)"
-            );
         }
         "key" => {
             // Only the --exact path reaches here.
@@ -1227,9 +1213,9 @@ fn cmd_oneshot(opts: Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The streaming one-shot path for `audit` and `key`: one pass over the
-/// CSV feeds a size-`r` reservoir; everything afterwards runs on the
-/// retained sample.
+/// The streaming one-shot path for `audit`, `key` and `check`: one pass
+/// over the CSV feeds a size-`r` reservoir, the same draw a served
+/// entry holds; everything afterwards runs on the retained sample.
 fn cmd_streamed(opts: &Opts, params: FilterParams) -> ExitCode {
     let mut source = match CsvTupleSource::open(&opts.path, &CsvOptions::default()) {
         Ok(s) => s,
@@ -1274,7 +1260,26 @@ fn cmd_streamed(opts: &Opts, params: FilterParams) -> ExitCode {
             );
         }
         "audit" => print_audit(sample, sample, opts.max_key_size, "sampled rows"),
-        _ => unreachable!("cmd_streamed only handles audit and key"),
+        "check" => {
+            let Some(spec) = &opts.attrs else {
+                eprintln!("check requires --attrs");
+                return ExitCode::FAILURE;
+            };
+            let attrs = match resolve_attrs(sample, spec) {
+                Ok(a) => a,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            let decision = filter.query(&attrs);
+            outln!("\n{:?}: {decision:?}", names(sample, &attrs));
+            outln!(
+                "(Accept = separates all sampled pairs — candidate quasi-identifier;\n\
+                  Reject = misses ≥ one sampled pair — not an eps-separation key)"
+            );
+        }
+        _ => unreachable!("cmd_streamed only handles audit, key and check"),
     }
     ExitCode::SUCCESS
 }

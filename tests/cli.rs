@@ -137,6 +137,67 @@ fn check_accepts_key_rejects_weak() {
 }
 
 #[test]
+fn one_shot_check_draws_the_served_sample() {
+    // Columns whose combinations repeat a few times among 3,000 rows, so
+    // many attribute sets sit between keys and ε-bad sets and the draw
+    // decides them: a one-shot `check` must answer as a served one.
+    use quasi_id::core::filter::{FilterDecision, SeparationFilter};
+    use quasi_id::dataset::AttrId;
+    use quasi_id::server::proto::{DatasetRef, LoadMode};
+    use quasi_id::server::Registry;
+
+    let dir = std::env::temp_dir().join("qid-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("check-parity.csv");
+    let mut csv = String::from("a,b,c,d,e\n");
+    for i in 0..3_000u64 {
+        let (a, b, c, d, e) = (i % 1_500, (i * 7) % 40, i % 3, (i / 3) % 97, i % 250);
+        csv += &format!("{a},{b},{c},{d},{e}\n");
+    }
+    std::fs::write(&path, csv).unwrap();
+    let path = path.to_str().unwrap();
+    let names = ["a", "b", "c", "d", "e"];
+    for eps in [0.01, 0.002] {
+        for seed in 1..=3u64 {
+            let ds = DatasetRef {
+                path: path.into(),
+                eps,
+                seed,
+            };
+            let entry = Registry::new()
+                .get_or_load(&ds, LoadMode::Stream)
+                .0
+                .unwrap();
+            for mask in 1u32..32 {
+                let attrs: Vec<usize> = (0..5).filter(|a| (mask >> a) & 1 == 1).collect();
+                let ids: Vec<AttrId> = attrs.iter().map(|&a| AttrId::new(a)).collect();
+                let spec: Vec<&str> = attrs.iter().map(|&a| names[a]).collect();
+                let (eps_arg, seed_arg) = (eps.to_string(), seed.to_string());
+                let (stdout, stderr, ok) = run(&[
+                    "check",
+                    path,
+                    "--attrs",
+                    &spec.join(","),
+                    "--eps",
+                    &eps_arg,
+                    "--seed",
+                    &seed_arg,
+                ]);
+                assert!(ok, "{stderr}");
+                let served = match entry.filter.query(&ids) {
+                    FilterDecision::Accept => "]: Accept",
+                    FilterDecision::Reject => "]: Reject",
+                };
+                assert!(
+                    stdout.contains(served),
+                    "eps {eps}, seed {seed}, {spec:?}: want {served:?}, got {stdout}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn audit_reports_quasi_identifiers() {
     let csv = fixture_csv("audit.csv");
     let (stdout, _, ok) = run(&[
