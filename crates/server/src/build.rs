@@ -18,9 +18,9 @@ use std::sync::{Arc, OnceLock};
 
 use qid_core::filter::{FilterParams, SeparationFilter, TupleSampleFilter};
 use qid_core::sketch::{DistinctSketch, NonSeparationSketch};
-use qid_core::stream::{sketch_from_stream, PairIngest, TupleIngest};
+use qid_core::stream::{PairIngest, TupleIngest};
 use qid_dataset::csv::{CsvOptions, CsvTupleSource, SCAN_BATCH_BYTES};
-use qid_dataset::{AttrId, Dataset, DatasetBuilder, DatasetError, DatasetTupleSource, TupleSource};
+use qid_dataset::{AttrId, Dataset, DatasetBuilder, DatasetError, TupleSource};
 
 use crate::freshness::SourceStamp;
 use crate::proto::{sketch_params, DatasetRef, LoadMode};
@@ -69,9 +69,10 @@ pub struct Entry {
     /// pre-checkpoint restores.
     pub(crate) ingest: Option<TupleIngest>,
     /// The paused pair-sample build behind the non-separation sketch,
-    /// recorded when [`crate::registry::Registry::sketch_for`] builds by scanning in
-    /// process — so an append can advance the sketch over the suffix
-    /// instead of re-scanning. Written at most once, like the sketch.
+    /// recorded when [`crate::registry::Registry::sketch_for`] builds in
+    /// process, by a scan or from the materialised rows — so an append
+    /// can advance the sketch over the suffix instead of re-scanning.
+    /// Written at most once, like the sketch.
     pub(crate) pair_ingest: OnceLock<PairIngest>,
     /// The lazily built Theorem 2 sketch and its resident bytes (the
     /// pairs plus the retained pair-sample tuples, weighed once when
@@ -348,31 +349,40 @@ pub(crate) fn absorb(
 
 /// Builds `entry`'s Theorem 2 sketch without the disk tier: from the
 /// materialised dataset when resident (no I/O at all), else by one
-/// scan of the stamped bytes of `path`, keeping the paused pair state
-/// on the entry so a later append can advance it. Both produce the same
-/// sketch — the materialised dataset preserves source row order.
+/// scan of the stamped bytes of `path`. Either way the rows go through
+/// one paused pair build, kept on the entry so a later append can
+/// advance it. Both produce the same sketch — the materialised dataset
+/// preserves source row order.
 pub(crate) fn build_sketch(
     path: &str,
     entry: &Entry,
     seed: u64,
 ) -> Result<NonSeparationSketch, String> {
     let params = sketch_params();
-    if let Some(dataset) = entry.dataset() {
-        let mut src = DatasetTupleSource::new(dataset);
-        return sketch_from_stream(&mut src, params, seed).map_err(|e| e.to_string());
-    }
-    let feed = scan(path, 0..stamped_len(entry.source), None, |names| {
+    let new_pairs = |names: Vec<String>| {
         let slots = params.pair_sample_size(names.len()).max(1);
-        Feed {
-            pairs: Some(PairIngest::new(names, slots, seed)),
-            ..Feed::default()
+        PairIngest::new(names, slots, seed)
+    };
+    let pairs = match entry.dataset() {
+        Some(dataset) => {
+            let mut pairs = new_pairs(dataset.schema().names().map(str::to_string).collect());
+            for row in dataset.rows() {
+                pairs.push_with(|| row.to_vec());
+            }
+            pairs
         }
-    })?;
-    let pairs = feed.pairs.expect("a sketch scan feeds pairs");
+        None => {
+            let feed = scan(path, 0..stamped_len(entry.source), None, |names| Feed {
+                pairs: Some(new_pairs(names)),
+                ..Feed::default()
+            })?;
+            still_stamped(path, entry, "sketch")?;
+            feed.pairs.expect("a sketch scan feeds pairs")
+        }
+    };
     let sketch = pairs
         .to_sketch(params)
         .map_err(|e| format!("streaming {path}: {e}"))?;
-    still_stamped(path, entry, "sketch")?;
     let _ = entry.pair_ingest.set(pairs);
     Ok(sketch)
 }

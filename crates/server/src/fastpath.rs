@@ -124,14 +124,16 @@ struct ParsedCheck {
 /// Answers a `check` request line allocation-free if — and only if —
 /// the line is plain (no escapes, no unknown or duplicate fields), the
 /// dataset entry is resident, and its freshness window is open.
-/// Appends the response (plus newline) to `out` and records metrics,
-/// exactly like the general path would have. Returns `false` with
-/// `out` untouched in every other case, and also when the answer would
-/// query more than `max_cells` sample cells (rows × resolved
+/// Appends the response (plus newline) to `out`, exactly like the
+/// general path would have; the caller records it. `started` is when
+/// the caller began the line, and dates the key memo. Returns `false`
+/// with `out` untouched in every other case, and also when the answer
+/// would query more than `max_cells` sample cells (rows × resolved
 /// attributes); the caller falls back to the general path.
 pub(crate) fn try_answer_check(
     state: &ServerState,
     line: &str,
+    started: Instant,
     scratch: &mut Scratch,
     out: &mut Vec<u8>,
     max_cells: usize,
@@ -140,7 +142,6 @@ pub(crate) fn try_answer_check(
     if window == 0 {
         return false; // fast path disabled: strict stat-on-every-hit
     }
-    let started = Instant::now();
     let bytes = line.as_bytes();
     scratch.attr_spans.clear();
     let Some(req) = parse_check(bytes, &mut scratch.attr_spans) else {
@@ -241,11 +242,7 @@ pub(crate) fn try_answer_check(
         });
         Some(())
     });
-    if answered.is_none() {
-        return false;
-    }
-    state.metrics.record("check", started.elapsed(), false);
-    true
+    answered.is_some()
 }
 
 /// Recognises a plain `check` request line, collecting the `attrs`

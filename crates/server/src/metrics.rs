@@ -193,12 +193,13 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records one handled request.
-    pub fn record(&self, command: &str, elapsed: Duration, is_error: bool) {
-        let Some(idx) = COMMAND_NAMES.iter().position(|&n| n == command) else {
+    /// Records one handled request under its command code (an index
+    /// into [`COMMAND_NAMES`], as `obs::command_code` computes it); a
+    /// code past the table, such as `obs::CMD_NONE`, records nothing.
+    pub(crate) fn record(&self, command: u8, elapsed: Duration, is_error: bool) {
+        let Some(c) = self.per_command.get(usize::from(command)) else {
             return;
         };
-        let c = &self.per_command[idx];
         c.count.fetch_add(1, Ordering::Relaxed);
         if is_error {
             c.errors.fetch_add(1, Ordering::Relaxed);
@@ -291,13 +292,14 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::command_code;
 
     #[test]
     fn records_accumulate() {
         let m = Metrics::new();
-        m.record("audit", Duration::from_micros(100), false);
-        m.record("audit", Duration::from_micros(50), true);
-        m.record("nonsense", Duration::from_micros(1), false); // ignored
+        m.record(command_code("audit"), Duration::from_micros(100), false);
+        m.record(command_code("audit"), Duration::from_micros(50), true);
+        m.record(command_code("nonsense"), Duration::from_micros(1), false); // ignored
         let stats = m.command_stats();
         let audit = stats.iter().find(|c| c.name == "audit").unwrap();
         assert_eq!(audit.count, 2);
@@ -402,7 +404,7 @@ mod tests {
     #[test]
     fn cumulative_buckets_survive_rotation() {
         let m = Metrics::new();
-        m.record("check", Duration::from_micros(100), false);
+        m.record(command_code("check"), Duration::from_micros(100), false);
         m.rotate_histograms();
         m.rotate_histograms();
         m.rotate_histograms();
@@ -419,7 +421,7 @@ mod tests {
     #[test]
     fn metrics_rotation_covers_every_command() {
         let m = Metrics::new();
-        m.record("audit", Duration::from_micros(100), false);
+        m.record(command_code("audit"), Duration::from_micros(100), false);
         m.rotate_histograms();
         m.rotate_histograms();
         let stats = m.command_stats();
@@ -460,9 +462,9 @@ mod tests {
     fn p50_p99_flow_into_command_stats() {
         let m = Metrics::new();
         for _ in 0..99 {
-            m.record("key", Duration::from_micros(10), false);
+            m.record(command_code("key"), Duration::from_micros(10), false);
         }
-        m.record("key", Duration::from_micros(5_000), false);
+        m.record(command_code("key"), Duration::from_micros(5_000), false);
         let stats = m.command_stats();
         let key = stats.iter().find(|c| c.name == "key").unwrap();
         assert_eq!(key.p50_us, 15, "bucket 3 covers 8–15 µs");

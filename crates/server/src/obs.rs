@@ -668,7 +668,8 @@ pub(crate) fn prometheus_text(state: &ServerState) -> String {
 
     let _ = writeln!(
         out,
-        "# HELP qid_request_latency_seconds In-worker request latency, by command \
+        "# HELP qid_request_latency_seconds Request serve time on a poller shard or a \
+         worker, by command: the same measurement as the trace span's serve_us \
          (log2 buckets, cumulative since start).\n\
          # TYPE qid_request_latency_seconds histogram"
     );
@@ -760,13 +761,14 @@ pub(crate) fn prometheus_text(state: &ServerState) -> String {
         (
             "qid_cache_misses_total",
             "counter",
-            "Registry lookups that built a new entry.",
+            "Whole-source scans, paid by a lookup, the sweeper or a sketch build.",
             registry.misses,
         ),
         (
             "qid_cache_disk_hits_total",
             "counter",
-            "Registry lookups restored from the cache dir.",
+            "Artifact restores from the cache dir, by a lookup, the sweeper, \
+             startup re-admission or a sketch build.",
             registry.disk_hits,
         ),
         (

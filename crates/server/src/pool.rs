@@ -1,10 +1,13 @@
 //! A fixed worker thread pool fed over an `mpsc` channel.
 //!
-//! Connections are the unit of work: the accept loop sends each
-//! accepted socket into the channel and one of `N` resident workers
-//! serves every request on it. Dropping the sender is the shutdown
-//! signal — workers drain whatever is already queued, then exit, which
-//! is exactly the "graceful shutdown drains in-flight work" contract.
+//! A wake is the unit of work: when a poller shard meets a line its
+//! fast path may not answer, it sends the connection, with the rest of
+//! that wake's lines, into the channel (see [`crate::poller`]). One of
+//! `N` resident workers answers those lines, flushes the replies and
+//! registers the connection back with its shard, which owns it between
+//! wakes. Dropping every sender is the shutdown signal — workers drain
+//! whatever is already queued, then exit, which is exactly the
+//! "graceful shutdown drains in-flight work" contract.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -56,11 +59,10 @@ impl WorkerPool {
         }
     }
 
-    /// A cloneable submission handle, for jobs that re-enqueue
-    /// themselves (e.g. idle connections yielding their worker).
-    /// Holding one keeps the queue open, so jobs must drop it when
-    /// they decide not to requeue — [`WorkerPool::shutdown`] drains
-    /// only once every sender is gone.
+    /// A cloneable submission handle, for submitters on other threads
+    /// (the poller shards hand their wakes over through one, wrapped in
+    /// a [`GaugedSender`]). Holding one keeps the queue open:
+    /// [`WorkerPool::shutdown`] drains only once every sender is gone.
     pub fn sender(&self) -> Option<Sender<Job>> {
         self.sender.clone()
     }

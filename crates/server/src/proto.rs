@@ -387,18 +387,22 @@ pub struct CommandStats {
     pub count: u64,
     /// Requests answered with an error.
     pub errors: u64,
-    /// Sum of handling latencies, microseconds.
+    /// Sum of serve times, microseconds. A line's serve time is read
+    /// once, on the poller shard or the worker that answered it, and is
+    /// also its trace span's `serve_us`; a `batch` sub-command adds its
+    /// own serve time and has no span.
     pub latency_us: u64,
-    /// Median handling latency in microseconds, read off the
-    /// fixed-size log₂ histogram: the upper edge of the bucket holding
-    /// the quantile, so at most 2× the true value — except in the
-    /// open-ended top bucket, where latencies beyond ~2.2 minutes all
-    /// report its ~4.5-minute edge. The histogram is a two-epoch
-    /// sliding window (see `qid_server::metrics::HISTOGRAM_EPOCH`), so
-    /// quantiles describe recent traffic, not process history. Zero
-    /// when the command has not been seen in the window.
+    /// Median serve time (see [`CommandStats::latency_us`]) in
+    /// microseconds, read off the fixed-size log₂ histogram: the upper
+    /// edge of the bucket holding the quantile, so at most 2× the true
+    /// value — except in the open-ended top bucket, where latencies
+    /// beyond ~2.2 minutes all report its ~4.5-minute edge. The
+    /// histogram is a two-epoch sliding window (see
+    /// `qid_server::metrics::HISTOGRAM_EPOCH`), so quantiles describe
+    /// recent traffic, not process history. Zero when the command has
+    /// not been seen in the window.
     pub p50_us: u64,
-    /// 99th-percentile handling latency, same bucket scheme.
+    /// 99th-percentile serve time, same bucket scheme.
     pub p99_us: u64,
 }
 
@@ -407,11 +411,14 @@ pub struct CommandStats {
 pub struct MetricsReport {
     /// Registry lookups answered from a resident entry.
     pub cache_hits: u64,
-    /// Registry lookups that scanned a source file (cold builds, stale
-    /// rebuilds, materialisation upgrades, sketch builds).
+    /// Scans of a whole source (cold builds, stale rebuilds, rows
+    /// scans, sketch builds), paid by a lookup, the sweeper or a
+    /// `sketch`. Each lookup counts exactly once, as a hit, a miss or a
+    /// disk hit; the sweeper's and `sketch`'s scans are misses too.
     pub cache_misses: u64,
-    /// Registry lookups answered by restoring a persisted artifact from
-    /// the `--cache-dir` warm tier (no source scan).
+    /// Artifacts restored from the `--cache-dir` warm tier instead of a
+    /// scan, by a lookup, the sweeper, startup re-admission or a
+    /// `sketch`.
     pub cache_disk_hits: u64,
     /// Entries evicted under `--cache-bytes` budget pressure.
     pub cache_evictions: u64,

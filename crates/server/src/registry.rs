@@ -303,11 +303,14 @@ pub struct RegistrySnapshot {
     /// Lookups answered from a resident entry (including waits on a
     /// concurrent build — the scan was still shared).
     pub hits: u64,
-    /// Lookups that scanned the source (cold builds, stale rebuilds,
-    /// materialising scans, failed builds).
+    /// Scans of the whole source (cold builds, stale rebuilds, rows
+    /// scans, sketch builds, failed builds), paid by a lookup, the
+    /// sweeper or a `sketch`. Each lookup counts exactly once, as a
+    /// hit, a miss or a disk hit.
     pub misses: u64,
-    /// Lookups answered by restoring a persisted sample from
-    /// [`RegistryConfig::cache_dir`] — no source scan.
+    /// Artifacts restored from [`RegistryConfig::cache_dir`] instead of
+    /// a scan, by a lookup, the sweeper, startup re-admission or a
+    /// `sketch`.
     pub disk_hits: u64,
     /// Entries evicted by the LRU budget.
     pub evictions: u64,
@@ -785,12 +788,13 @@ impl Registry {
         self.counters.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to scan the source so far.
+    /// Whole-source scans so far, by lookups, the sweeper and sketch
+    /// builds (see [`RegistrySnapshot::misses`]).
     pub fn misses(&self) -> u64 {
         self.counters.misses.load(Ordering::Relaxed)
     }
 
-    /// Lookups answered by restoring a persisted sample so far.
+    /// Artifact restores so far (see [`RegistrySnapshot::disk_hits`]).
     pub fn disk_hits(&self) -> u64 {
         self.counters.disk_hits.load(Ordering::Relaxed)
     }
@@ -2638,26 +2642,36 @@ mod tests {
 
     #[test]
     fn append_advances_the_sketch_without_a_rescan() {
-        let path = fixture_csv("append-sketch.csv", 400);
-        let reg = Registry::new();
-        let ds = dsref(&path);
-        let (entry, _) = reg.get_or_load(&ds, LoadMode::Stream);
-        // Build the pair sketch in-process so its paused reservoirs are
-        // parked on the entry, ready to resume over the suffix.
-        reg.sketch_for(&ds, &entry.unwrap()).unwrap();
+        for mode in [LoadMode::Stream, LoadMode::Memory] {
+            let path = fixture_csv(&format!("append-sketch-{mode:?}.csv"), 400);
+            let reg = Registry::new();
+            let ds = dsref(&path);
+            let (entry, _) = reg.get_or_load(&ds, mode);
+            // Build the pair sketch in-process — by a scan, or from the
+            // rows of a memory-mode entry — so its paused reservoirs are
+            // parked on the entry, ready to resume over the suffix.
+            reg.sketch_for(&ds, &entry.unwrap()).unwrap();
+            let misses = reg.misses();
 
-        append_rows(&path, 400, 300, 0);
-        let (absorbed, _) = reg.get_or_load(&ds, LoadMode::Stream);
-        let absorbed = absorbed.unwrap();
-        let sketch = absorbed
-            .sketch()
-            .expect("absorb advances the parked pair build eagerly");
+            append_rows(&path, 400, 300, 0);
+            let (absorbed, _) = reg.get_or_load(&ds, LoadMode::Stream);
+            let absorbed = absorbed.unwrap();
+            let sketch = absorbed
+                .sketch()
+                .unwrap_or_else(|| panic!("{mode:?}: absorb advances the parked pair build"));
+            reg.sketch_for(&ds, &absorbed).unwrap();
+            assert_eq!(reg.misses(), misses, "{mode:?}: no scan after the append");
 
-        let cold_reg = Registry::new();
-        let (cold_entry, _) = cold_reg.get_or_load(&ds, LoadMode::Stream);
-        let cold = cold_reg.sketch_for(&ds, &cold_entry.unwrap()).unwrap();
-        assert_eq!(sketch.source_pairs(), cold.source_pairs());
-        assert_eq!(sample_rows(sketch.pairs()), sample_rows(cold.pairs()));
+            let cold_reg = Registry::new();
+            let (cold_entry, _) = cold_reg.get_or_load(&ds, LoadMode::Stream);
+            let cold = cold_reg.sketch_for(&ds, &cold_entry.unwrap()).unwrap();
+            assert_eq!(sketch.source_pairs(), cold.source_pairs(), "{mode:?}");
+            assert_eq!(
+                sample_rows(sketch.pairs()),
+                sample_rows(cold.pairs()),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

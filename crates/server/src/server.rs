@@ -555,77 +555,39 @@ impl ServerState {
             return false;
         }
         let out_start = out.len();
-        let Ok(line) = std::str::from_utf8(bytes) else {
-            self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            push_response(
-                out,
-                &Response::Error {
-                    message: "request line is not valid UTF-8".to_string(),
-                },
-            );
-            self.obs.note(
-                &mut scratch.spans,
-                obs::CMD_NONE,
-                obs::OUTCOME_PROTOCOL,
-                0,
-                started.elapsed(),
-                bytes.len(),
-                out.len() - out_start,
-            );
-            return false;
-        };
         // Not blank: `answer_fast` handles a line that trims to nothing.
-        let trimmed = line.trim();
-        let (response, command, is_error) = match Request::decode(trimmed) {
+        let decoded = std::str::from_utf8(bytes)
+            .map_err(|_| "request line is not valid UTF-8".to_string())
+            .and_then(|line| Request::decode(line.trim()));
+        let shutdown = matches!(decoded, Ok(Request::Shutdown));
+        let (response, command, outcome, key_hash) = match decoded {
             Ok(request) => {
-                let command = request.command_name();
-                let shutdown = matches!(request, Request::Shutdown);
                 let response = handle_request(&request, self);
-                let is_error = matches!(response, Response::Error { .. });
+                let outcome = match response {
+                    Response::Error { .. } => obs::OUTCOME_ERROR,
+                    _ => obs::OUTCOME_OK,
+                };
                 // The general path may allocate freely, so hashing the
                 // dataset key (a canonicalising operation) is fine.
                 let key_hash = request.dataset().map_or(0, |ds| CacheKey::of(ds).fnv64());
-                if shutdown {
-                    self.metrics.record(command, started.elapsed(), is_error);
-                    push_response(out, &response);
-                    self.note_general(
-                        scratch, command, is_error, key_hash, started, bytes, out, out_start,
-                    );
-                    return true;
-                }
-                (response, Some((command, key_hash)), is_error)
+                let command = obs::command_code(request.command_name());
+                (response, command, outcome, key_hash)
             }
             Err(message) => {
                 self.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                (Response::Error { message }, None, true)
+                let response = Response::Error { message };
+                (response, obs::CMD_NONE, obs::OUTCOME_PROTOCOL, 0)
             }
         };
         push_response(out, &response);
-        match command {
-            Some((command, key_hash)) => {
-                self.metrics.record(command, started.elapsed(), is_error);
-                self.note_general(
-                    scratch, command, is_error, key_hash, started, bytes, out, out_start,
-                );
-            }
-            None => {
-                self.obs.note(
-                    &mut scratch.spans,
-                    obs::CMD_NONE,
-                    obs::OUTCOME_PROTOCOL,
-                    0,
-                    started.elapsed(),
-                    bytes.len(),
-                    out.len() - out_start,
-                );
-            }
-        }
-        false
+        let (n_in, n_out) = (bytes.len(), out.len() - out_start);
+        self.account(scratch, command, outcome, key_hash, started, n_in, n_out);
+        shutdown
     }
 
     /// The fast-path prefix of [`ServerState::answer_line`], and the
     /// one entry point to the zero-allocation `check` path: UTF-8
-    /// check, trim, [`crate::fastpath`], span capture. Returns `true`
+    /// check, trim, [`crate::fastpath`], accounting. Returns `true`
     /// when the line is handled — answered into `out`, or blank once
     /// trimmed (nothing to answer) — and `false`, with `out` and the
     /// metrics untouched, when the general path must answer it.
@@ -647,51 +609,45 @@ impl ServerState {
             return true;
         }
         let out_start = out.len();
-        if !crate::fastpath::try_answer_check(self, trimmed, scratch, out, max_cells) {
+        if !crate::fastpath::try_answer_check(self, trimmed, started, scratch, out, max_cells) {
             return false;
         }
-        // The fast path's span is captured here (not inside it): the
-        // memoised key hash is a plain field read, so nothing on this
-        // branch allocates.
+        // The memoised key hash is a plain field read, so nothing on
+        // this branch allocates.
         let key_hash = scratch.memo_key_hash();
-        self.obs.note(
-            &mut scratch.spans,
-            obs::CMD_CHECK,
-            obs::OUTCOME_OK,
-            key_hash,
-            started.elapsed(),
-            bytes.len(),
-            out.len() - out_start,
-        );
+        let (command, outcome) = (obs::CMD_CHECK, obs::OUTCOME_OK);
+        let (n_in, n_out) = (bytes.len(), out.len() - out_start);
+        self.account(scratch, command, outcome, key_hash, started, n_in, n_out);
         true
     }
 
-    /// Span capture for a decoded general-path request.
+    /// Accounts for one answered line, begun at `started`: reads the
+    /// clock once and records that one serve time as the command's
+    /// `metrics` latency and as its trace span's `serve_us`. A
+    /// [`obs::CMD_NONE`] line (unparseable or rejected) gets its span
+    /// and no per-command count. Allocation-free.
     #[allow(clippy::too_many_arguments)]
-    fn note_general(
+    fn account(
         &self,
         scratch: &mut Scratch,
-        command: &str,
-        is_error: bool,
+        command: u8,
+        outcome: u8,
         key_hash: u64,
         started: Instant,
-        bytes: &[u8],
-        out: &[u8],
-        out_start: usize,
+        bytes_in: usize,
+        bytes_out: usize,
     ) {
-        let outcome = if is_error {
-            obs::OUTCOME_ERROR
-        } else {
-            obs::OUTCOME_OK
-        };
+        let serve = started.elapsed();
+        let is_error = outcome == obs::OUTCOME_ERROR;
+        self.metrics.record(command, serve, is_error);
         self.obs.note(
             &mut scratch.spans,
-            obs::command_code(command),
+            command,
             outcome,
             key_hash,
-            started.elapsed(),
-            bytes.len(),
-            out.len() - out_start,
+            serve,
+            bytes_in,
+            bytes_out,
         );
     }
 
@@ -713,21 +669,10 @@ impl ServerState {
         self.metrics
             .rejected_oversize
             .fetch_add(1, Ordering::Relaxed);
-        push_response(
-            out,
-            &Response::LineTooLong {
-                limit: self.limits.max_line_bytes,
-            },
-        );
-        self.obs.note(
-            &mut scratch.spans,
-            obs::CMD_NONE,
-            obs::OUTCOME_OVERSIZE,
-            0,
-            started.elapsed(),
-            0,
-            out.len() - out_start,
-        );
+        let limit = self.limits.max_line_bytes;
+        push_response(out, &Response::LineTooLong { limit });
+        let (outcome, n_out) = (obs::OUTCOME_OVERSIZE, out.len() - out_start);
+        self.account(scratch, obs::CMD_NONE, outcome, 0, started, 0, n_out);
         if self.obs.log_json() {
             obs::log_rejection("oversize_line");
         }
@@ -740,21 +685,10 @@ impl ServerState {
         let started = Instant::now();
         let out_start = out.len();
         self.metrics.rejected_rate.fetch_add(1, Ordering::Relaxed);
-        push_response(
-            out,
-            &Response::RateLimited {
-                max_rps: self.limits.max_rps.unwrap_or(0),
-            },
-        );
-        self.obs.note(
-            &mut scratch.spans,
-            obs::CMD_NONE,
-            obs::OUTCOME_RATE_LIMITED,
-            0,
-            started.elapsed(),
-            0,
-            out.len() - out_start,
-        );
+        let max_rps = self.limits.max_rps.unwrap_or(0);
+        push_response(out, &Response::RateLimited { max_rps });
+        let (outcome, n_out) = (obs::OUTCOME_RATE_LIMITED, out.len() - out_start);
+        self.account(scratch, obs::CMD_NONE, outcome, 0, started, 0, n_out);
         if self.obs.log_json() {
             obs::log_rejection("rate_limited");
         }
@@ -805,9 +739,8 @@ pub fn handle_request(request: &Request, state: &ServerState) -> Response {
                         other => dispatch(other, state, &mut cache),
                     };
                     let is_error = matches!(response, Response::Error { .. });
-                    state
-                        .metrics
-                        .record(sub.command_name(), started.elapsed(), is_error);
+                    let command = obs::command_code(sub.command_name());
+                    state.metrics.record(command, started.elapsed(), is_error);
                     response
                 })
                 .collect();

@@ -1620,6 +1620,78 @@ fn trace_reports_recent_spans_newest_first_and_the_cli_renders_them() {
     server.shutdown();
 }
 
+/// `metrics` and `trace` read one measurement: each served `check`
+/// (fast path and general path alike) and `audit` adds one count and one
+/// span, and the command's latency sum is the sum of its spans'
+/// `serve_us`. One connection, one request at a time, and fewer lines
+/// than the 4096-slot ring holds, so every span is still in it.
+#[test]
+fn metrics_latency_and_trace_serve_time_are_one_measurement() {
+    let csv = fixture_csv("one-measurement.csv");
+    let server = ServerUnderTest::spawn(2);
+    let ds = server.ds(&csv, 0.01, 7);
+    let stream = std::net::TcpStream::connect(server.addr.as_str()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut send = |line: &str| -> Response {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        Response::decode(reply.trim()).unwrap()
+    };
+    let load = Request::Load {
+        ds: ds.clone(),
+        mode: LoadMode::Stream,
+    };
+    assert!(matches!(send(&load.encode()), Response::Loaded { .. }));
+    let check = Request::Check {
+        ds: ds.clone(),
+        attrs: vec!["zip".to_string(), "sex".to_string()],
+    }
+    .encode();
+    let audit = Request::Audit {
+        ds,
+        max_key_size: 2,
+    }
+    .encode();
+    for i in 0..2_000 {
+        assert!(matches!(send(&check), Response::Check { .. }));
+        if i % 40 == 0 {
+            assert!(matches!(send(&audit), Response::Audit { .. }));
+        }
+    }
+    assert!(matches!(send("{not json"), Response::Error { .. }));
+    let Response::Metrics(report) = send(&Request::Metrics.encode()) else {
+        panic!("expected metrics");
+    };
+    let trace = Request::Trace {
+        last: 4096,
+        command: None,
+        min_us: 0,
+    };
+    let Response::Trace { spans } = send(&trace.encode()) else {
+        panic!("expected trace");
+    };
+    assert!(spans.iter().any(|s| s.outcome == "protocol_error"));
+    for (name, expected) in [("check", 2_000), ("audit", 50)] {
+        let stats = report.commands.iter().find(|c| c.name == name).unwrap();
+        let served: Vec<_> = spans.iter().filter(|s| s.command == name).collect();
+        assert_eq!(stats.count, expected, "{name}: {stats:?}");
+        assert_eq!(
+            served.len() as u64,
+            stats.count,
+            "{name}: one span per count"
+        );
+        let serve_us: u64 = served.iter().map(|s| s.serve_us).sum();
+        assert_eq!(stats.latency_us, serve_us, "{name}: one measurement");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn unload_all_purges_the_whole_cache_and_the_cli_drives_it() {
     let dir = scratch_dir("unload-all");
