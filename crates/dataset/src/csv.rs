@@ -324,7 +324,21 @@ impl<'a> CsvRow<'a> {
     /// The typed fields, in attribute order.
     pub fn values(&self) -> impl ExactSizeIterator<Item = ValueRef<'a>> + 'a {
         let opts = self.opts;
-        split_fields(self.fields, self.start, self.ends).map(move |f| type_field(f, opts))
+        self.raw_fields().map(move |f| type_field(f, opts))
+    }
+
+    /// The unescaped fields, untrimmed and untyped, in attribute order:
+    /// each is [`typed`](Self::typed) into the value
+    /// [`values`](Self::values) yields for it.
+    pub fn raw_fields(&self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
+        split_fields(self.fields, self.start, self.ends)
+    }
+
+    /// Types one of this row's [`raw_fields`](Self::raw_fields) exactly
+    /// as [`values`](Self::values) does: a pure function of the field's
+    /// bytes and the source's [`CsvOptions`].
+    pub fn typed(&self, field: &'a str) -> ValueRef<'a> {
+        type_field(field, self.opts)
     }
 
     /// The row as owned values, text shared through the source's intern

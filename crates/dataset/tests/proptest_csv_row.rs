@@ -332,6 +332,32 @@ proptest! {
         }
     }
 
+    /// Typing a row's raw fields one by one (`CsvRow::typed`) gives
+    /// what `values()` yields, field for field, under every option mix.
+    #[test]
+    fn raw_fields_typed_one_by_one_match_values(
+        text in csv_text(),
+        trim in 0u8..2,
+        infer in 0u8..2,
+    ) {
+        let opts = CsvOptions {
+            trim: trim == 1,
+            infer_types: infer == 1,
+            ..CsvOptions::default()
+        };
+        let Ok(mut src) = CsvTupleSource::from_reader(Cursor::new(text.clone()), &opts) else {
+            return Ok(());
+        };
+        let width = src.attr_names().len();
+        while let Ok(Some(row)) = src.next_row() {
+            let raw: Vec<&str> = row.raw_fields().collect();
+            prop_assert_eq!(raw.len(), width);
+            let typed: Vec<Value> = raw.iter().map(|f| row.typed(f).to_value()).collect();
+            let values: Vec<Value> = row.values().map(|v| v.to_value()).collect();
+            prop_assert_eq!(typed, values, "csv {:?}", text);
+        }
+    }
+
     /// Each generated field types the same in place as the old
     /// `field_to_value`, with and without trimming and inference.
     #[test]

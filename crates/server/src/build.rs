@@ -167,6 +167,86 @@ struct Feed {
     rows: Option<DatasetBuilder>,
 }
 
+/// Slots in each column's table of a [`FieldMemo`]: a power of two.
+/// Measured on the ledger's stream build: 256 slots gave back part of
+/// the gain, 4096 were no faster served and held 1.3 MB more at peak,
+/// and 16384 were slower.
+const MEMO_SLOTS: usize = 1024;
+
+/// The longest field a [`FieldMemo`] slot holds: its bytes and a length
+/// byte fill one `u128`.
+const MEMO_MAX_LEN: usize = 15;
+
+/// A scan-local, direct-mapped memo of each column's recent raw fields,
+/// so a field a column has just seen is neither typed nor hashed again.
+///
+/// Skipping it is exact: re-observing a hash leaves a KMV sketch as it
+/// was (a retained hash is deduped; a rejected or evicted one is at or
+/// above the `k`-th minimum, which only falls), and typing is a pure
+/// function of the field's bytes and the scan's `CsvOptions`. A slot is
+/// keyed by the exact bytes and their length, so `1` and `1\0` differ;
+/// longer fields bypass the memo. Memory is `MEMO_SLOTS` slots per
+/// column whatever the row count, and a high-cardinality column costs
+/// one probe per cell.
+struct FieldMemo {
+    /// `MEMO_SLOTS` slots per column: a field's bytes, little-endian and
+    /// zero-padded, with its length plus one in the top byte, so 0 is an
+    /// empty slot.
+    slots: Vec<u128>,
+}
+
+impl FieldMemo {
+    fn new(cols: usize) -> FieldMemo {
+        FieldMemo {
+            slots: vec![0; cols * MEMO_SLOTS],
+        }
+    }
+
+    /// True if `field` is in column `col`'s slot for it; otherwise it
+    /// takes the slot, for the caller to type and observe.
+    fn seen(&mut self, col: usize, field: &str) -> bool {
+        let Some((at, key)) = Self::slot(field) else {
+            return false;
+        };
+        let slot = &mut self.slots[col * MEMO_SLOTS + at];
+        if *slot == key {
+            return true;
+        }
+        *slot = key;
+        false
+    }
+
+    /// The slot index and key of `field`, or `None` past
+    /// [`MEMO_MAX_LEN`] bytes.
+    ///
+    /// The bytes are gathered with overlapping loads from both ends
+    /// rather than a variable-length copy (which took a third of the
+    /// memo's gain): each load puts every byte it reads at its own
+    /// position, so overlaps agree and the length decides the rest.
+    fn slot(field: &str) -> Option<(usize, u128)> {
+        let b = field.as_bytes();
+        let n = b.len();
+        if n > MEMO_MAX_LEN {
+            return None;
+        }
+        let u64_at = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+        let u32_at =
+            |i: usize| u64::from(u32::from_le_bytes(b[i..i + 4].try_into().expect("4 bytes")));
+        let byte_at = |i: usize| u64::from(b[i]) << (8 * i);
+        // Bytes 0..8 and 8..n.
+        let (lo, hi) = match n {
+            0 => (0, 0),
+            1..=3 => (byte_at(0) | byte_at(n / 2) | byte_at(n - 1), 0),
+            4..=7 => (u32_at(0) | u32_at(n - 4) << (8 * (n - 4)), 0),
+            8 => (u64_at(0), 0),
+            _ => (u64_at(0), u64_at(n - 8) >> (8 * (16 - n))),
+        };
+        let key = u128::from(lo) | u128::from(hi) << 64 | (n as u128 + 1) << 120;
+        let mixed = (lo ^ hi.rotate_left(29)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        Some(((mixed >> (64 - MEMO_SLOTS.trailing_zeros())) as usize, key))
+    }
+}
+
 /// The one source scan: feeds every data row stored in bytes `range`
 /// of `path` through the sinks `start` returns, and reads not one byte
 /// past `range.end` — the stamped length.
@@ -174,10 +254,11 @@ struct Feed {
 /// Rows come from the CSV reader's two-stage scan
 /// ([`CsvTupleSource::scan_rows`]): a helper thread frames records
 /// while this thread types each field and hashes it into its column
-/// sketch in place, and builds an owned tuple only for a row a
-/// reservoir keeps — `O(r log(n/r))` rows, not `n`. The sinks see
-/// every row in source order on this thread, so what they hold is
-/// what a serial scan would leave.
+/// sketch in place — unless the column's [`FieldMemo`] has just seen
+/// the field — and builds an owned tuple only for a row a reservoir
+/// keeps — `O(r log(n/r))` rows, not `n`. The sinks see every row in
+/// source order on this thread, so what they hold is what a serial
+/// scan would leave.
 ///
 /// With `names == None` the range starts at offset 0 with the header
 /// row, whose attribute names `start` receives. Otherwise `range.start`
@@ -204,12 +285,15 @@ fn scan(
     };
     let src = opened.map_err(|e| format!("reading {path}: {e}"))?;
     let mut feed = start(src.attr_names());
+    let mut memo = FieldMemo::new(feed.cols.len());
     // The scan has already checked each row's arity, so the builder can
     // only fail on a column past `u32::MAX` distinct values.
     let mut overflow = None;
     src.scan_rows(SCAN_BATCH_BYTES, |mut row| {
-        for (sk, v) in feed.cols.iter_mut().zip(row.values()) {
-            sk.observe_ref(v);
+        for (col, (sk, field)) in feed.cols.iter_mut().zip(row.raw_fields()).enumerate() {
+            if !memo.seen(col, field) {
+                sk.observe_ref(row.typed(field));
+            }
         }
         if let Some(pairs) = &mut feed.pairs {
             pairs.push_with(|| row.to_values());
@@ -557,5 +641,213 @@ mod tests {
 
         assert_eq!(base, GOLDEN_BASE, "cold build of the base file");
         assert_eq!(grown, GOLDEN_GROWN, "build + append absorb");
+    }
+}
+
+/// The [`FieldMemo`] against the scan it shortcuts: every column sketch
+/// a memoised scan leaves equals one that observed every typed field.
+#[cfg(test)]
+mod memo_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// Fields the memo or the typing treats specially: 15, 16 and 17+
+    /// bytes (ASCII and multibyte), a trailing NUL, spellings of one
+    /// integer, the null tokens, padding, and quoted text with commas
+    /// and newlines.
+    const SHAPES: &[&str] = &[
+        "123456789012345",
+        "1234567890123456",
+        "12345678901234567",
+        "abcdefghijklmno",
+        "abcdefghijklmnop",
+        "abcdefghijklmnoq",
+        "abcdefghijklmnopqrstuvwxyz",
+        "1234567",
+        "12345678",
+        "123456789",
+        "abcdefgh",
+        "1",
+        "1\0",
+        " 1",
+        "1 ",
+        "01",
+        "+1",
+        "1.0",
+        "",
+        "?",
+        " ? ",
+        " ",
+        "a,b",
+        "line1\nline2",
+        "cr\r\nlf",
+        "say \"what\"",
+        "naïve",
+        "日本語",
+        "😀😀😀a",
+        "😀😀😀😀",
+        "日本語日本語",
+        "\u{a0}7\u{a0}",
+    ];
+
+    /// `n` fields that share one memo slot, so interleaving them makes
+    /// each evict the other: found by brute force over `make(i)`.
+    fn colliding(n: usize, make: impl Fn(usize) -> String) -> Vec<String> {
+        let mut by_slot = vec![Vec::new(); MEMO_SLOTS];
+        for i in 0.. {
+            let field = make(i);
+            let (at, _) = FieldMemo::slot(&field).expect("a short field");
+            by_slot[at].push(field);
+            if by_slot[at].len() == n {
+                return std::mem::take(&mut by_slot[at]);
+            }
+        }
+        unreachable!()
+    }
+
+    fn write(contents: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("qid-build-memo-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("memo.csv");
+        std::fs::write(&path, contents).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    /// What a field looks like in a record: quoted when it must be.
+    fn escaped(field: &str) -> String {
+        if field.contains([',', '"', '\n', '\r']) {
+            format!("\"{}\"", field.replace('"', "\"\""))
+        } else {
+            field.to_string()
+        }
+    }
+
+    /// The column sketches the scan leaves for `path`, with the memo:
+    /// over the whole file, or as a build of `[0, cut)` and an absorb
+    /// of `[cut, len)`.
+    fn memoised(path: &str, width: usize, k: usize, cut: Option<u64>) -> Vec<DistinctSketch> {
+        let new_cols = |_| Feed {
+            cols: (0..width).map(|_| DistinctSketch::new(k)).collect(),
+            ..Feed::default()
+        };
+        let Some(cut) = cut else {
+            return scan(path, 0..u64::MAX, None, new_cols).unwrap().cols;
+        };
+        let head = scan(path, 0..cut, None, new_cols).unwrap().cols;
+        let names = (0..width).map(|c| format!("c{c}")).collect();
+        scan(path, cut..u64::MAX, Some(names), |_| Feed {
+            cols: head,
+            ..Feed::default()
+        })
+        .unwrap()
+        .cols
+    }
+
+    /// The column sketches of observing every typed field of `path`.
+    fn observed_every_field(path: &str, width: usize, k: usize) -> Vec<DistinctSketch> {
+        let mut cols: Vec<_> = (0..width).map(|_| DistinctSketch::new(k)).collect();
+        let mut src = CsvTupleSource::open(path, &CsvOptions::default()).unwrap();
+        while let Some(row) = src.next_row().unwrap() {
+            for (sk, v) in cols.iter_mut().zip(row.values()) {
+                sk.observe_ref(v);
+            }
+        }
+        cols
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn a_memoised_scan_leaves_the_sketches_of_observing_every_field(
+            width in 1usize..4,
+            picks in proptest::collection::vec(0usize..1000, 1..1200),
+            k in 0usize..3,
+            split in 0usize..1000,
+        ) {
+            // Half the fields are keys that share a slot: text, and
+            // integers that type alike but for their values.
+            let mut keys = colliding(3, |i| format!("k{i}"));
+            keys.extend(colliding(3, |i| i.to_string()));
+            keys.extend(colliding(2, |i| format!("日{i}")));
+            let pool: Vec<String> = keys
+                .iter()
+                .map(String::as_str)
+                .chain(SHAPES.iter().copied())
+                .map(str::to_string)
+                .collect();
+            let field = |pick: usize| {
+                if pick < 500 {
+                    &keys[pick % keys.len()]
+                } else {
+                    &pool[pick % pool.len()]
+                }
+            };
+            let k = [2, 8, COLUMN_SKETCH_K][k];
+            let header: Vec<String> = (0..width).map(|c| format!("c{c}")).collect();
+            let mut text = header.join(",") + "\n";
+            let mut row_ends = vec![text.len()];
+            for row in picks.chunks_exact(width) {
+                let fields: Vec<String> = row.iter().map(|&p| escaped(field(p))).collect();
+                text += &fields.join(",");
+                text += "\n";
+                row_ends.push(text.len());
+            }
+            let path = write(&text);
+            let expected = observed_every_field(&path, width, k);
+            prop_assert_eq!(&memoised(&path, width, k, None), &expected, "csv {:?}", text);
+            let cut = row_ends[split % row_ends.len()] as u64;
+            prop_assert_eq!(&memoised(&path, width, k, Some(cut)), &expected, "cut {}", cut);
+        }
+    }
+
+    /// One-, two- and three-byte characters and NUL.
+    const ALPHABET: [char; 5] = ['a', 'b', '\0', 'é', '語'];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// `a` is up to 12 characters; `b` is `a`, or `a` with one
+        /// character replaced, removed or inserted.
+        #[test]
+        fn two_fields_share_a_key_only_if_they_are_equal(
+            chars in proptest::collection::vec(0usize..5, 0..12),
+            edit in 0u8..4,
+            at in 0usize..12,
+            with in 0usize..5,
+        ) {
+            let a: String = chars.iter().map(|&c| ALPHABET[c]).collect();
+            let mut b: Vec<char> = a.chars().collect();
+            let at = at % (b.len() + 1);
+            match edit {
+                0 => {}
+                1 if at < b.len() => b[at] = ALPHABET[with],
+                2 if at < b.len() => drop(b.remove(at)),
+                _ => b.insert(at, ALPHABET[with]),
+            }
+            let b: String = b.into_iter().collect();
+            let (ka, kb) = (FieldMemo::slot(&a), FieldMemo::slot(&b));
+            prop_assert_eq!(ka.is_some(), a.len() <= MEMO_MAX_LEN);
+            if let (Some(ka), Some(kb)) = (ka, kb) {
+                prop_assert_eq!(ka.1 == kb.1, a == b, "{:?} {:?}", a, b);
+                prop_assert!(ka.1 != 0);
+            }
+        }
+    }
+
+    #[test]
+    fn keys_tell_length_and_bytes_apart_and_long_fields_bypass() {
+        let key = |f: &str| FieldMemo::slot(f).map(|(_, key)| key);
+        assert_ne!(key("1"), key("1\0"));
+        assert_ne!(key(""), Some(0), "an empty field is not an empty slot");
+        assert!(key("123456789012345").is_some());
+        assert_eq!(key("1234567890123456"), None);
+        let mut memo = FieldMemo::new(2);
+        assert!(!memo.seen(0, "x"));
+        assert!(memo.seen(0, "x"));
+        assert!(!memo.seen(1, "x"), "columns keep their own tables");
+        assert!(!memo.seen(0, "1234567890123456"));
+        assert!(!memo.seen(0, "1234567890123456"), "long fields never hit");
     }
 }

@@ -152,7 +152,10 @@ impl LatencyHistogram {
 struct CommandCounters {
     count: AtomicU64,
     errors: AtomicU64,
-    latency_us: AtomicU64,
+    /// Summed serve time in nanoseconds, so a sub-µs request still
+    /// counts: the wire `latency_us` and the Prometheus `_sum` are
+    /// derived from it.
+    latency_ns: AtomicU64,
     histogram: LatencyHistogram,
 }
 
@@ -204,9 +207,9 @@ impl Metrics {
         if is_error {
             c.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        c.latency_us.fetch_add(us, Ordering::Relaxed);
-        c.histogram.record(us);
+        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+        c.latency_ns.fetch_add(ns, Ordering::Relaxed);
+        c.histogram.record(ns / 1_000);
     }
 
     /// Snapshots per-command stats (cache fields are filled by the
@@ -219,21 +222,21 @@ impl Metrics {
                 name: name.to_string(),
                 count: c.count.load(Ordering::Relaxed),
                 errors: c.errors.load(Ordering::Relaxed),
-                latency_us: c.latency_us.load(Ordering::Relaxed),
+                latency_us: c.latency_ns.load(Ordering::Relaxed) / 1_000,
                 p50_us: c.histogram.quantile_us(0.50),
                 p99_us: c.histogram.quantile_us(0.99),
             })
             .collect()
     }
 
-    /// Raw `(count, errors, latency_us)` for command index `idx`
+    /// Raw `(count, errors, latency_ns)` for command index `idx`
     /// (aligned with [`COMMAND_NAMES`]) — the Prometheus counters.
     pub(crate) fn raw_command_counters(&self, idx: usize) -> (u64, u64, u64) {
         let c = &self.per_command[idx];
         (
             c.count.load(Ordering::Relaxed),
             c.errors.load(Ordering::Relaxed),
-            c.latency_us.load(Ordering::Relaxed),
+            c.latency_ns.load(Ordering::Relaxed),
         )
     }
 
@@ -308,6 +311,18 @@ mod tests {
         let load = stats.iter().find(|c| c.name == "load").unwrap();
         assert_eq!(load.count, 0);
         assert_eq!(load.p50_us, 0, "no observations, no quantile");
+    }
+
+    #[test]
+    fn sub_microsecond_requests_add_up() {
+        let m = Metrics::new();
+        for _ in 0..1_000 {
+            m.record(command_code("check"), Duration::from_nanos(600), false);
+        }
+        let stats = m.command_stats();
+        let check = stats.iter().find(|c| c.name == "check").unwrap();
+        assert_eq!(check.latency_us, 600, "1,000 requests of 600 ns");
+        assert_eq!(check.p50_us, 1, "the histogram still buckets whole µs");
     }
 
     #[test]
@@ -414,8 +429,8 @@ mod tests {
             1,
             "rotation must not erase the Prometheus view"
         );
-        let (count, errors, latency_us) = m.raw_command_counters(idx);
-        assert_eq!((count, errors, latency_us), (1, 0, 100));
+        let (count, errors, latency_ns) = m.raw_command_counters(idx);
+        assert_eq!((count, errors, latency_ns), (1, 0, 100_000));
     }
 
     #[test]

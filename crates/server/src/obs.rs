@@ -674,7 +674,7 @@ pub(crate) fn prometheus_text(state: &ServerState) -> String {
          # TYPE qid_request_latency_seconds histogram"
     );
     for (idx, &name) in COMMAND_NAMES.iter().enumerate() {
-        let (count, _, latency_us) = metrics.raw_command_counters(idx);
+        let (count, _, latency_ns) = metrics.raw_command_counters(idx);
         let buckets = metrics.cumulative_buckets(idx);
         let mut running = 0u64;
         for (i, &observations) in buckets.iter().enumerate().take(LATENCY_BUCKETS - 1) {
@@ -695,7 +695,7 @@ pub(crate) fn prometheus_text(state: &ServerState) -> String {
         let _ = writeln!(
             out,
             "qid_request_latency_seconds_sum{{command=\"{name}\"}} {}",
-            latency_us as f64 / 1e6
+            latency_ns as f64 / 1e9
         );
         let _ = writeln!(
             out,
