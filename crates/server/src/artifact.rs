@@ -20,7 +20,7 @@
 //! header   = path str · eps_bits u64 · seed u64 · rows var · attrs var
 //!            · len u64 · mtime_s u64 · mtime_ns u32 · prefix_hash u64
 //!            · full_hash u64 · captured_ms u64 · checkpoint
-//! checkpoint = 0u8 | 1u8 · capacity var · seen var · next_accept var
+//! checkpoint = 1u8 · capacity var · seen var (= rows) · next_accept var
 //!            · w_bits u64 · rng 4×u64
 //! kmv      = attrs × (count var · count × u64)
 //! pairs    = 0u8 | 1u8 · alpha u64 · eps u64 · k var · multiplier u64 · table
@@ -81,7 +81,8 @@ pub(crate) struct Header {
     /// The source stamp the entry was built against.
     pub source: SourceStamp,
     /// The paused ingest's scalar state; the sample rows are its items.
-    pub ingest: Option<IngestCheckpoint>,
+    /// Every artifact carries one, and its `seen` equals `rows`.
+    pub ingest: IngestCheckpoint,
 }
 
 /// A parsed artifact whose checksum held. The sample and pair tables
@@ -138,18 +139,15 @@ pub(crate) fn encode(
     put_u64(&mut out, s.prefix_hash);
     put_u64(&mut out, s.full_hash);
     put_u64(&mut out, s.captured_ms);
-    match &header.ingest {
-        None => out.push(0),
-        Some(ck) => {
-            out.push(1);
-            put_var(&mut out, ck.skip.capacity as u64);
-            put_var(&mut out, ck.skip.seen as u64);
-            put_var(&mut out, ck.skip.next_accept as u64);
-            put_u64(&mut out, ck.skip.w_bits);
-            for word in ck.rng {
-                put_u64(&mut out, word);
-            }
-        }
+    // The flag byte keeps version 5's layout; every artifact sets it.
+    let ck = &header.ingest;
+    out.push(1);
+    put_var(&mut out, ck.skip.capacity as u64);
+    put_var(&mut out, ck.skip.seen as u64);
+    put_var(&mut out, ck.skip.next_accept as u64);
+    put_u64(&mut out, ck.skip.w_bits);
+    for word in ck.rng {
+        put_u64(&mut out, word);
     }
     for sk in cols {
         put_var(&mut out, sk.minima().count() as u64);
@@ -209,19 +207,21 @@ pub(crate) fn parse(bytes: &[u8]) -> Decoded<Artifact<'_>> {
         full_hash: r.u64()?,
         captured_ms: r.u64()?,
     };
-    let ingest = match r.u8()? {
-        0 => None,
-        1 => Some(IngestCheckpoint {
-            skip: SkipState {
-                capacity: r.usize()?,
-                seen: r.usize()?,
-                next_accept: r.usize()?,
-                w_bits: r.u64()?,
-            },
-            rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-        }),
-        _ => return Err("bad checkpoint flag"),
+    if r.u8()? != 1 {
+        return Err("no ingest checkpoint");
+    }
+    let ingest = IngestCheckpoint {
+        skip: SkipState {
+            capacity: r.usize()?,
+            seen: r.usize()?,
+            next_accept: r.usize()?,
+            w_bits: r.u64()?,
+        },
+        rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
     };
+    if ingest.skip.seen != rows {
+        return Err("checkpoint does not match the row count");
+    }
     let cols = (0..attrs)
         .map(|_| {
             let n = r.count(8)?;
@@ -631,7 +631,7 @@ mod tests {
         })
     }
 
-    fn header(attrs: usize, bits: u64, ingest: bool) -> Header {
+    fn header(attrs: usize, bits: u64) -> Header {
         Header {
             key: CacheKey {
                 path: "/data/é漢🙂,\"q\"\n.csv".to_string(),
@@ -648,7 +648,7 @@ mod tests {
                 full_hash: bits.rotate_left(31),
                 captured_ms: bits ^ 0x5555,
             },
-            ingest: ingest.then_some(IngestCheckpoint {
+            ingest: IngestCheckpoint {
                 skip: SkipState {
                     capacity: 20,
                     seen: (bits % 1_000_000) as usize,
@@ -656,7 +656,7 @@ mod tests {
                     w_bits: 0.5f64.to_bits(),
                 },
                 rng: [bits, !bits, 1, u64::MAX],
-            }),
+            },
         }
     }
 
@@ -694,10 +694,9 @@ mod tests {
                 (Just(attrs), table_of(rows, attrs), table_of(2 * rows, attrs))
             }),
             bits in 0u64..=u64::MAX,
-            with_ingest in 0u8..2,
             with_pairs in 0u8..2,
         ) {
-            let header = header(attrs, bits, with_ingest == 1);
+            let header = header(attrs, bits);
             let cols = cols_of(attrs, bits);
             let pair_section = (with_pairs == 1).then_some((sketch_params(), &pairs));
             let bytes = encode(&header, &cols, &sample, pair_section);
@@ -749,7 +748,7 @@ mod tests {
         let sample = Dataset::new(schema(), vec![column(vec![0, 1, 2])]);
         let pairs = Dataset::new(schema(), vec![column(vec![0, 1, 1, 2])]);
         encode(
-            &header(1, 42, true),
+            &header(1, 42),
             &cols_of(1, 3),
             &sample,
             Some((sketch_params(), &pairs)),
@@ -804,5 +803,39 @@ mod tests {
                 let _ = decode_all(&reseal(bad));
             }
         }
+    }
+
+    #[test]
+    fn an_artifact_without_a_coherent_checkpoint_does_not_parse() {
+        let seal = |mut body: Vec<u8>| {
+            let sum = checksum(&body);
+            put_u64(&mut body, sum);
+            body
+        };
+        let good = small_artifact();
+        let body = &good[..good.len() - 8];
+        // The checkpoint ends in its weight bits and RNG words; its flag
+        // byte sits before its three varints.
+        let ck = header(1, 42).ingest;
+        let mut tail = Vec::new();
+        put_u64(&mut tail, ck.skip.w_bits);
+        ck.rng.iter().for_each(|&word| put_u64(&mut tail, word));
+        let mut vars = Vec::new();
+        for v in [ck.skip.capacity, ck.skip.seen, ck.skip.next_accept] {
+            put_var(&mut vars, v as u64);
+        }
+        let at = body.windows(tail.len()).position(|w| w == tail).unwrap();
+        let flag = at - vars.len() - 1;
+        assert_eq!((body[flag], body[flag + 2]), (1, 42), "flag, then seen");
+        assert!(parse(&seal(body.to_vec())).is_ok());
+
+        let without = [&body[..flag], &[0], &body[at + tail.len()..]].concat();
+        assert_eq!(parse(&seal(without)).err(), Some("no ingest checkpoint"));
+        let mut past_rows = body.to_vec();
+        past_rows[flag + 2] += 1;
+        assert_eq!(
+            parse(&seal(past_rows)).err(),
+            Some("checkpoint does not match the row count")
+        );
     }
 }

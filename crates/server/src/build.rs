@@ -20,34 +20,35 @@ use qid_core::filter::{FilterParams, SeparationFilter, TupleSampleFilter};
 use qid_core::sketch::{DistinctSketch, NonSeparationSketch};
 use qid_core::stream::{PairIngest, TupleIngest};
 use qid_dataset::csv::{CsvOptions, CsvTupleSource, SCAN_BATCH_BYTES};
-use qid_dataset::{AttrId, Dataset, DatasetBuilder, DatasetError, TupleSource};
+use qid_dataset::{Dataset, DatasetBuilder, DatasetError, TupleSource};
 
 use crate::freshness::SourceStamp;
 use crate::proto::{sketch_params, DatasetRef, LoadMode};
 
-/// Retention parameter `k` of the per-column [`DistinctSketch`]s built
-/// for stream-mode entries: `stats` answers are exact below `k`
-/// distinct values per column and `(1 ± O(1/√k)) ≈ ±6%` estimates
-/// above, at `≤ 8·k` bytes per column.
+/// Retention parameter `k` of the per-column [`DistinctSketch`]s every
+/// entry carries: `stats` answers are exact below `k` distinct values
+/// per column and `(1 ± O(1/√k)) ≈ ±6%` estimates above, at `≤ 8·k`
+/// bytes per column.
 pub const COLUMN_SKETCH_K: usize = 256;
 
 /// The artifacts cached for one dataset: the tuple sample (Theorem 1),
-/// the per-column distinct-count sketches, and two write-once cells —
-/// the lazily built non-separation sketch (Theorem 2) and the
-/// materialised rows. Every entry is built by the same scan, so an
-/// entry holds the very sample, checkpoint and answers of any other
-/// entry for the same source and seed, whether or not its rows are set.
+/// the per-column distinct-count sketches, the paused reservoir they
+/// came from, and two write-once cells — the lazily built
+/// non-separation sketch (Theorem 2) and the materialised rows. Every
+/// entry is built by the same scan, so an entry holds the very sample,
+/// checkpoint and answers of any other entry for the same source and
+/// seed, whether or not its rows are set.
 #[derive(Debug)]
 pub struct Entry {
     /// The resident tuple-sample filter (always present).
     pub filter: TupleSampleFilter,
     /// Per-column KMV distinct-count sketches (one per attribute, in
-    /// schema order), built during the loading pass so `stats` always
-    /// answers without materialising. Every construction path produces
-    /// them (build, restore, append absorb), so `stats` on a stream
-    /// entry can never fall back to a silent full materialisation.
+    /// schema order), fed by the scan that built the entry in either
+    /// mode, so `stats` always answers without materialising. Every
+    /// construction path produces them (build, restore, append absorb).
     pub cols: Vec<DistinctSketch>,
-    /// Rows seen when the entry was built (stream length or `n_rows`).
+    /// Rows seen when the entry was built: the reservoir's stream
+    /// length.
     pub rows: usize,
     /// Attribute count.
     pub attrs: usize,
@@ -63,22 +64,15 @@ pub struct Entry {
     /// `None` when the source could not be statted.
     pub source: Option<SourceStamp>,
     /// The paused streaming build (reservoir + RNG) this entry's
-    /// sample came from. `Some` for built and checkpoint-restored
-    /// entries, so the key's artifact always carries the checkpoint;
-    /// appends resume it over just the new suffix. `None` for
-    /// pre-checkpoint restores.
-    pub(crate) ingest: Option<TupleIngest>,
-    /// The paused pair-sample build behind the non-separation sketch,
-    /// recorded when [`crate::registry::Registry::sketch_for`] builds in
-    /// process, by a scan or from the materialised rows — so an append
-    /// can advance the sketch over the suffix instead of re-scanning.
-    /// Written at most once, like the sketch.
-    pub(crate) pair_ingest: OnceLock<PairIngest>,
-    /// The lazily built Theorem 2 sketch and its resident bytes (the
-    /// pairs plus the retained pair-sample tuples, weighed once when
-    /// the cell is set): written once (concurrent `sketch` queries
-    /// collapse onto one build), dropped with the entry.
-    pub(crate) sketch_cell: OnceLock<Result<(Arc<NonSeparationSketch>, usize), String>>,
+    /// sample came from, kept by every build, absorb and restore so
+    /// the key's artifact always carries the checkpoint and an append
+    /// resumes it over just the new suffix.
+    pub(crate) ingest: TupleIngest,
+    /// The lazily built Theorem 2 sketch, the paused pair build behind
+    /// it and their bytes: written once (concurrent `sketch` queries
+    /// collapse onto one build), or set by the absorb that advanced the
+    /// old entry's sketch; dropped with the entry.
+    pub(crate) sketch_cell: OnceLock<Result<Sketched, String>>,
     /// The materialised rows and their code bytes, weighed once when
     /// the cell is set: by the memory-mode scan that built the entry,
     /// or later by [`materialise`] (concurrent memory-mode lookups
@@ -87,39 +81,64 @@ pub struct Entry {
     pub(crate) dataset_cell: OnceLock<Result<(Dataset, usize), String>>,
 }
 
+/// What an entry's sketch cell holds: the Theorem 2 sketch, the paused
+/// pair-sample build it came from and their resident bytes, weighed
+/// once when built so LRU eviction sees the full cost of keeping the
+/// sketch append-resumable.
+#[derive(Debug)]
+pub(crate) struct Sketched {
+    /// The sketch `sketch` queries share.
+    pub sketch: Arc<NonSeparationSketch>,
+    /// The pair build an append advances; `None` for a sketch restored
+    /// from disk, which the next append drops.
+    pub pairs: Option<PairIngest>,
+    /// The sketch's pairs plus the pair build's retained tuples.
+    pub bytes: usize,
+}
+
+impl Sketched {
+    pub(crate) fn new(sketch: NonSeparationSketch, pairs: Option<PairIngest>) -> Sketched {
+        let bytes = sketch.stored_bytes() + pairs.as_ref().map_or(0, PairIngest::retained_bytes);
+        Sketched {
+            sketch: Arc::new(sketch),
+            pairs,
+            bytes,
+        }
+    }
+}
+
 impl Entry {
     pub(crate) fn new(
         filter: TupleSampleFilter,
         cols: Vec<DistinctSketch>,
-        rows: usize,
-        attrs: usize,
         source: Option<SourceStamp>,
-        ingest: Option<TupleIngest>,
+        ingest: TupleIngest,
     ) -> Entry {
         let stored_bytes = filter.stored_bytes()
             + cols.iter().map(DistinctSketch::stored_bytes).sum::<usize>()
-            + ingest.as_ref().map_or(0, TupleIngest::retained_bytes);
+            + ingest.retained_bytes();
         Entry {
             filter,
             cols,
-            rows,
-            attrs,
+            rows: ingest.rows(),
+            attrs: ingest.names().len(),
             stored_bytes,
             source,
             ingest,
-            pair_ingest: OnceLock::new(),
             sketch_cell: OnceLock::new(),
             dataset_cell: OnceLock::new(),
         }
     }
 
+    /// The sketch cell's value, once a sketch is built.
+    pub(crate) fn sketched(&self) -> Option<&Sketched> {
+        self.sketch_cell.get()?.as_ref().ok()
+    }
+
     /// The cached non-separation sketch, if one has been built for this
     /// entry (see [`crate::registry::Registry::sketch_for`]).
     pub fn sketch(&self) -> Option<Arc<NonSeparationSketch>> {
-        match self.sketch_cell.get() {
-            Some(Ok((sketch, _))) => Some(Arc::clone(sketch)),
-            _ => None,
-        }
+        self.sketched().map(|s| Arc::clone(&s.sketch))
     }
 
     /// The materialised dataset, once a memory-mode lookup has set it.
@@ -133,21 +152,12 @@ impl Entry {
     /// What this entry holds resident: [`Entry::stored_bytes`] plus its
     /// built sketch's and materialised rows' bytes, if any.
     pub(crate) fn footprint(&self) -> u64 {
-        let sketch = match self.sketch_cell.get() {
-            Some(Ok((_, bytes))) => *bytes,
-            _ => 0,
-        };
+        let sketch = self.sketched().map_or(0, |s| s.bytes);
         let rows = match self.dataset_cell.get() {
             Some(Ok((_, bytes))) => *bytes,
             _ => 0,
         };
         (self.stored_bytes + sketch + rows) as u64
-    }
-
-    /// True iff this entry can absorb a pure append without a re-scan:
-    /// it carries resumable ingest state.
-    pub fn append_capable(&self) -> bool {
-        self.ingest.is_some()
     }
 }
 
@@ -256,9 +266,10 @@ impl FieldMemo {
 /// while this thread types each field and hashes it into its column
 /// sketch in place — unless the column's [`FieldMemo`] has just seen
 /// the field — and builds an owned tuple only for a row a reservoir
-/// keeps — `O(r log(n/r))` rows, not `n`. The sinks see every row in
-/// source order on this thread, so what they hold is what a serial
-/// scan would leave.
+/// keeps — `O(r log(n/r))` rows, not `n`. A scan that keeps the rows
+/// builds every tuple and hashes those values instead of typing each
+/// field twice. The sinks see every row in source order on this
+/// thread, so what they hold is what a serial scan would leave.
 ///
 /// With `names == None` the range starts at offset 0 with the header
 /// row, whose attribute names `start` receives. Otherwise `range.start`
@@ -290,19 +301,23 @@ fn scan(
     // only fail on a column past `u32::MAX` distinct values.
     let mut overflow = None;
     src.scan_rows(SCAN_BATCH_BYTES, |mut row| {
+        let values = feed.rows.is_some().then(|| row.to_values());
         for (col, (sk, field)) in feed.cols.iter_mut().zip(row.raw_fields()).enumerate() {
             if !memo.seen(col, field) {
-                sk.observe_ref(row.typed(field));
+                match &values {
+                    Some(values) => sk.observe(&values[col]),
+                    None => sk.observe_ref(row.typed(field)),
+                }
             }
         }
         if let Some(pairs) = &mut feed.pairs {
             pairs.push_with(|| row.to_values());
         }
         if let Some(tuples) = &mut feed.tuples {
-            tuples.push_with(|| row.to_values());
+            tuples.push_with(|| values.clone().unwrap_or_else(|| row.to_values()));
         }
-        if let Some(rows) = &mut feed.rows {
-            if let Err(e) = rows.push_row(row.to_values()) {
+        if let (Some(rows), Some(values)) = (&mut feed.rows, values) {
+            if let Err(e) = rows.push_row(values) {
                 overflow.get_or_insert(e);
             }
         }
@@ -337,19 +352,13 @@ pub(crate) fn build_entry(
     // Driven through a TupleIngest (the same computation
     // `tuple_filter_from_stream` runs) so the reservoir + RNG state
     // stays on the entry: a later pure append resumes it over just the
-    // new suffix. The same pass feeds the column sketches or, in memory
-    // mode, materialises the rows, whose dictionaries then give the
-    // column sketches in `O(distinct)`.
-    let memory = mode == LoadMode::Memory;
+    // new suffix. The same pass feeds the column sketches and, in
+    // memory mode, materialises the rows.
     let feed = scan(&ds.path, 0..stamped_len(source), None, |names| Feed {
-        cols: if memory {
-            Vec::new()
-        } else {
-            (0..names.len())
-                .map(|_| DistinctSketch::new(COLUMN_SKETCH_K))
-                .collect()
-        },
-        rows: memory.then(|| DatasetBuilder::new(&names)),
+        cols: (0..names.len())
+            .map(|_| DistinctSketch::new(COLUMN_SKETCH_K))
+            .collect(),
+        rows: (mode == LoadMode::Memory).then(|| DatasetBuilder::new(&names)),
         tuples: Some(TupleIngest::new(names, params, ds.seed)),
         pairs: None,
     })?;
@@ -371,15 +380,9 @@ fn sampled(
     let filter = ingest
         .to_filter(params)
         .map_err(|e| format!("streaming {path}: {e}"))?;
-    let dataset = feed.rows.map(weighed);
-    let cols = match &dataset {
-        Some((dataset, _)) => cols_from_dataset(dataset),
-        None => feed.cols,
-    };
-    let (rows, attrs) = (ingest.rows(), ingest.names().len());
-    let entry = Entry::new(filter, cols, rows, attrs, source, Some(ingest));
-    if let Some(dataset) = dataset {
-        let _ = entry.dataset_cell.set(Ok(dataset));
+    let entry = Entry::new(filter, feed.cols, source, ingest);
+    if let Some(rows) = feed.rows {
+        let _ = entry.dataset_cell.set(Ok(weighed(rows)));
     }
     Ok(entry)
 }
@@ -397,51 +400,34 @@ fn big_enough(rows: usize, attrs: usize) -> Result<(), String> {
 /// Feeds the appended suffix — bytes `[old.len, new.len)` of `path` —
 /// through `old`'s paused reservoir, column sketches and, if its sketch
 /// was built in-process, pair reservoirs. Returns an entry equal to a
-/// cold rebuild over the grown file, with the advanced pair state
-/// already on it, plus the advanced sketch for the caller to admit.
-pub(crate) fn absorb(
-    path: &str,
-    old: &Entry,
-    new: SourceStamp,
-    eps: f64,
-) -> Result<(Entry, Option<NonSeparationSketch>), String> {
+/// cold rebuild over the grown file, with the advanced sketch already
+/// in its sketch cell.
+pub(crate) fn absorb(path: &str, old: &Entry, new: SourceStamp, eps: f64) -> Result<Entry, String> {
     let old_len = old.source.ok_or("entry has no source stamp")?.len;
-    let ingest = old
-        .ingest
-        .clone()
-        .ok_or("entry has no resumable ingest state")?;
-    let names = ingest.names().to_vec();
+    let names = old.ingest.names().to_vec();
     let mut feed = scan(path, old_len..new.len, Some(names), |_| Feed {
-        tuples: Some(ingest),
+        tuples: Some(old.ingest.clone()),
         cols: old.cols.clone(),
-        pairs: old.pair_ingest.get().cloned(),
+        pairs: old.sketched().and_then(|s| s.pairs.clone()),
         rows: None,
     })?;
     let pairs = feed.pairs.take();
     let entry = sampled(path, feed, FilterParams::new(eps), Some(new))?;
     // The old entry had an in-process sketch: advance it over the
-    // suffix too, so `sketch` stays warm across appends. The pair state
-    // goes on the entry before admission, so the sketch byte charge
-    // covers its retained tuples.
-    let sketch = pairs.and_then(|pairs| {
-        let sketch = pairs.to_sketch(sketch_params()).ok()?;
-        let _ = entry.pair_ingest.set(pairs);
-        Some(sketch)
-    });
-    Ok((entry, sketch))
+    // suffix too, so `sketch` stays warm across appends.
+    if let Some(Ok(sketch)) = pairs.as_ref().map(|p| p.to_sketch(sketch_params())) {
+        let _ = entry.sketch_cell.set(Ok(Sketched::new(sketch, pairs)));
+    }
+    Ok(entry)
 }
 
 /// Builds `entry`'s Theorem 2 sketch without the disk tier: from the
 /// materialised dataset when resident (no I/O at all), else by one
 /// scan of the stamped bytes of `path`. Either way the rows go through
-/// one paused pair build, kept on the entry so a later append can
-/// advance it. Both produce the same sketch — the materialised dataset
-/// preserves source row order.
-pub(crate) fn build_sketch(
-    path: &str,
-    entry: &Entry,
-    seed: u64,
-) -> Result<NonSeparationSketch, String> {
+/// one paused pair build, returned with the sketch for the entry's
+/// sketch cell so a later append can advance it. Both produce the same
+/// sketch — the materialised dataset preserves source row order.
+pub(crate) fn build_sketch(path: &str, entry: &Entry, seed: u64) -> Result<Sketched, String> {
     let params = sketch_params();
     let new_pairs = |names: Vec<String>| {
         let slots = params.pair_sample_size(names.len()).max(1);
@@ -467,8 +453,7 @@ pub(crate) fn build_sketch(
     let sketch = pairs
         .to_sketch(params)
         .map_err(|e| format!("streaming {path}: {e}"))?;
-    let _ = entry.pair_ingest.set(pairs);
-    Ok(sketch)
+    Ok(Sketched::new(sketch, Some(pairs)))
 }
 
 /// Materialises `entry`'s rows, weighed for its dataset cell, by one
@@ -500,23 +485,6 @@ fn still_stamped(path: &str, entry: &Entry, what: &str) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// Column sketches for a materialised dataset, fed from the column
-/// dictionaries: a freshly parsed dataset's dictionary *is* its
-/// distinct value set, and KMV state depends only on that set, so this
-/// produces byte-identical sketches to streaming every row — in
-/// `O(distinct)` instead of `O(n)` per column.
-fn cols_from_dataset(ds: &Dataset) -> Vec<DistinctSketch> {
-    (0..ds.n_attrs())
-        .map(|a| {
-            let mut sk = DistinctSketch::new(COLUMN_SKETCH_K);
-            for v in ds.column(AttrId::new(a)).dict().iter() {
-                sk.observe(v);
-            }
-            sk
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -565,13 +533,13 @@ mod tests {
         }
     }
 
-    /// FNV-1a of the artifact `entry` persists with `sketch`'s pairs,
+    /// FNV-1a of the artifact `entry` persists with its sketch's pairs,
     /// with what differs from run to run — path, mtime and capture
     /// time — fixed, so only the data and the sampling state count.
     /// What the artifact version decides is left out too: the source
     /// hashes are zeroed, and the magic, version and trailing checksum
     /// are not hashed.
-    fn artifact_fnv(entry: &Entry, sketch: Option<&NonSeparationSketch>) -> u64 {
+    fn artifact_fnv(entry: &Entry) -> u64 {
         let mut source = entry.source.expect("a stamped entry");
         (source.mtime_s, source.mtime_ns, source.captured_ms) = (0, 0, 0);
         (source.prefix_hash, source.full_hash) = (0, 0);
@@ -584,9 +552,10 @@ mod tests {
             rows: entry.rows,
             attrs: entry.attrs,
             source,
-            ingest: entry.ingest.as_ref().map(TupleIngest::checkpoint),
+            ingest: entry.ingest.checkpoint(),
         };
-        let pairs = sketch.map(|sk| (sk.params(), sk.pairs()));
+        let sketch = entry.sketch();
+        let pairs = sketch.as_deref().map(|sk| (sk.params(), sk.pairs()));
         let bytes = artifact::encode(&header, &entry.cols, entry.filter.sample(), pairs);
         bytes[6..bytes.len() - 8]
             .iter()
@@ -595,12 +564,13 @@ mod tests {
             })
     }
 
-    /// A cold stream build plus its first sketch scan.
-    fn cold(path: &str) -> (Entry, NonSeparationSketch) {
-        let entry =
-            build_entry(&dsref(path), LoadMode::Stream, SourceStamp::capture(path)).unwrap();
-        let sketch = build_sketch(path, &entry, SEED).unwrap();
-        (entry, sketch)
+    /// A cold build in `mode` with its first sketch in its cell: from
+    /// a scan in stream mode, from the rows in memory mode.
+    fn cold(path: &str, mode: LoadMode) -> Entry {
+        let entry = build_entry(&dsref(path), mode, SourceStamp::capture(path)).unwrap();
+        let sketched = build_sketch(path, &entry, SEED).unwrap();
+        let _ = entry.sketch_cell.set(Ok(sketched));
+        entry
     }
 
     #[test]
@@ -624,22 +594,29 @@ mod tests {
     #[test]
     fn stream_artifacts_match_the_golden_bytes() {
         let path = write("grow.csv", BASE);
-        let (entry, sketch) = cold(&path);
+        let entry = cold(&path, LoadMode::Stream);
         assert_eq!(entry.rows, 400);
-        let base = artifact_fnv(&entry, Some(&sketch));
+        let base = artifact_fnv(&entry);
+        let memory = cold(&path, LoadMode::Memory);
+        assert!(memory.dataset().is_some(), "a memory build keeps its rows");
+        let memory = artifact_fnv(&memory);
 
         std::fs::write(&path, format!("{BASE}{APPEND}")).unwrap();
         let grown_stamp = SourceStamp::capture(&path).unwrap();
-        let (absorbed, advanced) = absorb(&path, &entry, grown_stamp, EPS).unwrap();
+        let absorbed = absorb(&path, &entry, grown_stamp, EPS).unwrap();
         assert_eq!(absorbed.rows, 520);
-        let advanced = advanced.expect("the in-process sketch advances over the suffix");
-        let grown = artifact_fnv(&absorbed, Some(&advanced));
+        assert!(
+            absorbed.sketch().is_some(),
+            "the in-process sketch advances over the suffix"
+        );
+        let grown = artifact_fnv(&absorbed);
 
         let cold_path = write("cold.csv", &format!("{BASE}{APPEND}"));
-        let (rebuilt, rebuilt_sketch) = cold(&cold_path);
-        assert_eq!(artifact_fnv(&rebuilt, Some(&rebuilt_sketch)), grown);
+        let rebuilt = cold(&cold_path, LoadMode::Stream);
+        assert_eq!(artifact_fnv(&rebuilt), grown);
 
         assert_eq!(base, GOLDEN_BASE, "cold build of the base file");
+        assert_eq!(memory, GOLDEN_BASE, "memory-mode build of the base file");
         assert_eq!(grown, GOLDEN_GROWN, "build + append absorb");
     }
 }

@@ -40,7 +40,7 @@ pub(crate) fn persist(
         rows: entry.rows,
         attrs: entry.attrs,
         source,
-        ingest: entry.ingest.as_ref().map(TupleIngest::checkpoint),
+        ingest: entry.ingest.checkpoint(),
     };
     let pairs = sketch.map(|sk| (sk.params(), sk.pairs()));
     let bytes = artifact::encode(&header, &entry.cols, entry.filter.sample(), pairs);
@@ -138,10 +138,11 @@ pub(crate) fn restore_sketch(
 }
 
 /// Restores `key`'s entry from its artifact under `dir`. Succeeds only
-/// if the artifact is intact, names exactly `key`, and the source's
-/// current stamp matches the recorded one, so persistence never
-/// resurrects stale data. The pair section stays encoded: it is decoded
-/// on the first `sketch`.
+/// if the artifact is intact, names exactly `key`, carries a checkpoint
+/// the sample resumes, and the source's current stamp matches the
+/// recorded one, so persistence never resurrects stale data and every
+/// restored entry absorbs appends. The pair section stays encoded: it
+/// is decoded on the first `sketch`.
 pub(crate) fn restore(dir: &Path, key: &CacheKey) -> Option<Entry> {
     let bytes = std::fs::read(artifact::path(dir, key.fnv64())).ok()?;
     let art = artifact::parse(&bytes).ok()?;
@@ -154,16 +155,12 @@ pub(crate) fn restore(dir: &Path, key: &CacheKey) -> Option<Entry> {
         return None; // the source changed since the sample was taken
     }
     let sample = art.sample().ok()?;
-    // Resume the paused ingest, if the artifact carries a checkpoint:
-    // the persisted sample rows *are* the reservoir items in slot
-    // order. A checkpoint that does not cohere with the header drops
-    // the resume — the entry still restores, it just rebuilds fully on
-    // the next append.
-    let ingest = h.ingest.filter(|ck| ck.skip.seen == h.rows).and_then(|ck| {
-        let names = sample.schema().names().map(str::to_string).collect();
-        let items = sample.rows().map(|row| row.to_vec()).collect();
-        TupleIngest::resume(names, ck, items)
-    });
+    // Resume the paused ingest: the persisted sample rows *are* the
+    // reservoir items in slot order. A checkpoint they do not fit is an
+    // unusable artifact, like any other: the lookup re-scans.
+    let names = sample.schema().names().map(str::to_string).collect();
+    let items = sample.rows().map(|row| row.to_vec()).collect();
+    let ingest = TupleIngest::resume(names, h.ingest, items)?;
     let filter =
         TupleSampleFilter::from_sample(sample, FilterParams::new(f64::from_bits(key.eps_bits)));
     let cols = art
@@ -171,7 +168,7 @@ pub(crate) fn restore(dir: &Path, key: &CacheKey) -> Option<Entry> {
         .iter()
         .map(|minima| DistinctSketch::from_minima(COLUMN_SKETCH_K, minima.iter().copied()))
         .collect();
-    Some(Entry::new(filter, cols, h.rows, h.attrs, Some(now), ingest))
+    Some(Entry::new(filter, cols, Some(now), ingest))
 }
 
 /// How old a `*.tmp` file must be before the startup sweep removes it.

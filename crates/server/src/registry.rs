@@ -74,10 +74,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 use qid_core::sketch::NonSeparationSketch;
-use qid_core::stream::PairIngest;
 
 use crate::artifact;
-use crate::build;
+use crate::build::{self, Sketched};
 use crate::disk;
 use crate::freshness::{self, Freshness};
 use crate::proto::{sketch_params, DatasetRef, LoadMode};
@@ -660,20 +659,23 @@ impl Registry {
         let result = match entry.sketch_cell.get_or_init(|| {
             set = true;
             let dir = self.config.cache_dir.as_deref();
-            if let Some(sk) =
-                dir.and_then(|dir| disk::restore_sketch(dir, &key, entry, sketch_params()))
-            {
+            let restored =
+                dir.and_then(|dir| disk::restore_sketch(dir, &key, entry, sketch_params()));
+            let sketched = if let Some(sk) = restored {
                 self.count(Paid::Restored, false);
-                return Ok(self.admit_sketch(entry, sk, &key));
-            }
-            if entry.dataset().is_none() {
-                self.count(Paid::Scanned, false);
-            }
-            let built = build::build_sketch(&key.path, entry, ds.seed)?;
-            self.persist(&key, entry, Some(&built));
-            Ok(self.admit_sketch(entry, built, &key))
+                Sketched::new(sk, None)
+            } else {
+                if entry.dataset().is_none() {
+                    self.count(Paid::Scanned, false);
+                }
+                let built = build::build_sketch(&key.path, entry, ds.seed)?;
+                self.persist(&key, entry, Some(&built.sketch));
+                built
+            };
+            self.sketch_built(&key, &sketched);
+            Ok(sketched)
         }) {
-            Ok((sketch, _)) => Ok(Arc::clone(sketch)),
+            Ok(sketched) => Ok(Arc::clone(&sketched.sketch)),
             Err(e) => Err(e.clone()),
         };
         if set && result.is_ok() {
@@ -682,27 +684,13 @@ impl Registry {
         result
     }
 
-    /// Weighs a freshly built (or restored) sketch once and wraps it
-    /// for the cell. The weight includes the paused pair-sample tuples
-    /// retained alongside the sketch (set on `entry.pair_ingest` before
-    /// this call), so LRU eviction sees the full cost of keeping the
-    /// sketch append-resumable.
-    fn admit_sketch(
-        &self,
-        entry: &Entry,
-        sketch: NonSeparationSketch,
-        key: &CacheKey,
-    ) -> (Arc<NonSeparationSketch>, usize) {
-        let bytes = sketch.stored_bytes()
-            + entry
-                .pair_ingest
-                .get()
-                .map_or(0, PairIngest::retained_bytes);
+    /// Reports a sketch set in `key`'s entry's cell — built, restored
+    /// or advanced by an absorb — with the bytes it was weighed at.
+    fn sketch_built(&self, key: &CacheKey, sketched: &Sketched) {
         self.emit(RegistryEvent::SketchBuilt {
             key: key.fnv64(),
-            bytes: bytes as u64,
+            bytes: sketched.bytes as u64,
         });
-        (Arc::new(sketch), bytes)
     }
 
     /// Drops the resident entry and its persisted artifact, if any.
@@ -977,9 +965,7 @@ impl Registry {
                 self.stamp_validated(&slot);
                 Found::Fresh(entry)
             }
-            Freshness::Appended { new } if entry.append_capable() => {
-                Found::Appended(slot, entry, new)
-            }
+            Freshness::Appended { new } => Found::Appended(slot, entry, new),
             _ => Found::Stale(slot),
         }
     }
@@ -1073,15 +1059,15 @@ impl Registry {
             let entry = disk::restore(self.config.cache_dir.as_deref()?, key)?;
             let bytes = entry.footprint();
             let event = RegistryEvent::Restored { key: stem, bytes };
-            Some(self.admit(key, entry, None, event))
+            Some(self.admit(key, entry, event))
         };
         let mode = match fill {
             Fill::Absorb(old, new) => match build::absorb(&key.path, &old, new, ds.eps) {
-                Ok((entry, sketch)) => {
+                Ok(entry) => {
                     self.counters.append_updates.fetch_add(1, Ordering::Relaxed);
                     let bytes = new.len - old.source.map_or(0, |s| s.len);
                     let event = RegistryEvent::AppendUpdate { key: stem, bytes };
-                    return (Ok(self.admit(key, entry, sketch, event)), Paid::Absorbed);
+                    return (Ok(self.admit(key, entry, event)), Paid::Absorbed);
                 }
                 // Unreadable suffix or inconsistent state: pay the full
                 // scan instead.
@@ -1101,28 +1087,20 @@ impl Registry {
         let source = SourceStamp::capture(&key.path);
         let result = build::build_entry(ds, mode, source).map(|entry| {
             let bytes = entry.footprint();
-            self.admit(key, entry, None, RegistryEvent::Built { key: stem, bytes })
+            self.admit(key, entry, RegistryEvent::Built { key: stem, bytes })
         });
         (result, Paid::Scanned)
     }
 
-    /// Books a filled entry: an absorb's advanced sketch, its lifecycle
-    /// event and — for anything read from the source — its artifact, so
-    /// a restart resumes from it rather than re-scanning. The artifact
-    /// holds the sample and checkpoint, never the rows.
-    fn admit(
-        &self,
-        key: &CacheKey,
-        entry: Entry,
-        sketch: Option<NonSeparationSketch>,
-        event: RegistryEvent,
-    ) -> Arc<Entry> {
-        let entry = Arc::new(entry);
-        if let Some(sketch) = sketch {
-            let _ = entry
-                .sketch_cell
-                .set(Ok(self.admit_sketch(&entry, sketch, key)));
+    /// Books a filled entry: the sketch an absorb advanced in its cell,
+    /// its lifecycle event and — for anything read from the source — its
+    /// artifact, so a restart resumes from it rather than re-scanning.
+    /// The artifact holds the sample and checkpoint, never the rows.
+    fn admit(&self, key: &CacheKey, entry: Entry, event: RegistryEvent) -> Arc<Entry> {
+        if let Some(sketched) = entry.sketched() {
+            self.sketch_built(key, sketched);
         }
+        let entry = Arc::new(entry);
         self.emit(event);
         if !matches!(event, RegistryEvent::Restored { .. }) {
             self.persist(key, &entry, entry.sketch().as_deref());
@@ -1203,6 +1181,8 @@ mod tests {
     use super::*;
     use crate::disk::{is_registry_tmp, TMP_SWEEP_MIN_AGE};
     use qid_core::filter::SeparationFilter;
+    use qid_core::sketch::DistinctSketch;
+    use qid_core::stream::PairIngest;
     use qid_dataset::{AttrId, Dataset, Value};
     use std::io::Write as _;
     use std::path::Path;
@@ -1892,9 +1872,9 @@ mod tests {
 
     #[test]
     fn memory_and_stream_builds_agree_on_column_sketches() {
-        // The dictionary-fed path (memory) and the tee-fed path
-        // (stream) must produce byte-identical sketch state: KMV only
-        // depends on the distinct value set.
+        // A memory-mode build (which also keeps the rows) and a stream
+        // build feed the column sketches from the same scan and must
+        // leave byte-identical sketch state.
         let path = fixture_csv("cols-agree.csv", 300);
         let reg = Registry::new();
         let (mem, _) = reg.get_or_load(&dsref(&path), LoadMode::Memory);
@@ -1934,8 +1914,8 @@ mod tests {
         // The sketch participates in the byte accounting, together
         // with the pair-sample tuples retained for append absorption.
         let pair_bytes = entry
-            .pair_ingest
-            .get()
+            .sketched()
+            .and_then(|s| s.pairs.as_ref())
             .map_or(0, PairIngest::retained_bytes);
         assert!(pair_bytes > 0, "the pair state rides along with the sketch");
         assert_eq!(
@@ -2123,8 +2103,8 @@ mod tests {
         let sketch = entry.sketch().map_or(0, |sk| {
             sk.stored_bytes()
                 + entry
-                    .pair_ingest
-                    .get()
+                    .sketched()
+                    .and_then(|s| s.pairs.as_ref())
                     .map_or(0, PairIngest::retained_bytes)
         });
         (entry.stored_bytes + sketch) as u64
@@ -2622,7 +2602,7 @@ mod tests {
             key: key.fnv64(),
             bytes,
         };
-        let entry = reg.admit(&key, built, None, event);
+        let entry = reg.admit(&key, built, event);
         let _ = reg.insert_or_adopt(&key).cell.set(Ok(entry));
         let (looked, hit) = reg.get_or_load(&ds, LoadMode::Stream);
         let looked = looked.unwrap();
@@ -3010,11 +2990,52 @@ mod tests {
         let restored = restored.unwrap();
         assert_eq!(reg.disk_hits(), 1, "restored, not re-scanned");
         assert_eq!(restored.rows, 500);
-        assert!(restored.append_capable(), "restore resumes ingest state");
         append_rows(&path, 500, 100, 0);
         let (again, _) = reg.get_or_load(&ds, LoadMode::Stream);
         assert_eq!(again.unwrap().rows, 600);
         assert_eq!(reg.append_updates(), 1, "post-restore appends absorb");
+        assert_eq!(reg.snapshot().stale_rebuilds, 0);
+    }
+
+    #[test]
+    fn an_artifact_whose_checkpoint_does_not_cohere_is_a_miss_and_the_rebuild_absorbs() {
+        let dir = unique_dir("incoherent-checkpoint");
+        let path = fixture_csv("incoherent-checkpoint.csv", 300);
+        let ds = dsref(&path);
+        let key = CacheKey::of(&ds);
+        let config = RegistryConfig {
+            cache_dir: Some(dir.clone()),
+            wal_max_bytes: 0,
+            ..RegistryConfig::default()
+        };
+        Registry::with_config(config.clone())
+            .get_or_load(&ds, LoadMode::Stream)
+            .0
+            .unwrap();
+        // Re-encode the artifact with the checkpoint's `seen` one past
+        // `rows`: the checksum still holds, the checkpoint does not.
+        let bytes = std::fs::read(artifact::path(&dir, key.fnv64())).unwrap();
+        let art = artifact::parse(&bytes).unwrap();
+        let mut header = art.header.clone();
+        header.ingest.skip.seen += 1;
+        let cols: Vec<DistinctSketch> = art
+            .cols
+            .iter()
+            .map(|minima| DistinctSketch::from_minima(COLUMN_SKETCH_K, minima.iter().copied()))
+            .collect();
+        let bad = artifact::encode(&header, &cols, &art.sample().unwrap(), None);
+        artifact::publish(&dir, &key, &bad).unwrap();
+        let listed = artifact::inspect(&dir);
+        assert_eq!(listed.len(), 1);
+        assert!(listed[0].contents.is_err(), "{:?}", listed[0].contents);
+
+        let reg = Registry::with_config(config);
+        assert_eq!(reg.get_or_load(&ds, LoadMode::Stream).0.unwrap().rows, 300);
+        assert_eq!(reg.misses(), 1, "an unusable artifact is a plain miss");
+        assert_eq!(reg.disk_hits(), 0);
+        append_rows(&path, 300, 40, 0);
+        assert_eq!(reg.get_or_load(&ds, LoadMode::Stream).0.unwrap().rows, 340);
+        assert_eq!(reg.append_updates(), 1, "the rebuilt key absorbs");
         assert_eq!(reg.snapshot().stale_rebuilds, 0);
     }
 
