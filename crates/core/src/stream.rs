@@ -22,7 +22,6 @@ use rand::SeedableRng;
 
 use qid_dataset::{Dataset, DatasetBuilder, DatasetError, TupleSource, Value};
 use qid_sampling::reservoir::{MultiReservoir, SkipReservoir};
-pub use qid_sampling::SkipState;
 
 use crate::filter::{FilterParams, PairSampleFilter, TupleSampleFilter};
 use crate::sketch::{NonSeparationSketch, SketchParams};
@@ -32,12 +31,15 @@ use crate::sketch::{NonSeparationSketch, SketchParams};
 /// [`tuple_filter_from_stream`] so a build can *pause and resume*.
 ///
 /// A cold build is `new` → `push` every tuple → [`to_filter`]. An
-/// append-aware consumer clones the ingest (it is cheap: `r·m` values,
-/// mostly `Arc` handles), pushes only the new suffix, and finishes —
-/// by construction the exact computation a cold rebuild over the whole
-/// stream would run, so the resulting filter is bit-identical.
+/// append-aware consumer keeps only the filter's sample and the row
+/// count: [`resume`] replays the reservoir's schedule from the seed and
+/// takes the sample back as its items, then the consumer pushes only
+/// the new suffix and finishes — by construction the exact computation
+/// a cold rebuild over the whole stream would run, so the resulting
+/// filter is bit-identical.
 ///
 /// [`to_filter`]: TupleIngest::to_filter
+/// [`resume`]: TupleIngest::resume
 #[derive(Clone, Debug)]
 pub struct TupleIngest {
     names: Vec<String>,
@@ -49,12 +51,40 @@ impl TupleIngest {
     /// Starts a tuple-sample build over a stream with the given
     /// attribute names; `params` sizes the reservoir (Θ(m/√ε)).
     pub fn new(names: Vec<String>, params: FilterParams, seed: u64) -> Self {
-        let r = params.tuple_sample_size(names.len()).max(1);
         TupleIngest {
-            names,
             rng: StdRng::seed_from_u64(seed),
-            reservoir: SkipReservoir::new(r),
+            reservoir: SkipReservoir::new(Self::capacity(params, names.len())),
+            names,
         }
+    }
+
+    /// Resumes the build that pushing `rows` tuples into
+    /// `new(names, params, seed)` leaves, from the tuples it retained
+    /// (its filter's sample rows, in order). Returns `None` unless there
+    /// are exactly `min(rows, capacity)` of them — see
+    /// [`SkipReservoir::replay`].
+    pub fn resume(
+        names: Vec<String>,
+        params: FilterParams,
+        seed: u64,
+        rows: usize,
+        items: Vec<Vec<Value>>,
+    ) -> Option<Self> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let capacity = Self::capacity(params, names.len());
+        let reservoir = SkipReservoir::replay(capacity, rows, items, &mut rng)?;
+        Some(TupleIngest {
+            names,
+            rng,
+            reservoir,
+        })
+    }
+
+    /// The reservoir size `r = ⌈m/√ε⌉` (at least 1) of a build over
+    /// `attrs` attributes: the number of tuples its sample holds once
+    /// the stream is that long.
+    pub fn capacity(params: FilterParams, attrs: usize) -> usize {
+        params.tuple_sample_size(attrs).max(1)
     }
 
     /// Offers one tuple; returns `true` if the reservoir retained it.
@@ -79,14 +109,6 @@ impl TupleIngest {
         &self.names
     }
 
-    /// Approximate heap bytes the paused build retains: the
-    /// reservoir's tuple copies (a second copy of the sample rows)
-    /// plus text payloads. Scalars and names are noise. Cache byte
-    /// budgets charge this so a parked ingest is not free memory.
-    pub fn retained_bytes(&self) -> usize {
-        self.reservoir.items().iter().map(|t| tuple_bytes(t)).sum()
-    }
-
     /// Builds the Algorithm 1 filter over the sample retained so far.
     /// Non-consuming: the ingest remains valid for further pushes.
     pub fn to_filter(&self, params: FilterParams) -> Result<TupleSampleFilter, DatasetError> {
@@ -96,53 +118,13 @@ impl TupleIngest {
         }
         Ok(TupleSampleFilter::from_sample(b.finish(), params))
     }
-
-    /// Checkpoints the ingest: reservoir scalars plus the RNG's raw
-    /// state. The retained rows are *not* included — they are exactly
-    /// the filter's sample in slot order, which callers already
-    /// persist; [`TupleIngest::resume`] takes them back alongside this.
-    pub fn checkpoint(&self) -> IngestCheckpoint {
-        IngestCheckpoint {
-            skip: self.reservoir.state(),
-            rng: self.rng.state(),
-        }
-    }
-
-    /// Rebuilds a paused ingest from a checkpoint and the retained
-    /// rows (in reservoir slot order). Returns `None` when the pieces
-    /// are inconsistent — see [`SkipReservoir::resume`].
-    pub fn resume(
-        names: Vec<String>,
-        checkpoint: IngestCheckpoint,
-        items: Vec<Vec<Value>>,
-    ) -> Option<Self> {
-        let reservoir = SkipReservoir::resume(checkpoint.skip, items)?;
-        let rng = StdRng::from_state(checkpoint.rng)?;
-        Some(TupleIngest {
-            names,
-            rng,
-            reservoir,
-        })
-    }
-}
-
-/// The serialisable scalar state of a paused [`TupleIngest`]: the
-/// Algorithm L skip state and the xoshiro256** RNG words. Everything
-/// here round-trips through integers, so persistence cannot perturb
-/// the resumed trajectory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IngestCheckpoint {
-    /// Reservoir scalars (capacity, seen, next accept, weight bits).
-    pub skip: SkipState,
-    /// Raw RNG state ([`StdRng::state`]).
-    pub rng: [u64; 4],
 }
 
 /// The live state of a one-pass pair-sample build: `s` independent
 /// size-2 reservoirs sharing one skip heap, plus the RNG. The pair
-/// analogue of [`TupleIngest`], with the same pause/clone/resume
-/// contract (minus persistence — the shared heap is rebuilt from
-/// scratch on restore paths, which simply costs a full scan there).
+/// analogue of [`TupleIngest`], paused by keeping it (a clone resumes
+/// it) rather than by replay: a pair sample restored from disk comes
+/// without one, and the next append drops it.
 #[derive(Clone, Debug)]
 pub struct PairIngest {
     names: Vec<String>,
@@ -182,8 +164,7 @@ impl PairIngest {
     }
 
     /// Approximate heap bytes the paused build retains: the `2s` pair
-    /// tuple copies plus text payloads. The pair analogue of
-    /// [`TupleIngest::retained_bytes`].
+    /// tuple copies plus text payloads.
     pub fn retained_bytes(&self) -> usize {
         self.mr
             .slots()
@@ -387,8 +368,27 @@ mod tests {
             assert_eq!(kept, kept_lazy, "row {i}");
             assert_eq!(calls, usize::from(kept), "row {i}");
         }
-        assert_eq!(owned.reservoir.items(), lazy.reservoir.items());
-        assert_eq!(owned.checkpoint(), lazy.checkpoint());
+        assert_eq!(owned.reservoir, lazy.reservoir);
+        assert_eq!(owned.rng, lazy.rng);
+    }
+
+    #[test]
+    fn tuple_ingest_resume_continues_the_pushed_build() {
+        let names = vec!["id".to_string(), "t".to_string()];
+        let params = FilterParams::new(0.05);
+        let mut pushed = TupleIngest::new(names.clone(), params, 3);
+        for i in 0..2_000 {
+            pushed.push(row(i));
+        }
+        let items = pushed.reservoir.items().to_vec();
+        let short = items[1..].to_vec();
+        assert!(TupleIngest::resume(names.clone(), params, 3, 2_000, short).is_none());
+        let mut resumed = TupleIngest::resume(names, params, 3, 2_000, items).unwrap();
+        for i in 2_000..3_000 {
+            assert_eq!(resumed.push(row(i)), pushed.push(row(i)), "row {i}");
+        }
+        assert_eq!(resumed.reservoir, pushed.reservoir);
+        assert_eq!(resumed.rng, pushed.rng);
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod swor;
 pub use alias::AliasTable;
 pub use birthday::{collision_prob_lower_bound, non_collision_prob_uniform, q_for_collision};
 pub use pairs::{pair_count, rank_pair, sample_pair, unrank_pair, PairSampler};
-pub use reservoir::{MultiReservoir, Reservoir, SkipReservoir, SkipState};
+pub use reservoir::{MultiReservoir, Reservoir, SkipReservoir};
 pub use swor::{sample_indices, sample_indices_fisher_yates, sample_indices_floyd};

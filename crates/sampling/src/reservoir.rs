@@ -90,7 +90,7 @@ impl<T> Reservoir<T> {
 /// lengths; items inside a skip are rejected with *zero* per-item RNG
 /// work. For sketches over multi-hundred-thousand-row streams this is
 /// the difference between 581k draws and a few hundred.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SkipReservoir<T> {
     capacity: usize,
     items: Vec<T>,
@@ -180,65 +180,46 @@ impl<T> SkipReservoir<T> {
         self.seen
     }
 
-    /// The reservoir's scalar state, for checkpointing. Together with a
-    /// copy of [`items`](Self::items) this is everything Algorithm L
-    /// carries between items; [`SkipReservoir::resume`] rebuilds a
-    /// reservoir that continues the exact same trajectory (same RNG ⇒
-    /// same accepts, same slots, same final sample).
-    pub fn state(&self) -> SkipState {
-        SkipState {
-            capacity: self.capacity,
-            seen: self.seen,
-            next_accept: self.next_accept,
-            w_bits: self.w.to_bits(),
-        }
-    }
-
-    /// Rebuilds a reservoir from a checkpoint taken by
-    /// [`SkipReservoir::state`] plus the retained items.
+    /// Rebuilds the reservoir that pushing `seen` items leaves, from the
+    /// `items` it retained (in slot order), with `rng` fresh from the
+    /// seed the pushes drew from; `rng` ends where they left it.
     ///
-    /// Returns `None` when the pieces are mutually inconsistent (item
-    /// count does not match the phase implied by `seen`, or the weight
-    /// is outside Algorithm L's (0, 1] invariant) — a corrupted or
-    /// hand-edited checkpoint, not a programming error, so no panic.
-    pub fn resume(state: SkipState, items: Vec<T>) -> Option<Self> {
-        if state.capacity == 0 {
+    /// Algorithm L's skips, slot choices and weight depend only on the
+    /// RNG and the item count, never on the items, so stepping from
+    /// accept to accept through the schedule re-derives everything but
+    /// the items in `O(k log(n/k))` draws. Returns `None` unless
+    /// `items.len() == min(seen, capacity)` — a sample that does not fit
+    /// its row count, not a programming error, so no panic.
+    pub fn replay<R: Rng + ?Sized>(
+        capacity: usize,
+        seen: usize,
+        items: Vec<T>,
+        rng: &mut R,
+    ) -> Option<Self> {
+        if capacity == 0 || items.len() != seen.min(capacity) {
             return None;
         }
-        let expected = state.seen.min(state.capacity);
-        if items.len() != expected {
-            return None;
-        }
-        let w = f64::from_bits(state.w_bits);
-        if !w.is_finite() || !(0.0..=1.0).contains(&w) {
-            return None;
-        }
-        Some(SkipReservoir {
-            capacity: state.capacity,
+        let mut reservoir = SkipReservoir {
+            capacity,
             items,
-            seen: state.seen,
-            next_accept: state.next_accept,
-            w,
-        })
+            seen: seen.min(capacity),
+            next_accept: 0,
+            w: 1.0,
+        };
+        if seen < capacity {
+            return Some(reservoir);
+        }
+        reservoir.schedule_next(rng);
+        while reservoir.next_accept < seen {
+            reservoir.seen = reservoir.next_accept + 1;
+            // The accept's slot: `items` already hold what it chose, but
+            // the draw moves the RNG as the push did.
+            rng.random_range(0..capacity);
+            reservoir.schedule_next(rng);
+        }
+        reservoir.seen = seen;
+        Some(reservoir)
     }
-}
-
-/// The scalar half of a [`SkipReservoir`] checkpoint (the items travel
-/// separately — they usually already live in a persisted sample file).
-///
-/// `w_bits` is the bit pattern of Algorithm L's running weight `W`
-/// (`f64::to_bits`): bits rather than the float so a serialisation
-/// round-trip cannot perturb the skip sequence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SkipState {
-    /// Reservoir capacity `k`.
-    pub capacity: usize,
-    /// Items offered so far.
-    pub seen: usize,
-    /// Index (0-based among offered items) of the next accept.
-    pub next_accept: usize,
-    /// `f64::to_bits` of the running weight `W`.
-    pub w_bits: u64,
 }
 
 /// `s` independent reservoirs of capacity `k` over one stream, sharing a
@@ -475,9 +456,9 @@ mod tests {
 
     #[test]
     fn skip_reservoir_resume_continues_exact_trajectory() {
-        // Run one reservoir straight through; run a second to the
-        // checkpoint, round-trip it through state()/resume, and finish.
-        // Same RNG sequence ⇒ bit-identical samples.
+        // Run one reservoir straight through; push a second to the
+        // midpoint, replay a third from its items and a fresh generator,
+        // and finish. Same RNG sequence ⇒ bit-identical samples.
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut straight = SkipReservoir::new(20);
         for x in 0..5_000 {
@@ -489,16 +470,17 @@ mod tests {
         for x in 0..2_500 {
             first_half.push(x, &mut rng_b);
         }
-        let state = first_half.state();
-        let items = first_half.into_items();
-        let mut resumed = SkipReservoir::resume(state, items).expect("valid checkpoint");
+        let mut rng_c = StdRng::seed_from_u64(11);
+        let items = first_half.items().to_vec();
+        let mut resumed = SkipReservoir::replay(20, 2_500, items, &mut rng_c).expect("it fits");
+        assert_eq!(resumed, first_half);
+        assert_eq!(rng_c, rng_b);
         for x in 2_500..5_000 {
-            resumed.push(x, &mut rng_b);
+            resumed.push(x, &mut rng_c);
         }
 
-        assert_eq!(straight.items(), resumed.items());
-        assert_eq!(straight.seen(), resumed.seen());
-        assert_eq!(straight.state(), resumed.state());
+        assert_eq!(resumed, straight);
+        assert_eq!(rng_c, rng_a);
     }
 
     #[test]
@@ -522,8 +504,8 @@ mod tests {
             assert_eq!(calls, usize::from(kept), "item {x}");
             made += calls;
         }
-        assert_eq!(owned.items(), lazy.items());
-        assert_eq!(owned.state(), lazy.state());
+        assert_eq!(owned, lazy);
+        assert_eq!(rng_a, rng_b);
         assert!(made < 500, "skips should spare most items, made {made}");
     }
 
@@ -534,24 +516,19 @@ mod tests {
         for x in 0..100 {
             r.push(x, &mut rng);
         }
-        let good = r.state();
         let items = r.into_items();
+        let replay = |capacity, seen, items| {
+            SkipReservoir::replay(capacity, seen, items, &mut StdRng::seed_from_u64(12))
+        };
 
         // Item count disagrees with the phase implied by `seen`.
-        assert!(SkipReservoir::resume(good, vec![1, 2]).is_none());
+        assert!(replay(3, 100, vec![1, 2]).is_none());
+        assert!(replay(3, 2, items.clone()).is_none());
+        assert!(replay(4, 100, items.clone()).is_none());
         // Zero capacity.
-        let mut bad = good;
-        bad.capacity = 0;
-        assert!(SkipReservoir::resume(bad, items.clone()).is_none());
-        // Weight outside (0, 1].
-        let mut bad = good;
-        bad.w_bits = 2.0_f64.to_bits();
-        assert!(SkipReservoir::resume(bad, items.clone()).is_none());
-        let mut bad = good;
-        bad.w_bits = f64::NAN.to_bits();
-        assert!(SkipReservoir::resume(bad, items.clone()).is_none());
-        // The untouched checkpoint still resumes.
-        assert!(SkipReservoir::resume(good, items).is_some());
+        assert!(replay(0, 0, Vec::new()).is_none());
+        // The fitting sample still replays.
+        assert!(replay(3, 100, items).is_some());
     }
 
     #[test]
@@ -564,5 +541,53 @@ mod tests {
     #[should_panic(expected = "at least one slot")]
     fn zero_slots_rejected() {
         let _ = MultiReservoir::<u32>::new(0, 2);
+    }
+}
+
+/// [`SkipReservoir::replay`] against the pushes it stands in for.
+#[cfg(test)]
+mod replay_tests {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use super::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `n` is 0, the capacity, below it, or anything up to 10⁶.
+        #[test]
+        fn a_replayed_reservoir_equals_a_pushed_one_and_continues_it(
+            capacity in 1usize..=2048,
+            shape in 0u8..4,
+            raw in 0usize..=1_000_000,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let n = match shape {
+                0 => 0,
+                1 => capacity,
+                2 => raw % capacity,
+                _ => raw,
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut pushed = SkipReservoir::new(capacity);
+            for x in 0..n {
+                pushed.push(x, &mut rng);
+            }
+            let mut replayed_rng = StdRng::seed_from_u64(seed);
+            let items = pushed.items().to_vec();
+            let replayed = SkipReservoir::replay(capacity, n, items, &mut replayed_rng);
+            prop_assert!(replayed.is_some(), "n {} did not replay", n);
+            let mut replayed = replayed.unwrap();
+            prop_assert!(replayed == pushed, "n {}", n);
+            prop_assert!(replayed_rng == rng, "n {}", n);
+            for x in n..n + 5_000 {
+                let kept = pushed.push(x, &mut rng);
+                prop_assert_eq!(replayed.push(x, &mut replayed_rng), kept, "item {}", x);
+            }
+            prop_assert!(replayed == pushed, "n {} + 5000", n);
+            prop_assert!(replayed_rng == rng, "n {} + 5000", n);
+        }
     }
 }

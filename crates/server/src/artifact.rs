@@ -3,12 +3,14 @@
 //!
 //! A key's whole persisted state lives in a single file named by the
 //! key's 16-hex FNV-64 stem ([`CacheKey::fnv64`]): the key identity,
-//! shape, source stamp and ingest checkpoint, the per-column KMV minima,
-//! the tuple sample and — once `sketch` ran — the Theorem 2 pair sample
-//! with its sketch parameters. It is published with one temp write +
-//! rename, so a reader sees the old artifact or the new one, never a
-//! mix, and disk GC and `unload` remove one file per key. This module is
-//! the only one that knows the byte layout.
+//! shape and source stamp, the per-column KMV minima, the tuple sample
+//! and — once `sketch` ran — the Theorem 2 pair sample with its sketch
+//! parameters. The reservoir behind the tuple sample is not stored: its
+//! state follows from the key's seed and the row count, so an append
+//! replays it (`TupleIngest::resume`). It is published with one temp
+//! write + rename, so a reader sees the old artifact or the new one,
+//! never a mix, and disk GC and `unload` remove one file per key. This
+//! module is the only one that knows the byte layout.
 //!
 //! Values are stored typed, as each column's dictionary plus codes, so a
 //! restore is exact: `Int(1)` and `Float(1.0)` stay distinct and every
@@ -19,9 +21,7 @@
 //! artifact = "QIDA" · version u16 · header · kmv · sample · pairs · checksum u64
 //! header   = path str · eps_bits u64 · seed u64 · rows var · attrs var
 //!            · len u64 · mtime_s u64 · mtime_ns u32 · prefix_hash u64
-//!            · full_hash u64 · captured_ms u64 · checkpoint
-//! checkpoint = 1u8 · capacity var · seen var (= rows) · next_accept var
-//!            · w_bits u64 · rng 4×u64
+//!            · full_hash u64 · captured_ms u64
 //! kmv      = attrs × (count var · count × u64)
 //! pairs    = 0u8 | 1u8 · alpha u64 · eps u64 · k var · multiplier u64 · table
 //! table    = byte_len var · rows var · attrs × column
@@ -49,8 +49,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use qid_core::filter::FilterParams;
 use qid_core::sketch::{DistinctSketch, SketchParams};
-use qid_core::stream::{IngestCheckpoint, SkipState};
+use qid_core::stream::TupleIngest;
 use qid_dataset::{Attribute, Column, DataType, Dataset, Schema, Value};
 
 /// The artifact checksum: the source stamps' content hash.
@@ -63,8 +64,9 @@ const MAGIC: &[u8; 4] = b"QIDA";
 /// On-disk format version; bump on any layout change so old files are
 /// rejected, not misread. Versions 1–3 were the text formats
 /// (`.sample.csv` + `.meta.json` + `.pairs.*`); 4 was this layout with
-/// FNV-1a stamp hashes and checksum; 5 is this artifact.
-pub(crate) const VERSION: u16 = 5;
+/// FNV-1a stamp hashes and checksum; 5 also stored the paused
+/// reservoir's checkpoint; 6 is this artifact.
+pub(crate) const VERSION: u16 = 6;
 
 /// A decode result; the error says what was wrong.
 type Decoded<T> = Result<T, &'static str>;
@@ -80,9 +82,6 @@ pub(crate) struct Header {
     pub attrs: usize,
     /// The source stamp the entry was built against.
     pub source: SourceStamp,
-    /// The paused ingest's scalar state; the sample rows are its items.
-    /// Every artifact carries one, and its `seen` equals `rows`.
-    pub ingest: IngestCheckpoint,
 }
 
 /// A parsed artifact whose checksum held. The sample and pair tables
@@ -98,9 +97,18 @@ pub(crate) struct Artifact<'a> {
 }
 
 impl Artifact<'_> {
-    /// Decodes the tuple sample.
+    /// Decodes the tuple sample, which must hold the `min(rows, r)` rows
+    /// a reservoir of size `r = ⌈m/√ε⌉` keeps of `rows`: the items an
+    /// append replays it from. Restore and `qid wal` both decode it here,
+    /// so they agree on which artifacts are usable.
     pub fn sample(&self) -> Decoded<Dataset> {
-        table(self.sample, self.header.attrs)
+        let h = &self.header;
+        let sample = table(self.sample, h.attrs)?;
+        let params = FilterParams::new(f64::from_bits(h.key.eps_bits));
+        if sample.n_rows() != h.rows.min(TupleIngest::capacity(params, h.attrs)) {
+            return Err("sample does not fit the row count");
+        }
+        Ok(sample)
     }
 
     /// Decodes the pair section, if the artifact has one: the sketch
@@ -139,16 +147,6 @@ pub(crate) fn encode(
     put_u64(&mut out, s.prefix_hash);
     put_u64(&mut out, s.full_hash);
     put_u64(&mut out, s.captured_ms);
-    // The flag byte keeps version 5's layout; every artifact sets it.
-    let ck = &header.ingest;
-    out.push(1);
-    put_var(&mut out, ck.skip.capacity as u64);
-    put_var(&mut out, ck.skip.seen as u64);
-    put_var(&mut out, ck.skip.next_accept as u64);
-    put_u64(&mut out, ck.skip.w_bits);
-    for word in ck.rng {
-        put_u64(&mut out, word);
-    }
     for sk in cols {
         put_var(&mut out, sk.minima().count() as u64);
         for h in sk.minima() {
@@ -207,21 +205,6 @@ pub(crate) fn parse(bytes: &[u8]) -> Decoded<Artifact<'_>> {
         full_hash: r.u64()?,
         captured_ms: r.u64()?,
     };
-    if r.u8()? != 1 {
-        return Err("no ingest checkpoint");
-    }
-    let ingest = IngestCheckpoint {
-        skip: SkipState {
-            capacity: r.usize()?,
-            seen: r.usize()?,
-            next_accept: r.usize()?,
-            w_bits: r.u64()?,
-        },
-        rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-    };
-    if ingest.skip.seen != rows {
-        return Err("checkpoint does not match the row count");
-    }
     let cols = (0..attrs)
         .map(|_| {
             let n = r.count(8)?;
@@ -251,7 +234,6 @@ pub(crate) fn parse(bytes: &[u8]) -> Decoded<Artifact<'_>> {
             rows,
             attrs,
             source,
-            ingest,
         },
         cols,
         sample,
@@ -631,14 +613,16 @@ mod tests {
         })
     }
 
-    fn header(attrs: usize, bits: u64) -> Header {
+    /// A header for a source of `rows` rows, whose sample therefore
+    /// holds `min(rows, 10·attrs)` rows.
+    fn header(attrs: usize, rows: usize, bits: u64) -> Header {
         Header {
             key: CacheKey {
                 path: "/data/é漢🙂,\"q\"\n.csv".to_string(),
                 eps_bits: 0.01f64.to_bits(),
                 seed: bits,
             },
-            rows: (bits % 1_000_000) as usize,
+            rows,
             attrs,
             source: SourceStamp {
                 len: bits,
@@ -647,15 +631,6 @@ mod tests {
                 prefix_hash: !bits,
                 full_hash: bits.rotate_left(31),
                 captured_ms: bits ^ 0x5555,
-            },
-            ingest: IngestCheckpoint {
-                skip: SkipState {
-                    capacity: 20,
-                    seen: (bits % 1_000_000) as usize,
-                    next_accept: usize::MAX,
-                    w_bits: 0.5f64.to_bits(),
-                },
-                rng: [bits, !bits, 1, u64::MAX],
             },
         }
     }
@@ -696,7 +671,8 @@ mod tests {
             bits in 0u64..=u64::MAX,
             with_pairs in 0u8..2,
         ) {
-            let header = header(attrs, bits);
+            // Fewer rows than the reservoir holds: the sample is all of them.
+            let header = header(attrs, sample.n_rows(), bits);
             let cols = cols_of(attrs, bits);
             let pair_section = (with_pairs == 1).then_some((sketch_params(), &pairs));
             let bytes = encode(&header, &cols, &sample, pair_section);
@@ -748,7 +724,7 @@ mod tests {
         let sample = Dataset::new(schema(), vec![column(vec![0, 1, 2])]);
         let pairs = Dataset::new(schema(), vec![column(vec![0, 1, 1, 2])]);
         encode(
-            &header(1, 42),
+            &header(1, 3, 42),
             &cols_of(1, 3),
             &sample,
             Some((sketch_params(), &pairs)),
@@ -806,36 +782,33 @@ mod tests {
     }
 
     #[test]
-    fn an_artifact_without_a_coherent_checkpoint_does_not_parse() {
-        let seal = |mut body: Vec<u8>| {
-            let sum = checksum(&body);
-            put_u64(&mut body, sum);
-            body
+    fn an_artifact_whose_sample_does_not_fit_its_row_count_is_invalid() {
+        // One attribute at ε = 0.01: the reservoir holds 10 rows, so a
+        // 3-row source keeps all 3 and a 1000-row source keeps 10. A
+        // sample one row short or over is sealed like any other, and
+        // `qid wal` reports it invalid, as a restore refuses it.
+        let dir = std::env::temp_dir().join(format!("qid-artifact-fit-{}", std::process::id()));
+        let dict: Arc<[Value]> = (0..12).map(Value::Int).collect();
+        let sample = |rows: u32| {
+            let column = Column::new((0..rows).collect(), Arc::clone(&dict));
+            let schema = Schema::new(vec![Attribute::new("v", DataType::Int)]);
+            Dataset::new(schema, vec![Arc::new(column)])
         };
-        let good = small_artifact();
-        let body = &good[..good.len() - 8];
-        // The checkpoint ends in its weight bits and RNG words; its flag
-        // byte sits before its three varints.
-        let ck = header(1, 42).ingest;
-        let mut tail = Vec::new();
-        put_u64(&mut tail, ck.skip.w_bits);
-        ck.rng.iter().for_each(|&word| put_u64(&mut tail, word));
-        let mut vars = Vec::new();
-        for v in [ck.skip.capacity, ck.skip.seen, ck.skip.next_accept] {
-            put_var(&mut vars, v as u64);
+        for (rows, kept) in [(3, 3), (1_000, 10)] {
+            let header = header(1, rows, 42);
+            for n in [kept - 1, kept, kept + 1] {
+                let bytes = encode(&header, &cols_of(1, 3), &sample(n as u32), None);
+                publish(&dir, &header.key, &bytes).unwrap();
+                let listed = inspect(&dir);
+                assert_eq!(listed.len(), 1);
+                let at = format!("{rows} rows, {n} in the sample");
+                assert_eq!(listed[0].contents.is_ok(), n == kept, "{at}");
+                if n != kept {
+                    let err = parse(&bytes).unwrap().sample().err();
+                    assert_eq!(err, Some("sample does not fit the row count"), "{at}");
+                }
+            }
         }
-        let at = body.windows(tail.len()).position(|w| w == tail).unwrap();
-        let flag = at - vars.len() - 1;
-        assert_eq!((body[flag], body[flag + 2]), (1, 42), "flag, then seen");
-        assert!(parse(&seal(body.to_vec())).is_ok());
-
-        let without = [&body[..flag], &[0], &body[at + tail.len()..]].concat();
-        assert_eq!(parse(&seal(without)).err(), Some("no ingest checkpoint"));
-        let mut past_rows = body.to_vec();
-        past_rows[flag + 2] += 1;
-        assert_eq!(
-            parse(&seal(past_rows)).err(),
-            Some("checkpoint does not match the row count")
-        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -32,12 +32,13 @@ use crate::proto::{sketch_params, DatasetRef, LoadMode};
 pub const COLUMN_SKETCH_K: usize = 256;
 
 /// The artifacts cached for one dataset: the tuple sample (Theorem 1),
-/// the per-column distinct-count sketches, the paused reservoir they
-/// came from, and two write-once cells — the lazily built
-/// non-separation sketch (Theorem 2) and the materialised rows. Every
-/// entry is built by the same scan, so an entry holds the very sample,
-/// checkpoint and answers of any other entry for the same source and
-/// seed, whether or not its rows are set.
+/// the per-column distinct-count sketches, and two write-once cells —
+/// the lazily built non-separation sketch (Theorem 2) and the
+/// materialised rows. Every entry is built by the same scan, so an
+/// entry holds the very sample and answers of any other entry for the
+/// same source and seed, whether or not its rows are set. The sample
+/// and the row count are all an append needs: `absorb` replays the
+/// reservoir behind them from the key's seed.
 #[derive(Debug)]
 pub struct Entry {
     /// The resident tuple-sample filter (always present).
@@ -52,22 +53,15 @@ pub struct Entry {
     pub rows: usize,
     /// Attribute count.
     pub attrs: usize,
-    /// Approximate resident bytes at build time: the sample, the
-    /// column sketches, and the retained resumable-ingest tuples (a
-    /// second copy of the sample rows, kept so appends can resume).
-    /// Together with the two cells' bytes (`Entry::footprint`) this is
-    /// what LRU eviction charges against
+    /// Approximate resident bytes at build time: the sample and the
+    /// column sketches. Together with the two cells' bytes
+    /// (`Entry::footprint`) this is what LRU eviction charges against
     /// [`crate::registry::RegistryConfig::cache_bytes`].
     pub stored_bytes: usize,
     /// Source-file stamp captured *before* the building scan, so a
     /// file rewritten mid-scan still reads as changed on the next hit.
     /// `None` when the source could not be statted.
     pub source: Option<SourceStamp>,
-    /// The paused streaming build (reservoir + RNG) this entry's
-    /// sample came from, kept by every build, absorb and restore so
-    /// the key's artifact always carries the checkpoint and an append
-    /// resumes it over just the new suffix.
-    pub(crate) ingest: TupleIngest,
     /// The lazily built Theorem 2 sketch, the paused pair build behind
     /// it and their bytes: written once (concurrent `sketch` queries
     /// collapse onto one build), or set by the absorb that advanced the
@@ -111,20 +105,18 @@ impl Entry {
     pub(crate) fn new(
         filter: TupleSampleFilter,
         cols: Vec<DistinctSketch>,
+        rows: usize,
         source: Option<SourceStamp>,
-        ingest: TupleIngest,
     ) -> Entry {
-        let stored_bytes = filter.stored_bytes()
-            + cols.iter().map(DistinctSketch::stored_bytes).sum::<usize>()
-            + ingest.retained_bytes();
+        let stored_bytes =
+            filter.stored_bytes() + cols.iter().map(DistinctSketch::stored_bytes).sum::<usize>();
         Entry {
+            attrs: filter.sample().n_attrs(),
             filter,
             cols,
-            rows: ingest.rows(),
-            attrs: ingest.names().len(),
+            rows,
             stored_bytes,
             source,
-            ingest,
             sketch_cell: OnceLock::new(),
             dataset_cell: OnceLock::new(),
         }
@@ -350,10 +342,9 @@ pub(crate) fn build_entry(
     }
     let params = FilterParams::new(ds.eps);
     // Driven through a TupleIngest (the same computation
-    // `tuple_filter_from_stream` runs) so the reservoir + RNG state
-    // stays on the entry: a later pure append resumes it over just the
-    // new suffix. The same pass feeds the column sketches and, in
-    // memory mode, materialises the rows.
+    // `tuple_filter_from_stream` runs), which a later pure append
+    // resumes over just the new suffix. The same pass feeds the column
+    // sketches and, in memory mode, materialises the rows.
     let feed = scan(&ds.path, 0..stamped_len(source), None, |names| Feed {
         cols: (0..names.len())
             .map(|_| DistinctSketch::new(COLUMN_SKETCH_K))
@@ -368,8 +359,7 @@ pub(crate) fn build_entry(
 }
 
 /// The entry a scan fed: the sample its reservoir holds, its column
-/// sketches, the materialised dataset if the scan kept the rows, and
-/// the reservoir itself, parked for the next append.
+/// sketches and the materialised dataset if the scan kept the rows.
 fn sampled(
     path: &str,
     feed: Feed,
@@ -380,7 +370,7 @@ fn sampled(
     let filter = ingest
         .to_filter(params)
         .map_err(|e| format!("streaming {path}: {e}"))?;
-    let entry = Entry::new(filter, feed.cols, source, ingest);
+    let entry = Entry::new(filter, feed.cols, ingest.rows(), source);
     if let Some(rows) = feed.rows {
         let _ = entry.dataset_cell.set(Ok(weighed(rows)));
     }
@@ -398,21 +388,33 @@ fn big_enough(rows: usize, attrs: usize) -> Result<(), String> {
 }
 
 /// Feeds the appended suffix — bytes `[old.len, new.len)` of `path` —
-/// through `old`'s paused reservoir, column sketches and, if its sketch
-/// was built in-process, pair reservoirs. Returns an entry equal to a
-/// cold rebuild over the grown file, with the advanced sketch already
-/// in its sketch cell.
-pub(crate) fn absorb(path: &str, old: &Entry, new: SourceStamp, eps: f64) -> Result<Entry, String> {
+/// through `old`'s reservoir, column sketches and, if its sketch was
+/// built in-process, pair reservoirs. The reservoir is replayed from
+/// `seed`, `old.rows` and `old`'s sample, which are its items in slot
+/// order. Returns an entry equal to a cold rebuild over the grown file,
+/// with the advanced sketch already in its sketch cell.
+pub(crate) fn absorb(
+    path: &str,
+    old: &Entry,
+    new: SourceStamp,
+    eps: f64,
+    seed: u64,
+) -> Result<Entry, String> {
     let old_len = old.source.ok_or("entry has no source stamp")?.len;
-    let names = old.ingest.names().to_vec();
+    let sample = old.filter.sample();
+    let names: Vec<String> = sample.schema().names().map(str::to_string).collect();
+    let items = sample.rows().map(|row| row.to_vec()).collect();
+    let params = FilterParams::new(eps);
+    let tuples = TupleIngest::resume(names.clone(), params, seed, old.rows, items)
+        .ok_or("the sample does not fit its row count")?;
     let mut feed = scan(path, old_len..new.len, Some(names), |_| Feed {
-        tuples: Some(old.ingest.clone()),
+        tuples: Some(tuples),
         cols: old.cols.clone(),
         pairs: old.sketched().and_then(|s| s.pairs.clone()),
         rows: None,
     })?;
     let pairs = feed.pairs.take();
-    let entry = sampled(path, feed, FilterParams::new(eps), Some(new))?;
+    let entry = sampled(path, feed, params, Some(new))?;
     // The old entry had an in-process sketch: advance it over the
     // suffix too, so `sketch` stays warm across appends.
     if let Some(Ok(sketch)) = pairs.as_ref().map(|p| p.to_sketch(sketch_params())) {
@@ -506,13 +508,13 @@ mod tests {
     /// FNV-1a of the artifact the stream build of [`BASE`] persists
     /// (tuple sample, column sketches and, after `sketch`, pair sample),
     /// normalised as [`artifact_fnv`] describes. Taken from the
-    /// version-4 artifact — FNV-1a stamp hashes and checksum — so it
-    /// pins that the move to the word-wide content hash left every
+    /// version-5 artifact with only its ingest checkpoint cut out, so it
+    /// pins that replaying the reservoir instead of storing it left every
     /// sample, KMV and pair byte where it was.
-    const GOLDEN_BASE: u64 = 0x66ba_3a47_371b_c7e6;
+    const GOLDEN_BASE: u64 = 0xe6d5_35b6_4a3a_e1f6;
     /// The same after [`APPEND`] is absorbed (and for a cold build of
     /// the grown file).
-    const GOLDEN_GROWN: u64 = 0xd535_d84f_1e34_1e50;
+    const GOLDEN_GROWN: u64 = 0x19d9_4911_9f4f_b52c;
 
     const EPS: f64 = 0.01;
     const SEED: u64 = 7;
@@ -552,7 +554,6 @@ mod tests {
             rows: entry.rows,
             attrs: entry.attrs,
             source,
-            ingest: entry.ingest.checkpoint(),
         };
         let sketch = entry.sketch();
         let pairs = sketch.as_deref().map(|sk| (sk.params(), sk.pairs()));
@@ -603,7 +604,7 @@ mod tests {
 
         std::fs::write(&path, format!("{BASE}{APPEND}")).unwrap();
         let grown_stamp = SourceStamp::capture(&path).unwrap();
-        let absorbed = absorb(&path, &entry, grown_stamp, EPS).unwrap();
+        let absorbed = absorb(&path, &entry, grown_stamp, EPS, SEED).unwrap();
         assert_eq!(absorbed.rows, 520);
         assert!(
             absorbed.sketch().is_some(),

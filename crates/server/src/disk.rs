@@ -11,7 +11,6 @@ use std::time::UNIX_EPOCH;
 
 use qid_core::filter::{FilterParams, TupleSampleFilter};
 use qid_core::sketch::{DistinctSketch, NonSeparationSketch, SketchParams};
-use qid_core::stream::TupleIngest;
 
 use crate::artifact::{self, Header};
 use crate::build::{Entry, COLUMN_SKETCH_K};
@@ -40,7 +39,6 @@ pub(crate) fn persist(
         rows: entry.rows,
         attrs: entry.attrs,
         source,
-        ingest: entry.ingest.checkpoint(),
     };
     let pairs = sketch.map(|sk| (sk.params(), sk.pairs()));
     let bytes = artifact::encode(&header, &entry.cols, entry.filter.sample(), pairs);
@@ -138,11 +136,11 @@ pub(crate) fn restore_sketch(
 }
 
 /// Restores `key`'s entry from its artifact under `dir`. Succeeds only
-/// if the artifact is intact, names exactly `key`, carries a checkpoint
-/// the sample resumes, and the source's current stamp matches the
-/// recorded one, so persistence never resurrects stale data and every
-/// restored entry absorbs appends. The pair section stays encoded: it
-/// is decoded on the first `sketch`.
+/// if the artifact is intact, names exactly `key`, holds the sample its
+/// row count implies ([`artifact::Artifact::sample`]), and the source's
+/// current stamp matches the recorded one, so persistence never
+/// resurrects stale data and every restored entry absorbs appends. The
+/// pair section stays encoded: it is decoded on the first `sketch`.
 pub(crate) fn restore(dir: &Path, key: &CacheKey) -> Option<Entry> {
     let bytes = std::fs::read(artifact::path(dir, key.fnv64())).ok()?;
     let art = artifact::parse(&bytes).ok()?;
@@ -154,21 +152,16 @@ pub(crate) fn restore(dir: &Path, key: &CacheKey) -> Option<Entry> {
     if now != h.source {
         return None; // the source changed since the sample was taken
     }
-    let sample = art.sample().ok()?;
-    // Resume the paused ingest: the persisted sample rows *are* the
-    // reservoir items in slot order. A checkpoint they do not fit is an
-    // unusable artifact, like any other: the lookup re-scans.
-    let names = sample.schema().names().map(str::to_string).collect();
-    let items = sample.rows().map(|row| row.to_vec()).collect();
-    let ingest = TupleIngest::resume(names, h.ingest, items)?;
-    let filter =
-        TupleSampleFilter::from_sample(sample, FilterParams::new(f64::from_bits(key.eps_bits)));
+    let filter = TupleSampleFilter::from_sample(
+        art.sample().ok()?,
+        FilterParams::new(f64::from_bits(key.eps_bits)),
+    );
     let cols = art
         .cols
         .iter()
         .map(|minima| DistinctSketch::from_minima(COLUMN_SKETCH_K, minima.iter().copied()))
         .collect();
-    Some(Entry::new(filter, cols, Some(now), ingest))
+    Some(Entry::new(filter, cols, h.rows, Some(now)))
 }
 
 /// How old a `*.tmp` file must be before the startup sweep removes it.

@@ -38,8 +38,9 @@
 //!   same stamp, so persistence never resurrects stale data.
 //! * **Append absorption.** A grown source whose entire old content
 //!   still hashes to the recorded stamp, ending on a row boundary, is a
-//!   pure append: the entry's paused ingest resumes over just the new
-//!   suffix, bit-identical to a cold rebuild (`cache_append_updates`).
+//!   pure append: the entry's reservoir, replayed from the key's seed,
+//!   its sample and its row count, resumes over just the new suffix,
+//!   bit-identical to a cold rebuild (`cache_append_updates`).
 //! * **One lookup path.** [`Registry::get_or_load`] in either mode,
 //!   [`Registry::sweep`] and startup re-admission all go through one
 //!   resolver: it classifies the resident slot once (fresh, appended,
@@ -1062,7 +1063,7 @@ impl Registry {
             Some(self.admit(key, entry, event))
         };
         let mode = match fill {
-            Fill::Absorb(old, new) => match build::absorb(&key.path, &old, new, ds.eps) {
+            Fill::Absorb(old, new) => match build::absorb(&key.path, &old, new, ds.eps, ds.seed) {
                 Ok(entry) => {
                     self.counters.append_updates.fetch_add(1, Ordering::Relaxed);
                     let bytes = new.len - old.source.map_or(0, |s| s.len);
@@ -1095,7 +1096,7 @@ impl Registry {
     /// Books a filled entry: the sketch an absorb advanced in its cell,
     /// its lifecycle event and — for anything read from the source — its
     /// artifact, so a restart resumes from it rather than re-scanning.
-    /// The artifact holds the sample and checkpoint, never the rows.
+    /// The artifact holds the sample, never the rows.
     fn admit(&self, key: &CacheKey, entry: Entry, event: RegistryEvent) -> Arc<Entry> {
         if let Some(sketched) = entry.sketched() {
             self.sketch_built(key, sketched);
@@ -1183,7 +1184,7 @@ mod tests {
     use qid_core::filter::SeparationFilter;
     use qid_core::sketch::DistinctSketch;
     use qid_core::stream::PairIngest;
-    use qid_dataset::{AttrId, Dataset, Value};
+    use qid_dataset::{AttrId, Dataset, DatasetBuilder, Value};
     use std::io::Write as _;
     use std::path::Path;
 
@@ -2278,6 +2279,8 @@ mod tests {
         Append,
         Rewrite,
         Sweep,
+        /// Drop the registry cleanly and open a new one on its cache dir.
+        Restart,
     }
 
     /// What the table expects of one key, before a step.
@@ -2294,24 +2297,36 @@ mod tests {
     }
 
     impl Model {
-        /// Applies `step`; returns whether it scans the source (a miss).
-        fn step(&mut self, step: Step) -> bool {
+        /// Applies `step`; returns the source scans (misses) and the
+        /// artifact restores (disk hits) it pays.
+        fn step(&mut self, step: Step) -> (u64, u64) {
             let current = self.resident && !self.appended && !self.rewritten;
             let scans = match step {
+                // Re-admission restores a resident key whose source is
+                // unchanged since its artifact was written, without its
+                // rows. A key whose source changed stays out, and its
+                // next lookup rescans it rather than absorbing.
+                Step::Restart => {
+                    *self = Model {
+                        resident: current,
+                        ..Model::default()
+                    };
+                    return (0, u64::from(current));
+                }
                 Step::StreamLookup => !self.resident || self.rewritten,
                 Step::MemoryLookup => !(current && self.materialised),
                 Step::Sweep => self.resident && self.rewritten,
                 Step::Append => {
                     self.appended = true;
-                    return false;
+                    return (0, 0);
                 }
                 Step::Rewrite => {
                     self.rewritten = true;
-                    return false;
+                    return (0, 0);
                 }
             };
             if step == Step::Sweep && !self.resident {
-                return false;
+                return (0, 0);
             }
             self.materialised = match step {
                 Step::MemoryLookup => true,
@@ -2320,38 +2335,49 @@ mod tests {
             self.resident = true;
             self.appended = false;
             self.rewritten = false;
-            scans
+            (u64::from(scans), 0)
         }
     }
 
     #[test]
     fn every_three_step_lifecycle_counts_and_serves_like_a_cold_build() {
         use qid_dataset::csv::{read_csv_path, CsvOptions};
-        const STEPS: [Step; 5] = [
+        const STEPS: [Step; 6] = [
             Step::StreamLookup,
             Step::MemoryLookup,
             Step::Append,
             Step::Rewrite,
             Step::Sweep,
+            Step::Restart,
         ];
         for n in 0..STEPS.len().pow(3) {
-            let steps = [STEPS[n % 5], STEPS[n / 5 % 5], STEPS[n / 25]];
+            let steps = [STEPS[n % 6], STEPS[n / 6 % 6], STEPS[n / 36]];
             let dir = unique_dir("lifecycle");
             let file = dir.join("life.csv");
             write_fixture(&file, 300, 0);
             let path = file.to_str().unwrap().to_string();
             let ds = dsref(&path);
             let key = CacheKey::of(&ds);
-            let reg = Registry::new();
+            // The journal on, so a restart re-admits the resident set.
+            let config = RegistryConfig {
+                cache_dir: Some(dir.join("cache")),
+                ..RegistryConfig::default()
+            };
+            let mut reg = Registry::with_config(config.clone());
             let (mut model, mut rows, mut salt) = (Model::default(), 300, 0);
-            let (mut lookups, mut misses, mut sweep_scans) = (0, 0, 0);
+            let (mut lookups, mut misses, mut sweep_scans, mut restores) = (0, 0, 0, 0);
             for (i, &step) in steps.iter().enumerate() {
                 let at = format!("{steps:?} step {i}");
-                let scans = u64::from(model.step(step));
+                let (scans, restored) = model.step(step);
                 misses += scans;
+                restores += restored;
                 if step == Step::Sweep {
                     sweep_scans += scans;
                 }
+                let resident = |reg: &Registry| {
+                    let slot = reg.shard(&key).read().unwrap().get(&key).cloned();
+                    slot.and_then(|slot| slot.cell.get()?.clone().ok())
+                };
                 let served = match step {
                     Step::StreamLookup | Step::MemoryLookup => {
                         lookups += 1;
@@ -2380,18 +2406,25 @@ mod tests {
                     }
                     Step::Sweep => {
                         reg.sweep();
-                        let slot = reg.shard(&key).read().unwrap().get(&key).cloned();
-                        slot.and_then(|slot| slot.cell.get()?.clone().ok())
+                        resident(&reg)
+                    }
+                    Step::Restart => {
+                        drop(reg);
+                        reg = Registry::with_config(config.clone());
+                        resident(&reg)
                     }
                 };
                 assert_eq!(reg.misses(), misses, "{at}: misses");
-                // A sweep's stale rebuild is a scan, so a miss, though
-                // not a lookup.
+                assert_eq!(reg.disk_hits(), restores, "{at}: disk hits");
+                // A sweep's stale rebuild is a scan, so a miss, and a
+                // re-admission a restore, so a disk hit, though neither
+                // is a lookup.
                 assert_eq!(
-                    reg.hits() + reg.misses(),
-                    lookups + sweep_scans,
-                    "{at}: hits + misses"
+                    reg.hits() + reg.misses() + reg.disk_hits(),
+                    lookups + sweep_scans + restores,
+                    "{at}: hits + misses + disk hits"
                 );
+                assert_eq!(resident(&reg).is_some(), model.resident, "{at}: resident");
                 if let Some(entry) = served {
                     let cold = Registry::new()
                         .get_or_load(&ds, LoadMode::Stream)
@@ -2998,9 +3031,9 @@ mod tests {
     }
 
     #[test]
-    fn an_artifact_whose_checkpoint_does_not_cohere_is_a_miss_and_the_rebuild_absorbs() {
-        let dir = unique_dir("incoherent-checkpoint");
-        let path = fixture_csv("incoherent-checkpoint.csv", 300);
+    fn an_artifact_whose_sample_does_not_fit_its_row_count_is_a_miss_and_the_rebuild_absorbs() {
+        let dir = unique_dir("unfit-sample");
+        let path = fixture_csv("unfit-sample.csv", 300);
         let ds = dsref(&path);
         let key = CacheKey::of(&ds);
         let config = RegistryConfig {
@@ -3012,18 +3045,21 @@ mod tests {
             .get_or_load(&ds, LoadMode::Stream)
             .0
             .unwrap();
-        // Re-encode the artifact with the checkpoint's `seen` one past
-        // `rows`: the checksum still holds, the checkpoint does not.
+        // Re-encode the artifact with one sample row removed: the
+        // checksum still holds, the reservoir cannot replay.
         let bytes = std::fs::read(artifact::path(&dir, key.fnv64())).unwrap();
         let art = artifact::parse(&bytes).unwrap();
-        let mut header = art.header.clone();
-        header.ingest.skip.seen += 1;
+        let sample = art.sample().unwrap();
+        let mut short = DatasetBuilder::new(sample.schema().names());
+        for row in sample.rows().skip(1) {
+            short.push_row(row.to_vec()).unwrap();
+        }
         let cols: Vec<DistinctSketch> = art
             .cols
             .iter()
             .map(|minima| DistinctSketch::from_minima(COLUMN_SKETCH_K, minima.iter().copied()))
             .collect();
-        let bad = artifact::encode(&header, &cols, &art.sample().unwrap(), None);
+        let bad = artifact::encode(&art.header, &cols, &short.finish(), None);
         artifact::publish(&dir, &key, &bad).unwrap();
         let listed = artifact::inspect(&dir);
         assert_eq!(listed.len(), 1);

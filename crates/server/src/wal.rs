@@ -92,11 +92,16 @@ const FLUSH_INTERVAL: Duration = Duration::from_millis(100);
 /// take the elementwise max of independent durable sources.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CounterSet {
-    /// Lookups served from a resident entry.
+    /// Lookups answered from a resident entry (including waits on a
+    /// concurrent build).
     pub hits: u64,
-    /// Lookups that scanned the source.
+    /// Scans of the whole source (cold builds, stale rebuilds, rows
+    /// scans, sketch builds, failed builds), paid by a lookup, the
+    /// sweeper or a `sketch`. Each lookup counts exactly once, as a hit,
+    /// a miss or a disk hit.
     pub misses: u64,
-    /// Lookups restored from the warm tier.
+    /// Artifacts restored from the cache dir instead of a scan, by a
+    /// lookup, the sweeper, startup re-admission or a `sketch`.
     pub disk_hits: u64,
     /// LRU evictions.
     pub evictions: u64,
