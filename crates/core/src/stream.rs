@@ -14,8 +14,17 @@
 //!
 //! Space: `O(r·m)` / `O(s·m)` values; update cost is dominated by the
 //! reservoirs' `O(capacity · log(n/capacity))` accepted items.
+//!
+//! Which items a reservoir accepts depends only on its seed and the
+//! number of items offered. So a paused build is never stored: it is
+//! replayed from the seed, the row count and the rows it retained
+//! ([`TupleIngest::resume`], [`PairIngest::resume`]). And a pair build
+//! over a stream of known length is planned before the stream is read
+//! ([`PairIngest::plan`]), so only the rows its pairs end on are kept.
 
 use std::cell::LazyCell;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -122,14 +131,36 @@ impl TupleIngest {
 
 /// The live state of a one-pass pair-sample build: `s` independent
 /// size-2 reservoirs sharing one skip heap, plus the RNG. The pair
-/// analogue of [`TupleIngest`], paused by keeping it (a clone resumes
-/// it) rather than by replay: a pair sample restored from disk comes
-/// without one, and the next append drops it.
+/// analogue of [`TupleIngest`], paused and resumed the same way: an
+/// append-aware consumer keeps only the sketch it built and the row
+/// count, and [`resume`] replays the reservoirs' schedule from the seed
+/// and takes the sketch's pair table back as their items.
+///
+/// A slot keeps a shared reference to a row: a row is built once however
+/// many slots accept it, and an accept copies no tuple.
+///
+/// A first build over a stream of known length need not push every row:
+/// [`plan`] names the rows the pairs end on before the stream is read,
+/// and the consumer hands over only those.
+///
+/// [`resume`]: PairIngest::resume
+/// [`plan`]: PairIngest::plan
 #[derive(Clone, Debug)]
 pub struct PairIngest {
-    names: Vec<String>,
     rng: StdRng,
-    mr: MultiReservoir<Vec<Value>>,
+    mr: MultiReservoir<Held>,
+    /// The pair table a resumed build took its slots from, which
+    /// [`Held::Table`] indexes; no rows for a new build.
+    table: Dataset,
+}
+
+/// A row a pair slot holds.
+#[derive(Clone, Debug)]
+enum Held {
+    /// Row `r` of the resumed pair table.
+    Table(usize),
+    /// A row pushed since, shared by every slot that accepted it.
+    Pushed(Arc<[Value]>),
 }
 
 impl PairIngest {
@@ -137,9 +168,50 @@ impl PairIngest {
     /// the given attribute names.
     pub fn new(names: Vec<String>, s: usize, seed: u64) -> Self {
         PairIngest {
-            names,
             rng: StdRng::seed_from_u64(seed),
             mr: MultiReservoir::new(s.max(1), 2),
+            table: DatasetBuilder::new(names).finish(),
+        }
+    }
+
+    /// Resumes the build that pushing `rows` tuples into
+    /// `new(names, s, seed)` leaves, from the pair table of the sketch
+    /// (or filter) it built: pair `i` at rows `(i, s+i)`, whose
+    /// attribute names and `s` it takes. The table is shared, not
+    /// copied. Returns `None` unless the table holds whole pairs and
+    /// `rows` is at least 2 — see [`MultiReservoir::replay`].
+    pub fn resume(pairs: &Dataset, seed: u64, rows: usize) -> Option<Self> {
+        if !pairs.n_rows().is_multiple_of(2) {
+            return None;
+        }
+        let s = pairs.n_rows() / 2;
+        let slots = (0..s)
+            .map(|i| vec![Held::Table(i), Held::Table(s + i)])
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mr = MultiReservoir::replay(s, 2, rows, slots, &mut rng)?;
+        Some(PairIngest {
+            rng,
+            mr,
+            table: pairs.clone(),
+        })
+    }
+
+    /// Plans the build that pushing `rows` tuples into `new(_, s, seed)`
+    /// runs, before any tuple is read: the slots as row indices, with the
+    /// sorted rows they name ([`PairPlan::wanted`]).
+    /// [`PairPlan::to_sketch`] then takes just those rows and builds the
+    /// sketch [`to_sketch`](Self::to_sketch) would have.
+    pub fn plan(s: usize, seed: u64, rows: usize) -> PairPlan {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let slots = MultiReservoir::plan(s.max(1), 2, rows, &mut rng).into_slots();
+        let mut wanted: Vec<usize> = slots.iter().flatten().copied().collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        PairPlan {
+            rows,
+            slots,
+            wanted,
         }
     }
 
@@ -151,11 +223,12 @@ impl PairIngest {
 
     /// Offers one tuple to all slots, building it only if some slot
     /// retains it: the same trajectory as [`push`](Self::push), with
-    /// `make` called at most once per row and each retaining slot
-    /// keeping a clone of what it built.
+    /// `make` called at most once per row and the retaining slots
+    /// sharing what it built.
     pub fn push_with(&mut self, make: impl FnOnce() -> Vec<Value>) {
-        let made = LazyCell::new(make);
-        self.mr.push_with(|| Vec::clone(&made), &mut self.rng);
+        let made = LazyCell::new(|| Arc::<[Value]>::from(make()));
+        self.mr
+            .push_with(|| Held::Pushed(Arc::clone(&made)), &mut self.rng);
     }
 
     /// Tuples offered so far (the stream length `n`).
@@ -163,36 +236,35 @@ impl PairIngest {
         self.mr.seen()
     }
 
-    /// Approximate heap bytes the paused build retains: the `2s` pair
-    /// tuple copies plus text payloads.
-    pub fn retained_bytes(&self) -> usize {
-        self.mr
-            .slots()
-            .iter()
-            .flat_map(|slot| slot.iter())
-            .map(|t| tuple_bytes(t))
-            .sum()
-    }
-
     /// Lays the slots out as the `2s`-row pair data set the filters
-    /// expect (pair `i` at rows `(i, s+i)`). Errors on streams shorter
-    /// than 2 tuples — no pairs exist.
+    /// expect (pair `i` at rows `(i, s+i)`), gathered out of the resumed
+    /// table and the rows pushed since, so only pushed rows are interned.
+    /// Errors on streams shorter than 2 tuples — no pairs exist.
     fn to_pair_rows(&self) -> Result<Dataset, DatasetError> {
-        let n = self.mr.seen();
-        if n < 2 {
-            return Err(DatasetError::InvalidSpec(format!(
-                "pair sampling needs a stream of at least 2 tuples, got {n}"
-            )));
+        pairs_exist(self.mr.seen())?;
+        // Each pushed row once, in order of first reference: a row shared
+        // by several slots is one allocation, and its address names it.
+        let mut pushed = DatasetBuilder::new(self.table.schema().names());
+        let mut at = HashMap::new();
+        let mut layout = Vec::with_capacity(2 * self.mr.slots().len());
+        for side in 0..2 {
+            for slot in self.mr.slots() {
+                layout.push(match &slot[side] {
+                    Held::Table(row) => (0, *row),
+                    Held::Pushed(row) => {
+                        let next = at.len();
+                        let key = Arc::as_ptr(row).cast::<Value>() as usize;
+                        let row_at = *at.entry(key).or_insert(next);
+                        if row_at == next {
+                            pushed.push_row_ref(row)?;
+                        }
+                        (1, row_at)
+                    }
+                });
+            }
         }
-        let mut b = DatasetBuilder::new(self.names.clone());
-        for slot in self.mr.slots() {
-            debug_assert_eq!(slot.len(), 2, "slots hold exactly 2 after n >= 2");
-            b.push_row(slot[0].clone())?;
-        }
-        for slot in self.mr.slots() {
-            b.push_row(slot[1].clone())?;
-        }
-        Ok(b.finish())
+        let parts = [&self.table, &pushed.finish()];
+        Ok(Dataset::gather_first_seen(&parts, &layout))
     }
 
     /// Builds the Motwani–Xu pair filter over the pairs retained so
@@ -215,20 +287,61 @@ impl PairIngest {
     }
 }
 
-/// Approximate heap bytes of one retained tuple: the `Vec` spine plus
-/// each value's text payload (ints, floats, and nulls are inline;
-/// interned strings are counted at full length even when shared —
-/// cache accounting prefers a small overestimate to an undercount).
-fn tuple_bytes(tuple: &[Value]) -> usize {
-    std::mem::size_of::<Vec<Value>>()
-        + std::mem::size_of_val(tuple)
-        + tuple
-            .iter()
-            .map(|v| match v {
-                Value::Text(s) => s.len(),
-                _ => 0,
-            })
-            .sum::<usize>()
+/// A pair build planned over a stream of known length
+/// ([`PairIngest::plan`]): each slot's rows as indices into the stream.
+#[derive(Clone, Debug)]
+pub struct PairPlan {
+    rows: usize,
+    slots: Vec<Vec<usize>>,
+    wanted: Vec<usize>,
+}
+
+impl PairPlan {
+    /// The distinct stream indices the pairs end on, ascending: the
+    /// rows [`to_sketch`](Self::to_sketch) takes, at most `2s` of them.
+    pub fn wanted(&self) -> &[usize] {
+        &self.wanted
+    }
+
+    /// Builds the non-separation sketch from the [`wanted`](Self::wanted)
+    /// rows, in that order — the sketch that pushing the whole stream
+    /// through a [`PairIngest`] builds. The pair table is gathered out of
+    /// `rows` ([`Dataset::gather_first_seen`]), so no value is hashed
+    /// again. Errors if a row is missing or extra, or on streams shorter
+    /// than 2 tuples.
+    pub fn to_sketch(
+        &self,
+        rows: &Dataset,
+        params: SketchParams,
+    ) -> Result<NonSeparationSketch, DatasetError> {
+        pairs_exist(self.rows)?;
+        if rows.n_rows() != self.wanted.len() {
+            return Err(DatasetError::InvalidSpec(format!(
+                "the planned pairs end on {} rows, got {}",
+                self.wanted.len(),
+                rows.n_rows()
+            )));
+        }
+        let layout: Vec<(usize, usize)> = (0..2)
+            .flat_map(|side| self.slots.iter().map(move |slot| slot[side]))
+            .map(|row| (0, self.wanted.binary_search(&row).expect("a wanted row")))
+            .collect();
+        Ok(NonSeparationSketch::from_pair_rows(
+            Dataset::gather_first_seen(&[rows], &layout),
+            self.rows,
+            params,
+        ))
+    }
+}
+
+/// Errors unless a stream of `n` tuples has a pair to sample.
+fn pairs_exist(n: usize) -> Result<(), DatasetError> {
+    if n < 2 {
+        return Err(DatasetError::InvalidSpec(format!(
+            "pair sampling needs a stream of at least 2 tuples, got {n}"
+        )));
+    }
+    Ok(())
 }
 
 /// Builds the tuple filter (Algorithm 1) in one pass.
@@ -391,6 +504,16 @@ mod tests {
         assert_eq!(resumed.rng, pushed.rng);
     }
 
+    /// Each slot's rows, by value.
+    fn held(ingest: &PairIngest) -> Vec<Vec<Vec<Value>>> {
+        let row = |h: &Held| match h {
+            Held::Table(r) => ingest.table.row(*r).to_vec(),
+            Held::Pushed(row) => row.to_vec(),
+        };
+        let slots = ingest.mr.slots().iter();
+        slots.map(|slot| slot.iter().map(row).collect()).collect()
+    }
+
     #[test]
     fn pair_ingest_push_with_matches_push() {
         let names = vec!["id".to_string(), "t".to_string()];
@@ -404,11 +527,131 @@ mod tests {
                 row(i)
             });
             let id = Value::Int(i as i64);
-            let retained = lazy.mr.slots().iter().flatten().any(|t| t[0] == id);
+            let retained = held(&lazy).iter().flatten().any(|t| t[0] == id);
             assert_eq!(calls, usize::from(retained), "row {i}");
         }
-        assert_eq!(owned.mr.slots(), lazy.mr.slots());
+        assert_eq!(held(&owned), held(&lazy));
         assert_eq!(owned.rows(), lazy.rows());
+    }
+
+    /// Each attribute, and each column's codes and dictionary.
+    type Table = (Vec<qid_dataset::Attribute>, Vec<(Vec<u32>, Vec<Value>)>);
+
+    /// Every byte of a table that a persisted or queried sketch reads.
+    fn table(ds: &Dataset) -> Table {
+        let cols = ds
+            .columns()
+            .iter()
+            .map(|c| (c.codes().to_vec(), c.dict().to_vec()))
+            .collect();
+        (ds.schema().attrs().to_vec(), cols)
+    }
+
+    /// Rows that repeat values across rows and columns, with mixed types.
+    fn mixed_row(i: usize) -> Vec<Value> {
+        let t = match i % 5 {
+            0 => Value::Null,
+            1 => Value::Int((i % 3) as i64),
+            _ => Value::text(format!("t{}", i % 11)),
+        };
+        vec![Value::Int(i as i64), t, Value::float((i % 4) as f64 / 2.0)]
+    }
+
+    fn names() -> Vec<String> {
+        ["id", "t", "f"].map(str::to_string).to_vec()
+    }
+
+    /// The rows of [`mixed_row`] at `indices`, as a data set.
+    fn wanted_rows(indices: &[usize]) -> Dataset {
+        let mut b = DatasetBuilder::new(names());
+        for &i in indices {
+            b.push_row(mixed_row(i)).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn a_planned_sketch_equals_a_pushed_one() {
+        let params = SketchParams::new(0.25, 0.1, 2);
+        // Streams shorter than, near and far past the slot count.
+        for (n, s) in [(2, 50), (3, 50), (40, 50), (3_000, 50), (500, 1)] {
+            let mut pushed = PairIngest::new(names(), s, 21);
+            for i in 0..n {
+                pushed.push(&mixed_row(i));
+            }
+            let plan = PairIngest::plan(s, 21, n);
+            assert!(plan.wanted().windows(2).all(|w| w[0] < w[1]), "n {n}");
+            assert!(plan.wanted().len() <= 2 * s, "n {n}");
+            let planned = plan.to_sketch(&wanted_rows(plan.wanted()), params);
+            let pushed = pushed.to_sketch(params).unwrap();
+            assert_eq!(
+                table(planned.unwrap().pairs()),
+                table(pushed.pairs()),
+                "n {n}"
+            );
+            let planned = plan.to_sketch(&wanted_rows(plan.wanted()), params);
+            assert_eq!(
+                planned.unwrap().source_pairs(),
+                pushed.source_pairs(),
+                "n {n}"
+            );
+            let short = wanted_rows(&plan.wanted()[1..]);
+            assert!(plan.to_sketch(&short, params).is_err(), "n {n}");
+        }
+        let short = PairIngest::plan(5, 21, 1);
+        let rows = wanted_rows(short.wanted());
+        assert!(short.to_sketch(&rows, params).is_err(), "no pairs in 1 row");
+    }
+
+    #[test]
+    fn the_pair_table_numbers_codes_as_pushing_every_row_does() {
+        let mut ingest = PairIngest::new(names(), 60, 4);
+        for i in 0..200 {
+            ingest.push(&mixed_row(i));
+        }
+        let mut b = DatasetBuilder::new(names());
+        for side in 0..2 {
+            for slot in held(&ingest) {
+                b.push_row(slot[side].clone()).unwrap();
+            }
+        }
+        let sketch = ingest.to_sketch(SketchParams::new(0.25, 0.1, 2)).unwrap();
+        assert_eq!(table(sketch.pairs()), table(&b.finish()));
+    }
+
+    #[test]
+    fn pair_ingest_resume_continues_the_pushed_build() {
+        let params = SketchParams::new(0.25, 0.1, 2);
+        for cut in [2, 30, 1_000] {
+            let mut pushed = PairIngest::new(names(), 40, 8);
+            for i in 0..cut {
+                pushed.push(&mixed_row(i));
+            }
+            let sketch = pushed.to_sketch(params).unwrap();
+            let mut resumed = PairIngest::resume(sketch.pairs(), 8, cut).unwrap();
+            assert_eq!(held(&resumed), held(&pushed), "cut {cut}");
+            assert_eq!(resumed.rng, pushed.rng, "cut {cut}");
+            for i in cut..cut + 2_000 {
+                resumed.push(&mixed_row(i));
+                pushed.push(&mixed_row(i));
+            }
+            assert_eq!(held(&resumed), held(&pushed), "cut {cut}");
+            assert_eq!(resumed.rng, pushed.rng, "cut {cut}");
+            let (a, b) = (resumed.to_sketch(params), pushed.to_sketch(params));
+            assert_eq!(table(a.unwrap().pairs()), table(b.unwrap().pairs()));
+            let resumed_names: Vec<&str> = resumed.table.schema().names().collect();
+            assert_eq!(resumed_names, names());
+            assert!(
+                PairIngest::resume(sketch.pairs(), 8, 1).is_none(),
+                "no pair in 1 row"
+            );
+        }
+        let mut odd = DatasetBuilder::new(names());
+        odd.push_row(mixed_row(0)).unwrap();
+        assert!(
+            PairIngest::resume(&odd.finish(), 8, 10).is_none(),
+            "half a pair"
+        );
     }
 
     #[test]

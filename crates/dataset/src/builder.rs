@@ -15,9 +15,6 @@ struct ColumnBuilder {
     codes: Vec<u32>,
     dict: Vec<Value>,
     index: HashMap<Value, u32>,
-    saw_int: bool,
-    saw_float: bool,
-    saw_text: bool,
 }
 
 impl ColumnBuilder {
@@ -27,26 +24,18 @@ impl ColumnBuilder {
             codes: Vec::new(),
             dict: Vec::new(),
             index: HashMap::new(),
-            saw_int: false,
-            saw_float: false,
-            saw_text: false,
         }
     }
 
-    fn push(&mut self, v: Value) -> Result<(), DatasetError> {
-        match &v {
-            Value::Int(_) => self.saw_int = true,
-            Value::Float(_) => self.saw_float = true,
-            Value::Text(_) => self.saw_text = true,
-            Value::Null => {}
-        }
-        let code = match self.index.get(&v) {
+    /// Codes `v`, cloning it only when it is new to the dictionary.
+    fn push(&mut self, v: &Value) -> Result<(), DatasetError> {
+        let code = match self.index.get(v) {
             Some(&c) => c,
             None => {
                 let c = u32::try_from(self.dict.len())
                     .map_err(|_| DatasetError::DictionaryOverflow(self.name.clone()))?;
                 self.dict.push(v.clone());
-                self.index.insert(v, c);
+                self.index.insert(v.clone(), c);
                 c
             }
         };
@@ -54,17 +43,9 @@ impl ColumnBuilder {
         Ok(())
     }
 
-    fn dtype(&self) -> DataType {
-        match (self.saw_int, self.saw_float, self.saw_text) {
-            (true, false, false) => DataType::Int,
-            (false, true, false) => DataType::Float,
-            (false, false, true) => DataType::Text,
-            _ => DataType::Mixed,
-        }
-    }
-
     fn finish(self) -> (Attribute, Column) {
-        let dtype = self.dtype();
+        // The dictionary holds each value pushed, once.
+        let dtype = DataType::of(&self.dict);
         let dict: Arc<[Value]> = self.dict.into();
         (
             Attribute::new(self.name, dtype),
@@ -124,14 +105,21 @@ impl DatasetBuilder {
         I: IntoIterator<Item = Value>,
     {
         let values: Vec<Value> = row.into_iter().collect();
-        if values.len() != self.columns.len() {
+        self.push_row_ref(&values)
+    }
+
+    /// Appends one borrowed tuple: a value is cloned only when it is new
+    /// to its column's dictionary. The tuple length must equal the
+    /// attribute count.
+    pub fn push_row_ref(&mut self, row: &[Value]) -> Result<(), DatasetError> {
+        if row.len() != self.columns.len() {
             return Err(DatasetError::RowArity {
                 row: self.n_rows,
                 expected: self.columns.len(),
-                got: values.len(),
+                got: row.len(),
             });
         }
-        for (cb, v) in self.columns.iter_mut().zip(values) {
+        for (cb, v) in self.columns.iter_mut().zip(row) {
             cb.push(v)?;
         }
         self.n_rows += 1;

@@ -1,5 +1,6 @@
 //! Dictionary-encoded columns.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::value::Value;
@@ -114,6 +115,62 @@ impl Column {
         Column {
             codes: rows.iter().map(|&r| self.codes[r]).collect(),
             dict: Arc::clone(&self.dict),
+        }
+    }
+
+    /// A new column of `rows` — each a `(part, row)` of `parts` — over a
+    /// dictionary of just the values they hold, coded by first
+    /// appearance among them: for parts whose codes each name distinct
+    /// values, the column that pushing those values in turn builds.
+    ///
+    /// No row's value is hashed. When more than one part has values,
+    /// each part's dictionary is hashed once, to give equal values in
+    /// different parts one code.
+    pub fn gather_first_seen(parts: &[&Column], rows: &[(usize, usize)]) -> Column {
+        // Every part's codes in one space, and the value of each.
+        let mut values: Vec<&Value> = Vec::new();
+        let shared: Vec<Vec<u32>> = if parts.iter().filter(|p| !p.dict.is_empty()).count() > 1 {
+            let mut index = HashMap::new();
+            parts
+                .iter()
+                .map(|p| {
+                    p.dict
+                        .iter()
+                        .map(|v| {
+                            *index.entry(v).or_insert_with(|| {
+                                values.push(v);
+                                values.len() as u32 - 1
+                            })
+                        })
+                        .collect()
+                })
+                .collect()
+        } else {
+            parts
+                .iter()
+                .map(|p| {
+                    let base = values.len() as u32;
+                    values.extend(p.dict.iter());
+                    (base..values.len() as u32).collect()
+                })
+                .collect()
+        };
+        let mut recode = vec![u32::MAX; values.len()];
+        let mut dict = Vec::new();
+        let codes = rows
+            .iter()
+            .map(|&(part, row)| {
+                let code = shared[part][parts[part].codes[row] as usize] as usize;
+                if recode[code] == u32::MAX {
+                    recode[code] = dict.len() as u32;
+                    dict.push(values[code].clone());
+                }
+                recode[code]
+            })
+            .collect();
+        Column {
+            codes,
+            dict: dict.into(),
         }
     }
 }

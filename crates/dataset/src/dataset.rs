@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::column::Column;
-use crate::schema::{AttrId, Schema};
+use crate::schema::{AttrId, Attribute, DataType, Schema};
 use crate::value::Value;
 
 /// An immutable data set of `n` tuples over `m` attributes.
@@ -165,6 +165,38 @@ impl Dataset {
             .collect();
         Dataset {
             schema: Arc::clone(&self.schema),
+            columns,
+            n_rows: rows.len(),
+        }
+    }
+
+    /// A new data set of `rows` (in order, repeats allowed), each a
+    /// `(part, row)` of `parts` — data sets over the attributes of the
+    /// first — with each column cut to a dictionary of the values those
+    /// rows hold, coded by first appearance, and each attribute typed by
+    /// those values: the data set that pushing the rows' values through
+    /// a [`crate::DatasetBuilder`] in turn builds. No row's value is
+    /// hashed; see [`Column::gather_first_seen`].
+    ///
+    /// # Panics
+    /// Panics if `parts` is empty, or a part has fewer attributes than
+    /// the first.
+    pub fn gather_first_seen(parts: &[&Dataset], rows: &[(usize, usize)]) -> Dataset {
+        let schema = parts[0].schema();
+        let columns: Vec<Arc<Column>> = (0..schema.len())
+            .map(|a| {
+                let cols: Vec<&Column> = parts.iter().map(|p| &*p.columns[a]).collect();
+                Arc::new(Column::gather_first_seen(&cols, rows))
+            })
+            .collect();
+        let attrs = schema
+            .attrs()
+            .iter()
+            .zip(&columns)
+            .map(|(a, c)| Attribute::new(a.name(), DataType::of(c.dict().iter())))
+            .collect();
+        Dataset {
+            schema: Arc::new(Schema::new(attrs)),
             columns,
             n_rows: rows.len(),
         }
@@ -336,5 +368,80 @@ mod tests {
         let s = format!("{ds:?}");
         assert!(s.contains("n_rows: 3"));
         assert!(s.contains("n_attrs: 3"));
+    }
+}
+
+/// [`Dataset::gather_first_seen`] against pushing the same rows' values
+/// through a [`crate::DatasetBuilder`].
+#[cfg(test)]
+mod gather_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::builder::DatasetBuilder;
+
+    /// A value of every type, with repeats across types (`Int(1)`,
+    /// `Float(1.0)`, `Text("1")`) and `-0.0` beside `0.0`.
+    fn value(pick: u8) -> Value {
+        match pick % 9 {
+            0 => Value::Null,
+            1 => Value::Int(1),
+            2 => Value::Int(2),
+            3 => Value::float(1.0),
+            4 => Value::float(0.0),
+            5 => Value::float(-0.0),
+            6 => Value::text("1"),
+            7 => Value::text("b"),
+            _ => Value::Int(i64::from(pick)),
+        }
+    }
+
+    fn built(rows: &[Vec<Value>]) -> Dataset {
+        let mut b = DatasetBuilder::new(["x", "y"]);
+        for row in rows {
+            b.push_row(row.iter().cloned()).unwrap();
+        }
+        b.finish()
+    }
+
+    /// Each attribute, and each column's codes and dictionary.
+    type Table = (Vec<Attribute>, Vec<(Vec<u32>, Vec<Value>)>);
+
+    fn table(ds: &Dataset) -> Table {
+        let cols = ds.columns().iter();
+        let cols = cols.map(|c| (c.codes().to_vec(), c.dict().to_vec()));
+        (ds.schema().attrs().to_vec(), cols.collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn gathering_equals_pushing_the_rows_in_turn(
+            a in proptest::collection::vec((0u8..40, 0u8..40), 0..30),
+            b in proptest::collection::vec((0u8..40, 0u8..40), 0..30),
+            picks in proptest::collection::vec((0u8..2, 0usize..30), 0..80),
+        ) {
+            let rows = |part: &[(u8, u8)]| -> Vec<Vec<Value>> {
+                part.iter().map(|&(x, y)| vec![value(x), value(y)]).collect()
+            };
+            let (a, b) = (rows(&a), rows(&b));
+            let parts = [&a, &b];
+            let layout: Vec<(usize, usize)> = picks
+                .iter()
+                .filter(|&&(part, _)| !parts[part as usize].is_empty())
+                .map(|&(part, row)| (part as usize, row % parts[part as usize].len()))
+                .collect();
+            let expected: Vec<Vec<Value>> =
+                layout.iter().map(|&(p, r)| parts[p][r].clone()).collect();
+            let gathered = Dataset::gather_first_seen(&[&built(&a), &built(&b)], &layout);
+            prop_assert_eq!(table(&gathered), table(&built(&expected)));
+            prop_assert_eq!(gathered.n_rows(), layout.len());
+            let only_a: Vec<(usize, usize)> =
+                layout.iter().filter(|&&(p, _)| p == 0).copied().collect();
+            let expected: Vec<Vec<Value>> = only_a.iter().map(|&(_, r)| a[r].clone()).collect();
+            let gathered = Dataset::gather_first_seen(&[&built(&a)], &only_a);
+            prop_assert_eq!(table(&gathered), table(&built(&expected)));
+        }
     }
 }

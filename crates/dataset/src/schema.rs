@@ -3,6 +3,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::value::Value;
+
 /// Identifies one of the `m` attributes (coordinates) of a data set.
 ///
 /// The paper writes attribute subsets as `A ⊆ [m]`; an `AttrId` is an
@@ -55,6 +57,29 @@ pub enum DataType {
     Text,
     /// Values of more than one type (or only nulls).
     Mixed,
+}
+
+impl DataType {
+    /// The type of an attribute holding `values`: the one type all its
+    /// non-null values share, else [`DataType::Mixed`] (also for only
+    /// nulls).
+    pub fn of<'a>(values: impl IntoIterator<Item = &'a Value>) -> DataType {
+        let (mut int, mut float, mut text) = (false, false, false);
+        for v in values {
+            match v {
+                Value::Int(_) => int = true,
+                Value::Float(_) => float = true,
+                Value::Text(_) => text = true,
+                Value::Null => {}
+            }
+        }
+        match (int, float, text) {
+            (true, false, false) => DataType::Int,
+            (false, true, false) => DataType::Float,
+            (false, false, true) => DataType::Text,
+            _ => DataType::Mixed,
+        }
+    }
 }
 
 /// Metadata for one attribute.

@@ -83,6 +83,24 @@ impl<T> Reservoir<T> {
     }
 }
 
+/// Draws the next accept index of an Algorithm L reservoir of capacity
+/// `k`, advancing its weight `w`. `base` is the index of the next
+/// incoming item; a skip of zero accepts it.
+fn draw_next_accept<R: Rng + ?Sized>(w: &mut f64, k: usize, base: usize, rng: &mut R) -> usize {
+    // W ← W · U1^{1/k};  skip ← ⌊log U2 / log(1−W)⌋
+    let u1: f64 = rng.random();
+    *w *= u1.powf(1.0 / k as f64);
+    let u2: f64 = rng.random();
+    let skip = (u2.ln() / (1.0 - *w).ln()).floor();
+    // Guard against degenerate W (w → 0 or 1 under fp rounding).
+    let skip = if skip.is_finite() && skip >= 0.0 {
+        skip as usize
+    } else {
+        usize::MAX / 2
+    };
+    base.saturating_add(skip)
+}
+
 /// Li's **Algorithm L**: skip-based reservoir with O(k log(n/k)) total
 /// RNG draws instead of O(n).
 ///
@@ -120,18 +138,7 @@ impl<T> SkipReservoir<T> {
     /// Draws the next accept index. Called when `self.seen` equals the
     /// index of the next incoming item; a skip of zero accepts it.
     fn schedule_next<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        // W ← W · U1^{1/k};  skip ← ⌊log U2 / log(1−W)⌋
-        let u1: f64 = rng.random();
-        self.w *= u1.powf(1.0 / self.capacity as f64);
-        let u2: f64 = rng.random();
-        let skip = (u2.ln() / (1.0 - self.w).ln()).floor();
-        // Guard against degenerate W (w → 0 or 1 under fp rounding).
-        let skip = if skip.is_finite() && skip >= 0.0 {
-            skip as usize
-        } else {
-            usize::MAX / 2
-        };
-        self.next_accept = self.seen.saturating_add(skip);
+        self.next_accept = draw_next_accept(&mut self.w, self.capacity, self.seen, rng);
     }
 
     /// Offers one item; returns `true` if it was retained.
@@ -230,18 +237,70 @@ impl<T> SkipReservoir<T> {
 /// stream items, so the `s` slots form `s` i.i.d. uniform pairs (pair
 /// sampling "with replacement" across slots, as the MX analysis
 /// assumes). Total update work for `n` items is `O(n + s·k·log(n/k))`.
+///
+/// As for [`SkipReservoir`], which slot accepts which item and which
+/// victim it drops depend only on the RNG and the item count, never on
+/// the items. So one walk of the schedule drives a push, a
+/// [`plan`](MultiReservoir::plan) that names every slot's items before
+/// any item is read, and a [`replay`](MultiReservoir::replay) that
+/// rebuilds a reservoir from the items it retained.
 #[derive(Clone, Debug)]
 pub struct MultiReservoir<T> {
-    k: usize,
     slots: Vec<Vec<T>>,
+    schedule: Schedule,
+}
+
+/// The item-independent half of a [`MultiReservoir`]: the item count,
+/// every slot's next accept and its Algorithm L weight.
+#[derive(Clone, Debug)]
+struct Schedule {
+    k: usize,
     seen: usize,
     /// Min-heap of (next-accept index, slot).
-    schedule: BinaryHeap<Reverse<(usize, usize)>>,
+    heap: BinaryHeap<Reverse<(usize, usize)>>,
     /// Per-slot Algorithm L weight.
     weights: Vec<f64>,
 }
 
-impl<T: Clone> MultiReservoir<T> {
+impl Schedule {
+    /// Ends the warm-up: once every slot holds the first `k` items,
+    /// schedules each slot's first accept, in slot order.
+    fn start<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        debug_assert_eq!(self.seen, self.k, "the warm-up ends at k items");
+        for slot in 0..self.weights.len() {
+            let next = draw_next_accept(&mut self.weights[slot], self.k, self.seen, rng);
+            self.heap.push(Reverse((next, slot)));
+        }
+    }
+
+    /// Steps through every accept before item `to` in heap order —
+    /// by item index, then slot — drawing each accept's victim and the
+    /// slot's next accept, and calls `accept(slot, victim, item)` for
+    /// each. Leaves `seen == to`. Only valid after [`start`](Self::start).
+    fn advance<R: Rng + ?Sized>(
+        &mut self,
+        to: usize,
+        rng: &mut R,
+        mut accept: impl FnMut(usize, usize, usize),
+    ) {
+        // The slot's next accept replaces its entry at the top, so the
+        // heap sifts once per accept.
+        while let Some(mut top) = self.heap.peek_mut() {
+            let Reverse((next, slot)) = *top;
+            if next >= to {
+                break;
+            }
+            debug_assert!(next >= self.seen, "missed a scheduled accept");
+            let victim = rng.random_range(0..self.k);
+            accept(slot, victim, next);
+            let after = draw_next_accept(&mut self.weights[slot], self.k, next + 1, rng);
+            *top = Reverse((after, slot));
+        }
+        self.seen = to;
+    }
+}
+
+impl<T> MultiReservoir<T> {
     /// Creates `s` independent reservoirs of capacity `k`.
     ///
     /// # Panics
@@ -250,34 +309,14 @@ impl<T: Clone> MultiReservoir<T> {
         assert!(k > 0, "reservoir capacity must be positive");
         assert!(s > 0, "need at least one slot");
         MultiReservoir {
-            k,
-            slots: vec![Vec::with_capacity(k); s],
-            seen: 0,
-            schedule: BinaryHeap::new(),
-            weights: vec![1.0; s],
+            slots: (0..s).map(|_| Vec::with_capacity(k)).collect(),
+            schedule: Schedule {
+                k,
+                seen: 0,
+                heap: BinaryHeap::new(),
+                weights: vec![1.0; s],
+            },
         }
-    }
-
-    /// Draws the next accept index for `slot`. `base` is the index of
-    /// the next incoming item; a skip of zero accepts it.
-    fn schedule_slot<R: Rng + ?Sized>(&mut self, slot: usize, base: usize, rng: &mut R) {
-        let u1: f64 = rng.random();
-        self.weights[slot] *= u1.powf(1.0 / self.k as f64);
-        let u2: f64 = rng.random();
-        let w = self.weights[slot];
-        let skip = (u2.ln() / (1.0 - w).ln()).floor();
-        let skip = if skip.is_finite() && skip >= 0.0 {
-            skip as usize
-        } else {
-            usize::MAX / 2
-        };
-        let next = base.saturating_add(skip);
-        self.schedule.push(Reverse((next, slot)));
-    }
-
-    /// Offers one item to all slots.
-    pub fn push<R: Rng + ?Sized>(&mut self, item: &T, rng: &mut R) {
-        self.push_with(|| item.clone(), rng);
     }
 
     /// Offers one item to all slots, materialising a copy only when a
@@ -286,30 +325,53 @@ impl<T: Clone> MultiReservoir<T> {
     /// warm-up — so callers holding a borrowed form of the item avoid
     /// an up-front conversion on the hot path.
     pub fn push_with<R: Rng + ?Sized, F: FnMut() -> T>(&mut self, mut make: F, rng: &mut R) {
-        if self.seen < self.k {
+        let schedule = &mut self.schedule;
+        if schedule.seen < schedule.k {
             // Warm-up: every slot takes the first k items.
             for slot in &mut self.slots {
                 slot.push(make());
             }
-            self.seen += 1;
-            if self.seen == self.k {
-                for s in 0..self.slots.len() {
-                    self.schedule_slot(s, self.seen, rng);
-                }
+            schedule.seen += 1;
+            if schedule.seen == schedule.k {
+                schedule.start(rng);
             }
             return;
         }
-        while let Some(&Reverse((next, slot))) = self.schedule.peek() {
-            if next != self.seen {
-                debug_assert!(next > self.seen, "missed a scheduled accept");
-                break;
-            }
-            self.schedule.pop();
-            let victim = rng.random_range(0..self.k);
-            self.slots[slot][victim] = make();
-            self.schedule_slot(slot, self.seen + 1, rng);
+        let slots = &mut self.slots;
+        schedule.advance(schedule.seen + 1, rng, |slot, victim, _| {
+            slots[slot][victim] = make();
+        });
+    }
+
+    /// Rebuilds the reservoir that pushing `seen` items into `new(s, k)`
+    /// leaves, from the `slots` it retained (each in victim order), with
+    /// `rng` fresh from the seed the pushes drew from; `rng` ends where
+    /// they left it. The shared-heap twin of [`SkipReservoir::replay`]:
+    /// `O(s·k·log(n/k))` draws and heap steps, no item read. Returns
+    /// `None` unless there are `s` slots of `min(seen, k)` items each —
+    /// a sample that does not fit its row count, not a programming
+    /// error, so no panic.
+    pub fn replay<R: Rng + ?Sized>(
+        s: usize,
+        k: usize,
+        seen: usize,
+        slots: Vec<Vec<T>>,
+        rng: &mut R,
+    ) -> Option<Self> {
+        let fits = s > 0 && k > 0 && slots.len() == s;
+        if !fits || slots.iter().any(|slot| slot.len() != seen.min(k)) {
+            return None;
         }
-        self.seen += 1;
+        let mut replayed = MultiReservoir::new(s, k);
+        replayed.slots = slots;
+        replayed.schedule.seen = seen.min(k);
+        if seen >= k {
+            replayed.schedule.start(rng);
+            // The victims are already where the pushes put them; the
+            // draws move the RNG as the pushes did.
+            replayed.schedule.advance(seen, rng, |_, _, _| {});
+        }
+        Some(replayed)
     }
 
     /// The current samples, one `Vec` of (up to) `k` items per slot.
@@ -324,7 +386,41 @@ impl<T: Clone> MultiReservoir<T> {
 
     /// Number of items offered so far.
     pub fn seen(&self) -> usize {
-        self.seen
+        self.schedule.seen
+    }
+}
+
+impl<T: Clone> MultiReservoir<T> {
+    /// Offers one item to all slots.
+    pub fn push<R: Rng + ?Sized>(&mut self, item: &T, rng: &mut R) {
+        self.push_with(|| item.clone(), rng);
+    }
+}
+
+impl MultiReservoir<usize> {
+    /// The reservoir that pushing the items `0..n` into `new(s, k)`
+    /// leaves, computed without offering them: each slot holds the
+    /// indices of the items it retained, and `rng` ends where the
+    /// pushes would leave it. A caller that knows its stream's length
+    /// plans the slots first, then keeps only the items they name.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or `s == 0`.
+    pub fn plan<R: Rng + ?Sized>(s: usize, k: usize, n: usize, rng: &mut R) -> Self {
+        let mut plan = MultiReservoir::new(s, k);
+        let warm = n.min(k);
+        for slot in &mut plan.slots {
+            slot.extend(0..warm);
+        }
+        plan.schedule.seen = warm;
+        if warm == k {
+            plan.schedule.start(rng);
+            let slots = &mut plan.slots;
+            plan.schedule.advance(n, rng, |slot, victim, item| {
+                slots[slot][victim] = item;
+            });
+        }
+        plan
     }
 }
 
@@ -589,5 +685,100 @@ mod replay_tests {
             prop_assert!(replayed == pushed, "n {} + 5000", n);
             prop_assert!(replayed_rng == rng, "n {} + 5000", n);
         }
+    }
+}
+
+/// [`MultiReservoir::plan`] and [`MultiReservoir::replay`] against the
+/// pushes they stand in for.
+#[cfg(test)]
+mod multi_replay_tests {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use super::*;
+
+    /// Everything but the items: the item count, the heap's entries in
+    /// order, and the weights' bits.
+    type ScheduleState = (usize, Vec<(usize, usize)>, Vec<u64>);
+
+    impl<T> MultiReservoir<T> {
+        fn schedule_state(&self) -> ScheduleState {
+            let mut heap: Vec<_> = self.schedule.heap.iter().map(|r| r.0).collect();
+            heap.sort_unstable();
+            let weights = self.schedule.weights.iter().map(|w| w.to_bits()).collect();
+            (self.schedule.seen, heap, weights)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `n` is 0, 1, 2, or anything up to 10⁶.
+        #[test]
+        fn a_planned_or_replayed_multi_reservoir_equals_a_pushed_one(
+            s in 1usize..=512,
+            shape in 0u8..4,
+            raw in 0usize..=1_000_000,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let n = if shape < 3 { usize::from(shape) } else { raw };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut pushed = MultiReservoir::new(s, 2);
+            for x in 0..n {
+                pushed.push(&(x as u32), &mut rng);
+            }
+
+            let mut plan_rng = StdRng::seed_from_u64(seed);
+            let plan = MultiReservoir::plan(s, 2, n, &mut plan_rng);
+            let planned: Vec<Vec<u32>> = plan
+                .slots()
+                .iter()
+                .map(|slot| slot.iter().map(|&i| i as u32).collect())
+                .collect();
+            prop_assert!(planned == pushed.slots(), "n {}: planned slots", n);
+            prop_assert!(plan.schedule_state() == pushed.schedule_state(), "n {}", n);
+            prop_assert!(plan_rng == rng, "n {}: planned rng", n);
+
+            let mut replayed_rng = StdRng::seed_from_u64(seed);
+            let slots = pushed.slots().to_vec();
+            let replayed = MultiReservoir::replay(s, 2, n, slots, &mut replayed_rng);
+            prop_assert!(replayed.is_some(), "n {} did not replay", n);
+            let mut replayed = replayed.unwrap();
+            prop_assert!(replayed.slots() == pushed.slots(), "n {}", n);
+            prop_assert!(replayed.schedule_state() == pushed.schedule_state(), "n {}", n);
+            prop_assert!(replayed_rng == rng, "n {}: replayed rng", n);
+            for x in n..n + 5_000 {
+                pushed.push(&(x as u32), &mut rng);
+                replayed.push(&(x as u32), &mut replayed_rng);
+            }
+            prop_assert!(replayed.slots() == pushed.slots(), "n {} + 5000", n);
+            prop_assert!(replayed.schedule_state() == pushed.schedule_state(), "n {} + 5000", n);
+            prop_assert!(replayed_rng == rng, "n {} + 5000: rng", n);
+        }
+    }
+
+    #[test]
+    fn replay_rejects_slots_that_do_not_fit() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut pushed = MultiReservoir::new(4, 2);
+        for x in 0..100u32 {
+            pushed.push(&x, &mut rng);
+        }
+        let slots = pushed.into_slots();
+        let replay = |s, k, seen, slots| {
+            MultiReservoir::replay(s, k, seen, slots, &mut StdRng::seed_from_u64(3)).is_some()
+        };
+        assert!(!replay(3, 2, 100, slots.clone()), "slot count");
+        assert!(!replay(4, 3, 100, slots.clone()), "capacity");
+        assert!(
+            !replay(4, 2, 1, slots.clone()),
+            "a warm-up holds fewer items"
+        );
+        assert!(!replay(0, 2, 0, Vec::<Vec<u32>>::new()), "no slots");
+        let mut short = slots.clone();
+        short[2].pop();
+        assert!(!replay(4, 2, 100, short), "one short slot");
+        assert!(replay(4, 2, 100, slots));
     }
 }

@@ -18,7 +18,7 @@ use std::sync::{Arc, OnceLock};
 
 use qid_core::filter::{FilterParams, SeparationFilter, TupleSampleFilter};
 use qid_core::sketch::{DistinctSketch, NonSeparationSketch};
-use qid_core::stream::{PairIngest, TupleIngest};
+use qid_core::stream::{PairIngest, PairPlan, TupleIngest};
 use qid_dataset::csv::{CsvOptions, CsvTupleSource, SCAN_BATCH_BYTES};
 use qid_dataset::{Dataset, DatasetBuilder, DatasetError, TupleSource};
 
@@ -36,9 +36,9 @@ pub const COLUMN_SKETCH_K: usize = 256;
 /// the lazily built non-separation sketch (Theorem 2) and the
 /// materialised rows. Every entry is built by the same scan, so an
 /// entry holds the very sample and answers of any other entry for the
-/// same source and seed, whether or not its rows are set. The sample
-/// and the row count are all an append needs: `absorb` replays the
-/// reservoir behind them from the key's seed.
+/// same source and seed, whether or not its rows are set. The sample,
+/// the sketch's pair table and the row count are all an append needs:
+/// `absorb` replays the reservoirs behind them from the key's seed.
 #[derive(Debug)]
 pub struct Entry {
     /// The resident tuple-sample filter (always present).
@@ -62,43 +62,16 @@ pub struct Entry {
     /// file rewritten mid-scan still reads as changed on the next hit.
     /// `None` when the source could not be statted.
     pub source: Option<SourceStamp>,
-    /// The lazily built Theorem 2 sketch, the paused pair build behind
-    /// it and their bytes: written once (concurrent `sketch` queries
-    /// collapse onto one build), or set by the absorb that advanced the
-    /// old entry's sketch; dropped with the entry.
-    pub(crate) sketch_cell: OnceLock<Result<Sketched, String>>,
+    /// The lazily built Theorem 2 sketch: written once (concurrent
+    /// `sketch` queries collapse onto one build), or set by the absorb
+    /// that advanced the old entry's sketch; dropped with the entry.
+    pub(crate) sketch_cell: OnceLock<Result<Arc<NonSeparationSketch>, String>>,
     /// The materialised rows and their code bytes, weighed once when
     /// the cell is set: by the memory-mode scan that built the entry,
     /// or later by [`materialise`] (concurrent memory-mode lookups
     /// collapse onto one scan). Written once, a failed scan too, and
     /// dropped with the entry; an absorb starts an entry without them.
     pub(crate) dataset_cell: OnceLock<Result<(Dataset, usize), String>>,
-}
-
-/// What an entry's sketch cell holds: the Theorem 2 sketch, the paused
-/// pair-sample build it came from and their resident bytes, weighed
-/// once when built so LRU eviction sees the full cost of keeping the
-/// sketch append-resumable.
-#[derive(Debug)]
-pub(crate) struct Sketched {
-    /// The sketch `sketch` queries share.
-    pub sketch: Arc<NonSeparationSketch>,
-    /// The pair build an append advances; `None` for a sketch restored
-    /// from disk, which the next append drops.
-    pub pairs: Option<PairIngest>,
-    /// The sketch's pairs plus the pair build's retained tuples.
-    pub bytes: usize,
-}
-
-impl Sketched {
-    pub(crate) fn new(sketch: NonSeparationSketch, pairs: Option<PairIngest>) -> Sketched {
-        let bytes = sketch.stored_bytes() + pairs.as_ref().map_or(0, PairIngest::retained_bytes);
-        Sketched {
-            sketch: Arc::new(sketch),
-            pairs,
-            bytes,
-        }
-    }
 }
 
 impl Entry {
@@ -122,15 +95,10 @@ impl Entry {
         }
     }
 
-    /// The sketch cell's value, once a sketch is built.
-    pub(crate) fn sketched(&self) -> Option<&Sketched> {
-        self.sketch_cell.get()?.as_ref().ok()
-    }
-
     /// The cached non-separation sketch, if one has been built for this
     /// entry (see [`crate::registry::Registry::sketch_for`]).
     pub fn sketch(&self) -> Option<Arc<NonSeparationSketch>> {
-        self.sketched().map(|s| Arc::clone(&s.sketch))
+        self.sketch_cell.get()?.as_ref().ok().cloned()
     }
 
     /// The materialised dataset, once a memory-mode lookup has set it.
@@ -144,7 +112,7 @@ impl Entry {
     /// What this entry holds resident: [`Entry::stored_bytes`] plus its
     /// built sketch's and materialised rows' bytes, if any.
     pub(crate) fn footprint(&self) -> u64 {
-        let sketch = self.sketched().map_or(0, |s| s.bytes);
+        let sketch = self.sketch().map_or(0, |sk| sk.stored_bytes());
         let rows = match self.dataset_cell.get() {
             Some(Ok((_, bytes))) => *bytes,
             _ => 0,
@@ -155,18 +123,28 @@ impl Entry {
 
 /// The sinks one source scan advances: the tuple reservoir, the
 /// per-column distinct-count sketches, the pair reservoirs behind the
-/// non-separation sketch and the materialised rows. A scan feeds
-/// whichever are present.
+/// non-separation sketch or the rows a planned one ends on, and the
+/// materialised rows. A scan feeds whichever are present.
 #[derive(Default)]
 struct Feed {
     /// The paused Theorem 1 sample build.
     tuples: Option<TupleIngest>,
     /// One KMV sketch per column, or none.
     cols: Vec<DistinctSketch>,
-    /// The paused Theorem 2 pair-sample build.
+    /// The resumed Theorem 2 pair-sample build of an absorb.
     pairs: Option<PairIngest>,
+    /// The first Theorem 2 build, planned before the scan.
+    planned: Option<Planned>,
     /// Every row, for a memory-mode entry's dataset.
     rows: Option<DatasetBuilder>,
+}
+
+/// A planned pair build's scan sink: the rows its pairs end on, coded
+/// as the scan passes them, and the number of rows the scan passed.
+struct Planned {
+    plan: PairPlan,
+    kept: DatasetBuilder,
+    rows: usize,
 }
 
 /// Slots in each column's table of a [`FieldMemo`]: a power of two.
@@ -305,6 +283,14 @@ fn scan(
         if let Some(pairs) = &mut feed.pairs {
             pairs.push_with(|| row.to_values());
         }
+        if let Some(planned) = &mut feed.planned {
+            if planned.plan.wanted().get(planned.kept.n_rows()) == Some(&planned.rows) {
+                if let Err(e) = planned.kept.push_row(row.to_values()) {
+                    overflow.get_or_insert(e);
+                }
+            }
+            planned.rows += 1;
+        }
         if let Some(tuples) = &mut feed.tuples {
             tuples.push_with(|| values.clone().unwrap_or_else(|| row.to_values()));
         }
@@ -351,7 +337,7 @@ pub(crate) fn build_entry(
             .collect(),
         rows: (mode == LoadMode::Memory).then(|| DatasetBuilder::new(&names)),
         tuples: Some(TupleIngest::new(names, params, ds.seed)),
-        pairs: None,
+        ..Feed::default()
     })?;
     let entry = sampled(&ds.path, feed, params, source)?;
     big_enough(entry.rows, entry.attrs)?;
@@ -388,11 +374,11 @@ fn big_enough(rows: usize, attrs: usize) -> Result<(), String> {
 }
 
 /// Feeds the appended suffix — bytes `[old.len, new.len)` of `path` —
-/// through `old`'s reservoir, column sketches and, if its sketch was
-/// built in-process, pair reservoirs. The reservoir is replayed from
-/// `seed`, `old.rows` and `old`'s sample, which are its items in slot
-/// order. Returns an entry equal to a cold rebuild over the grown file,
-/// with the advanced sketch already in its sketch cell.
+/// through `old`'s reservoir, column sketches and, if it has a sketch,
+/// pair reservoirs. The reservoirs are replayed from `seed`, `old.rows`
+/// and what they retained: `old`'s sample and its sketch's pair table,
+/// built or restored. Returns an entry equal to a cold rebuild over the
+/// grown file, with the advanced sketch already in its sketch cell.
 pub(crate) fn absorb(
     path: &str,
     old: &Entry,
@@ -410,52 +396,57 @@ pub(crate) fn absorb(
     let mut feed = scan(path, old_len..new.len, Some(names), |_| Feed {
         tuples: Some(tuples),
         cols: old.cols.clone(),
-        pairs: old.sketched().and_then(|s| s.pairs.clone()),
-        rows: None,
+        pairs: old
+            .sketch()
+            .and_then(|sk| PairIngest::resume(sk.pairs(), seed, old.rows)),
+        ..Feed::default()
     })?;
     let pairs = feed.pairs.take();
     let entry = sampled(path, feed, params, Some(new))?;
-    // The old entry had an in-process sketch: advance it over the
-    // suffix too, so `sketch` stays warm across appends.
-    if let Some(Ok(sketch)) = pairs.as_ref().map(|p| p.to_sketch(sketch_params())) {
-        let _ = entry.sketch_cell.set(Ok(Sketched::new(sketch, pairs)));
+    // The old entry had a sketch: advance it over the suffix too, so
+    // `sketch` stays warm across appends.
+    if let Some(Ok(sketch)) = pairs.map(|p| p.to_sketch(sketch_params())) {
+        let _ = entry.sketch_cell.set(Ok(Arc::new(sketch)));
     }
     Ok(entry)
 }
 
-/// Builds `entry`'s Theorem 2 sketch without the disk tier: from the
-/// materialised dataset when resident (no I/O at all), else by one
-/// scan of the stamped bytes of `path`. Either way the rows go through
-/// one paused pair build, returned with the sketch for the entry's
-/// sketch cell so a later append can advance it. Both produce the same
-/// sketch — the materialised dataset preserves source row order.
-pub(crate) fn build_sketch(path: &str, entry: &Entry, seed: u64) -> Result<Sketched, String> {
+/// Builds `entry`'s Theorem 2 sketch without the disk tier. The pair
+/// build is planned over `entry.rows` before any row is read
+/// ([`PairIngest::plan`]); then only the rows the pairs end on are
+/// taken — from the materialised dataset when resident (no I/O at all),
+/// else by one scan of the stamped bytes of `path` — and gathered into
+/// the pair table. Both produce the sketch that pushing every row
+/// would: the materialised dataset preserves source row order.
+pub(crate) fn build_sketch(
+    path: &str,
+    entry: &Entry,
+    seed: u64,
+) -> Result<NonSeparationSketch, String> {
     let params = sketch_params();
-    let new_pairs = |names: Vec<String>| {
-        let slots = params.pair_sample_size(names.len()).max(1);
-        PairIngest::new(names, slots, seed)
-    };
-    let pairs = match entry.dataset() {
+    let slots = params.pair_sample_size(entry.attrs).max(1);
+    let plan = PairIngest::plan(slots, seed, entry.rows);
+    let (plan, kept) = match entry.dataset() {
         Some(dataset) => {
-            let mut pairs = new_pairs(dataset.schema().names().map(str::to_string).collect());
-            for row in dataset.rows() {
-                pairs.push_with(|| row.to_vec());
-            }
-            pairs
+            let kept = dataset.gather(plan.wanted());
+            (plan, kept)
         }
         None => {
             let feed = scan(path, 0..stamped_len(entry.source), None, |names| Feed {
-                pairs: Some(new_pairs(names)),
+                planned: Some(Planned {
+                    plan,
+                    kept: DatasetBuilder::new(names),
+                    rows: 0,
+                }),
                 ..Feed::default()
             })?;
-            still_stamped(path, entry, "sketch")?;
-            feed.pairs.expect("a sketch scan feeds pairs")
+            let planned = feed.planned.expect("a sketch scan feeds its plan");
+            still_stamped(path, entry, planned.rows, "sketch")?;
+            (planned.plan, planned.kept.finish())
         }
     };
-    let sketch = pairs
-        .to_sketch(params)
-        .map_err(|e| format!("streaming {path}: {e}"))?;
-    Ok(Sketched::new(sketch, Some(pairs)))
+    plan.to_sketch(&kept, params)
+        .map_err(|e| format!("streaming {path}: {e}"))
 }
 
 /// Materialises `entry`'s rows, weighed for its dataset cell, by one
@@ -465,8 +456,9 @@ pub(crate) fn materialise(path: &str, entry: &Entry) -> Result<(Dataset, usize),
         rows: Some(DatasetBuilder::new(&names)),
         ..Feed::default()
     })?;
-    still_stamped(path, entry, "dataset")?;
-    Ok(weighed(feed.rows.expect("a rows scan feeds rows")))
+    let rows = feed.rows.expect("a rows scan feeds rows");
+    still_stamped(path, entry, rows.n_rows(), "dataset")?;
+    Ok(weighed(rows))
 }
 
 /// Finishes a scan's rows and weighs their codes once.
@@ -476,12 +468,12 @@ fn weighed(rows: DatasetBuilder) -> (Dataset, usize) {
     (dataset, bytes)
 }
 
-/// The sample and what a later scan built beside it must describe the
-/// same data: if the source changed between the entry build and that
-/// scan, fail now — the stamp-on-hit check will rebuild the entry (and
-/// with it `what`) on the next lookup.
-fn still_stamped(path: &str, entry: &Entry, what: &str) -> Result<(), String> {
-    if SourceStamp::capture(path) != entry.source {
+/// The sample and what a later scan of `rows` rows built beside it must
+/// describe the same data: if the source changed between the entry build
+/// and that scan, fail now — the stamp-on-hit check will rebuild the
+/// entry (and with it `what`) on the next lookup.
+fn still_stamped(path: &str, entry: &Entry, rows: usize, what: &str) -> Result<(), String> {
+    if rows != entry.rows || SourceStamp::capture(path) != entry.source {
         return Err(format!(
             "{path} changed while the {what} was building; retry"
         ));
@@ -569,8 +561,8 @@ mod tests {
     /// a scan in stream mode, from the rows in memory mode.
     fn cold(path: &str, mode: LoadMode) -> Entry {
         let entry = build_entry(&dsref(path), mode, SourceStamp::capture(path)).unwrap();
-        let sketched = build_sketch(path, &entry, SEED).unwrap();
-        let _ = entry.sketch_cell.set(Ok(sketched));
+        let sketch = build_sketch(path, &entry, SEED).unwrap();
+        let _ = entry.sketch_cell.set(Ok(Arc::new(sketch)));
         entry
     }
 

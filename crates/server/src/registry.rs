@@ -77,7 +77,7 @@ use std::time::Instant;
 use qid_core::sketch::NonSeparationSketch;
 
 use crate::artifact;
-use crate::build::{self, Sketched};
+use crate::build;
 use crate::disk;
 use crate::freshness::{self, Freshness};
 use crate::proto::{sketch_params, DatasetRef, LoadMode};
@@ -662,21 +662,21 @@ impl Registry {
             let dir = self.config.cache_dir.as_deref();
             let restored =
                 dir.and_then(|dir| disk::restore_sketch(dir, &key, entry, sketch_params()));
-            let sketched = if let Some(sk) = restored {
+            let sketch = if let Some(sk) = restored {
                 self.count(Paid::Restored, false);
-                Sketched::new(sk, None)
+                sk
             } else {
                 if entry.dataset().is_none() {
                     self.count(Paid::Scanned, false);
                 }
                 let built = build::build_sketch(&key.path, entry, ds.seed)?;
-                self.persist(&key, entry, Some(&built.sketch));
+                self.persist(&key, entry, Some(&built));
                 built
             };
-            self.sketch_built(&key, &sketched);
-            Ok(sketched)
+            self.sketch_built(&key, &sketch);
+            Ok(Arc::new(sketch))
         }) {
-            Ok(sketched) => Ok(Arc::clone(&sketched.sketch)),
+            Ok(sketch) => Ok(Arc::clone(sketch)),
             Err(e) => Err(e.clone()),
         };
         if set && result.is_ok() {
@@ -686,11 +686,11 @@ impl Registry {
     }
 
     /// Reports a sketch set in `key`'s entry's cell — built, restored
-    /// or advanced by an absorb — with the bytes it was weighed at.
-    fn sketch_built(&self, key: &CacheKey, sketched: &Sketched) {
+    /// or advanced by an absorb — with its bytes.
+    fn sketch_built(&self, key: &CacheKey, sketch: &NonSeparationSketch) {
         self.emit(RegistryEvent::SketchBuilt {
             key: key.fnv64(),
-            bytes: sketched.bytes as u64,
+            bytes: sketch.stored_bytes() as u64,
         });
     }
 
@@ -1098,8 +1098,8 @@ impl Registry {
     /// artifact, so a restart resumes from it rather than re-scanning.
     /// The artifact holds the sample, never the rows.
     fn admit(&self, key: &CacheKey, entry: Entry, event: RegistryEvent) -> Arc<Entry> {
-        if let Some(sketched) = entry.sketched() {
-            self.sketch_built(key, sketched);
+        if let Some(sketch) = entry.sketch() {
+            self.sketch_built(key, &sketch);
         }
         let entry = Arc::new(entry);
         self.emit(event);
@@ -1183,7 +1183,6 @@ mod tests {
     use crate::disk::{is_registry_tmp, TMP_SWEEP_MIN_AGE};
     use qid_core::filter::SeparationFilter;
     use qid_core::sketch::DistinctSketch;
-    use qid_core::stream::PairIngest;
     use qid_dataset::{AttrId, Dataset, DatasetBuilder, Value};
     use std::io::Write as _;
     use std::path::Path;
@@ -1912,16 +1911,12 @@ mod tests {
             assert!(Arc::ptr_eq(&sketches[0], sk), "one sketch for everyone");
         }
         assert_eq!(reg.misses(), 2, "sample build + exactly one sketch scan");
-        // The sketch participates in the byte accounting, together
-        // with the pair-sample tuples retained for append absorption.
-        let pair_bytes = entry
-            .sketched()
-            .and_then(|s| s.pairs.as_ref())
-            .map_or(0, PairIngest::retained_bytes);
-        assert!(pair_bytes > 0, "the pair state rides along with the sketch");
+        // The sketch participates in the byte accounting: its pair
+        // table's codes, and nothing kept beside them.
+        assert!(sketches[0].stored_bytes() > 0);
         assert_eq!(
             reg.snapshot().resident_bytes,
-            (entry.stored_bytes + sketches[0].stored_bytes() + pair_bytes) as u64
+            (entry.stored_bytes + sketches[0].stored_bytes()) as u64
         );
     }
 
@@ -2099,15 +2094,9 @@ mod tests {
     }
 
     /// What `entry` holds resident: its stored bytes plus, once built,
-    /// its sketch's pairs and the pair-sample tuples kept beside them.
+    /// its sketch's pair codes.
     fn held_bytes(entry: &Entry) -> u64 {
-        let sketch = entry.sketch().map_or(0, |sk| {
-            sk.stored_bytes()
-                + entry
-                    .sketched()
-                    .and_then(|s| s.pairs.as_ref())
-                    .map_or(0, PairIngest::retained_bytes)
-        });
+        let sketch = entry.sketch().map_or(0, |sk| sk.stored_bytes());
         (entry.stored_bytes + sketch) as u64
     }
 
@@ -3028,6 +3017,45 @@ mod tests {
         assert_eq!(again.unwrap().rows, 600);
         assert_eq!(reg.append_updates(), 1, "post-restore appends absorb");
         assert_eq!(reg.snapshot().stale_rebuilds, 0);
+    }
+
+    #[test]
+    fn a_restored_sketch_advances_over_an_append() {
+        let dir = unique_dir("restored-sketch-append");
+        let path = fixture_csv("restored-sketch-append.csv", 400);
+        let ds = dsref(&path);
+        let config = RegistryConfig {
+            cache_dir: Some(dir),
+            wal_max_bytes: 0,
+            ..RegistryConfig::default()
+        };
+        {
+            let reg = Registry::with_config(config.clone());
+            let (entry, _) = reg.get_or_load(&ds, LoadMode::Stream);
+            reg.sketch_for(&ds, &entry.unwrap()).unwrap();
+        }
+        // A restart restores the key and then its sketch from disk.
+        let reg = Registry::with_config(config);
+        let (restored, _) = reg.get_or_load(&ds, LoadMode::Stream);
+        let restored = restored.unwrap();
+        let disk_hits = reg.disk_hits();
+        reg.sketch_for(&ds, &restored).unwrap();
+        assert_eq!(reg.disk_hits(), disk_hits + 1, "the sketch came from disk");
+        let misses = reg.misses();
+
+        append_rows(&path, 400, 300, 0);
+        let (absorbed, _) = reg.get_or_load(&ds, LoadMode::Stream);
+        let absorbed = absorbed.unwrap();
+        assert_eq!(absorbed.rows, 700);
+        assert!(absorbed.sketch().is_some(), "the restored sketch advanced");
+        let sketch = reg.sketch_for(&ds, &absorbed).unwrap();
+        assert_eq!(reg.misses(), misses, "no scan after the append");
+
+        let cold_reg = Registry::new();
+        let (cold_entry, _) = cold_reg.get_or_load(&ds, LoadMode::Stream);
+        let cold = cold_reg.sketch_for(&ds, &cold_entry.unwrap()).unwrap();
+        assert_eq!(sketch.source_pairs(), cold.source_pairs());
+        assert_eq!(sample_rows(sketch.pairs()), sample_rows(cold.pairs()));
     }
 
     #[test]

@@ -1337,15 +1337,20 @@ fn shutdown_drains_in_flight_and_closes_poller_idle_connections() {
 /// active clients issuing audit/sketch/batch, asserts every request is
 /// answered, then times 100 sequential audits from one client with the
 /// herd still held. Dumps the metrics report and the server's slow
-/// spans (`--slow-ms 4`, stderr) to `target/soak/`. Returns the served
-/// p99 per driven command and the probe's nearest-rank p99, in µs.
+/// spans (`--slow-ms 4`, stderr) to `soak/` under the build's target
+/// directory (`$CARGO_TARGET_DIR`, else `target/` in the repository).
+/// Returns the served p99 per driven command and the probe's
+/// nearest-rank p99, in µs.
 fn soak_run(idle: usize, tag: &str) -> (std::collections::BTreeMap<String, u64>, u64) {
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 12;
     const PROBES: usize = 100;
 
     let csv = fixture_csv(&format!("soak-{tag}.csv"));
-    let soak_dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/soak");
+    let target = std::env::var_os("CARGO_TARGET_DIR").unwrap_or_else(|| "target".into());
+    let soak_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(target)
+        .join("soak");
     std::fs::create_dir_all(&soak_dir).unwrap();
     // Two poller shards: the soak must hold with connections split
     // across shards, not just on the single-poller fast path.
