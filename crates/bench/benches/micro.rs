@@ -1,7 +1,7 @@
 //! **E6 — Criterion micro-benchmarks** for the paper's cost claims:
 //! filter query time (`O(|A|·m/ε)` vs `O(|A|·(m/√ε)·log(m/ε))`),
 //! sketch construction, partition refinement, and the greedy cover —
-//! plus the serving tier's source-stamp throughput.
+//! plus the serving tier's source-stamp and CSV framing throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -14,6 +14,7 @@ use qid_core::filter::{
 use qid_core::minkey::GreedyRefineMinKey;
 use qid_core::separation::{PartitionIndex, Refiner};
 use qid_core::sketch::{NonSeparationSketch, SketchParams};
+use qid_dataset::csv::{CsvOptions, CsvTupleSource, SCAN_BATCH_BYTES};
 use qid_dataset::generator::covtype_like_scaled;
 use qid_dataset::AttrId;
 use qid_server::registry::SourceStamp;
@@ -132,11 +133,91 @@ fn bench_source_stamp(_: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The CSV framer's own throughput: a frame-only `scan_rows` (framer
+/// thread plus the row stage's blank-line and arity checks, no typing)
+/// and the inline `next_row`, over two generated files of 400,000
+/// records. In `quoted_1pct` one record in a hundred quotes a field
+/// (with a delimiter inside); `quoted_all` quotes every field, as many
+/// exports do.
+fn bench_csv_scan(_: &mut Criterion) {
+    for (file, quote_all) in [("quoted_1pct", false), ("quoted_all", true)] {
+        let path =
+            std::env::temp_dir().join(format!("qid-micro-csv-{file}-{}.csv", std::process::id()));
+        let mut out = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        writeln!(out, "id,zip,age,sex,city,income").unwrap();
+        for i in 0u64..400_000 {
+            let city = if i % 100 == 0 {
+                format!("\"city{}, north\"", i % 31)
+            } else {
+                format!("city{}", i % 31)
+            };
+            let fields = [
+                i.to_string(),
+                (90_000 + i % 997).to_string(),
+                (18 + i % 71).to_string(),
+                (i % 2).to_string(),
+                city,
+                format!("{i}.5"),
+            ];
+            let record: Vec<String> = if quote_all {
+                fields
+                    .into_iter()
+                    .map(|f| format!("\"{}\"", f.trim_matches('"')))
+                    .collect()
+            } else {
+                fields.into()
+            };
+            writeln!(out, "{}", record.join(",")).unwrap();
+        }
+        out.flush().unwrap();
+        drop(out);
+        let bytes = std::fs::metadata(&path).unwrap().len();
+        let opts = CsvOptions::default();
+        let frame_only = || {
+            let mut rows = 0usize;
+            CsvTupleSource::open(&path, &opts)
+                .unwrap()
+                .scan_rows(SCAN_BATCH_BYTES, |_| rows += 1)
+                .unwrap();
+            rows
+        };
+        let inline = || {
+            let mut src = CsvTupleSource::open(&path, &opts).unwrap();
+            let mut rows = 0usize;
+            while let Some(row) = src.next_row().unwrap() {
+                black_box(&row);
+                rows += 1;
+            }
+            rows
+        };
+        black_box(frame_only()); // warm the page cache
+        let reps = 5;
+        for (name, scan) in [
+            ("scan_rows_frame_only", &frame_only as &dyn Fn() -> usize),
+            ("next_row", &inline),
+        ] {
+            let start = Instant::now();
+            for _ in 0..reps {
+                assert_eq!(black_box(scan()), 400_000);
+            }
+            let secs = start.elapsed().as_secs_f64();
+            eprintln!(
+                "bench {:<44} {:>12.0} MB/s ({reps} scans of {:.1} MB)",
+                format!("csv_scan/{file}/{name}"),
+                (reps * bytes) as f64 / 1e6 / secs,
+                bytes as f64 / 1e6
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 criterion_group!(
     benches,
     bench_filter_queries,
     bench_builds,
     bench_refinement,
-    bench_source_stamp
+    bench_source_stamp,
+    bench_csv_scan
 );
 criterion_main!(benches);

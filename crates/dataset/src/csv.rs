@@ -6,7 +6,7 @@
 //! data sets.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::mpsc;
 
@@ -113,25 +113,187 @@ fn batch_offset(at: usize, line: usize) -> Result<u32, DatasetError> {
     })
 }
 
+/// Bytes a [`RecordReader`] asks its source for per read: small enough
+/// to stay in L1 while it is decoded and framed.
+const READ_BYTES: usize = 8 << 10;
+
 /// Frames one logical CSV record at a time (which may span multiple
 /// physical lines when quotes contain newlines) into a [`Batch`], so
 /// framing allocates nothing once the buffers have grown.
-struct RecordReader<R: BufRead> {
+///
+/// The reader holds its own buffer: it reads [`READ_BYTES`] at a time
+/// and decodes each read as UTF-8 once, onto `text`, where each record
+/// is framed in place. A record whose one line holds no `"` is framed
+/// eight bytes per step ([`scan_line`]); any other goes through
+/// [`frame`] one physical line at a time.
+struct RecordReader<R: Read> {
     reader: R,
     delimiter: u8,
     line: usize,
-    /// The raw text of the current record, line terminators included.
-    raw: String,
+    /// Bytes read and not yet decoded: a UTF-8 sequence the read cut
+    /// off, or, once `invalid`, the source from its first byte that is
+    /// not UTF-8 on.
+    bytes: Box<[u8]>,
+    /// How many of `bytes` are filled.
+    held: usize,
+    /// Decoded text; what precedes `pos` is framed.
+    text: String,
+    pos: usize,
+    /// `text` ends where the source stops being UTF-8, so the line it
+    /// ends on is an error, and so is every later call.
+    invalid: bool,
+    /// The source has ended.
+    eof: bool,
 }
 
-impl<R: BufRead> RecordReader<R> {
+/// Where [`scan_line`] stopped.
+enum Scanned {
+    /// At the line's LF, this many bytes in.
+    Lf(usize),
+    /// At a `"`, this many bytes in: [`frame`] takes the record on.
+    Quote(usize),
+    /// At the end of the text decoded so far.
+    End,
+}
+
+/// `byte` in each byte of a word.
+const fn splat(byte: u8) -> u64 {
+    u64::from_ne_bytes([byte; 8])
+}
+
+/// The high bit of each zero byte of `word`, and no other bit. Each
+/// byte's sum stays below 0x100, so no carry reaches the next byte.
+fn zero_bytes(word: u64) -> u64 {
+    const LOW7: u64 = splat(0x7f);
+    !(((word & LOW7) + LOW7) | word | LOW7)
+}
+
+/// Scans `line[from..]` for its first LF or `"`, eight bytes per step,
+/// pushing `base + i` to `ends` for each delimiter at `i` before it. A
+/// `"` or LF delimiter counts as a quote or a line end, as in [`frame`].
+fn scan_line(line: &[u8], from: usize, delimiter: u8, base: usize, ends: &mut Vec<u32>) -> Scanned {
+    let mut hit = |i: usize| match line[i] {
+        b'"' => Some(Scanned::Quote(i)),
+        b'\n' => Some(Scanned::Lf(i)),
+        // Fits: the record's end is checked against `u32::MAX`.
+        _ => {
+            ends.push((base + i) as u32);
+            None
+        }
+    };
+    let (lf, quote, delim) = (splat(b'\n'), splat(b'"'), splat(delimiter));
+    let mut i = from;
+    while let Some(&word) = line[i..].first_chunk::<8>() {
+        let word = u64::from_le_bytes(word);
+        let mut hits = zero_bytes(word ^ lf) | zero_bytes(word ^ quote) | zero_bytes(word ^ delim);
+        while hits != 0 {
+            if let Some(stop) = hit(i + hits.trailing_zeros() as usize / 8) {
+                return stop;
+            }
+            hits &= hits - 1;
+        }
+        i += 8;
+    }
+    for (j, &byte) in line.iter().enumerate().skip(i) {
+        if matches!(byte, b'"' | b'\n') || byte == delimiter {
+            if let Some(stop) = hit(j) {
+                return stop;
+            }
+        }
+    }
+    Scanned::End
+}
+
+/// The index of the first LF in `bytes[from..]`, eight bytes per step.
+fn find_lf(bytes: &[u8], from: usize) -> Option<usize> {
+    let lf = splat(b'\n');
+    let mut i = from;
+    while let Some(&word) = bytes[i..].first_chunk::<8>() {
+        let hits = zero_bytes(u64::from_le_bytes(word) ^ lf);
+        if hits != 0 {
+            return Some(i + hits.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    bytes[i..].iter().position(|&b| b == b'\n').map(|j| i + j)
+}
+
+/// The error `BufRead::read_line` returns for a line that is not UTF-8,
+/// made by std itself, so that it matches to its `Debug`.
+fn invalid_utf8() -> io::Error {
+    io::Cursor::new([0xff])
+        .read_line(&mut String::new())
+        .expect_err("0xff is not UTF-8")
+}
+
+impl<R: Read> RecordReader<R> {
     fn new(reader: R, delimiter: u8) -> Self {
         RecordReader {
             reader,
             delimiter,
             line: 0,
-            raw: String::new(),
+            bytes: vec![0; READ_BYTES].into_boxed_slice(),
+            held: 0,
+            text: String::new(),
+            pos: 0,
+            invalid: false,
+            eof: false,
         }
+    }
+
+    /// Reads more of the source after the `held` bytes.
+    fn read(&mut self) -> io::Result<usize> {
+        loop {
+            match self.reader.read(&mut self.bytes[self.held..]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                read => {
+                    let n = read?;
+                    self.held += n;
+                    return Ok(n);
+                }
+            }
+        }
+    }
+
+    /// Moves the UTF-8 prefix of the held bytes onto `text`, keeping
+    /// back a sequence cut off at their end, or every byte from an
+    /// invalid sequence on.
+    fn decode(&mut self) {
+        let held = &self.bytes[..self.held];
+        let valid = match std::str::from_utf8(held) {
+            Ok(text) => {
+                self.text.push_str(text);
+                self.held = 0;
+                return;
+            }
+            Err(e) => {
+                self.invalid = e.error_len().is_some();
+                e.valid_up_to()
+            }
+        };
+        if let Ok(text) = std::str::from_utf8(&held[..valid]) {
+            self.text.push_str(text);
+        }
+        self.bytes.copy_within(valid..self.held, 0);
+        self.held -= valid;
+    }
+
+    /// Drops the text before `pos` and decodes one more read of the
+    /// source onto `text`; `Ok(false)` once no more text will come.
+    fn refill(&mut self) -> io::Result<bool> {
+        if self.invalid || self.eof {
+            return Ok(false);
+        }
+        self.text.drain(..self.pos);
+        self.pos = 0;
+        if self.read()? == 0 {
+            self.eof = true;
+            // A sequence cut off by the end of the input is not UTF-8.
+            self.invalid = self.held > 0;
+            return Ok(false);
+        }
+        self.decode();
+        Ok(true)
     }
 
     /// Refills `batch` with the next records until it holds `budget`
@@ -151,38 +313,132 @@ impl<R: BufRead> RecordReader<R> {
 
     /// Frames the next record onto the end of `batch`; `Ok(false)` at
     /// EOF.
+    ///
+    /// An unquoted record's raw text, line terminator aside, already
+    /// has the batch layout: its fields end to end, each followed by
+    /// its delimiter. So it is copied whole, its field ends found by
+    /// [`scan_line`]. The first `"` hands the record to
+    /// [`advance_quoted`](Self::advance_quoted) from its start.
     fn advance(&mut self, batch: &mut Batch) -> Result<bool, DatasetError> {
-        self.raw.clear();
+        let base = batch.fields.len();
+        let ends = batch.ends.len();
+        let mut scanned = 0;
+        loop {
+            let line = &self.text.as_bytes()[self.pos..];
+            match scan_line(line, scanned, self.delimiter, base, &mut batch.ends) {
+                Scanned::Lf(lf) => {
+                    // As `trim_newline`: the LF, then one CR before it.
+                    let cr = lf > 0 && line[lf - 1] == b'\r';
+                    if cr && self.delimiter == b'\r' {
+                        batch.ends.pop();
+                    }
+                    self.push_line(batch, lf - usize::from(cr), lf + 1)?;
+                    return Ok(true);
+                }
+                Scanned::Quote(quote) => {
+                    batch.ends.truncate(ends);
+                    return self.advance_quoted(batch, quote);
+                }
+                Scanned::End => scanned = line.len(),
+            }
+            // The record may cross the end of the text: scan on after a
+            // refill.
+            if !self.refill()? {
+                if self.invalid {
+                    batch.ends.truncate(ends);
+                    return Err(invalid_utf8().into());
+                }
+                if scanned == 0 {
+                    return Ok(false);
+                }
+                // The last line, unterminated.
+                self.push_line(batch, scanned, scanned)?;
+                return Ok(true);
+            }
+        }
+    }
+
+    /// Ends the unquoted record whose text is the `len` bytes at `pos`
+    /// and whose delimiters' field ends are in `batch`, then moves past
+    /// the `consumed` bytes of its line.
+    fn push_line(
+        &mut self,
+        batch: &mut Batch,
+        len: usize,
+        consumed: usize,
+    ) -> Result<(), DatasetError> {
+        self.line += 1;
+        let start = self.pos;
+        self.pos += consumed;
+        let end = batch_offset(batch.fields.len() + len, self.line)?;
+        batch.fields.push_str(&self.text[start..start + len]);
+        batch.ends.push(end);
+        batch
+            .records
+            .push(batch_offset(batch.ends.len(), self.line)?);
+        Ok(())
+    }
+
+    /// Frames the record starting at `pos` in place with [`frame`], one
+    /// physical line after another; its text before `scanned` holds no
+    /// LF. A line that crosses the end of `text` is looked for again
+    /// after a refill, which keeps the text from `pos` on.
+    fn advance_quoted(
+        &mut self,
+        batch: &mut Batch,
+        mut scanned: usize,
+    ) -> Result<bool, DatasetError> {
         let mut at = Framing {
             field_start: batch.fields.len(),
             ..Framing::default()
         };
+        // How much of the record's text is framed.
+        let mut framed = 0;
         loop {
-            if self.reader.read_line(&mut self.raw)? == 0 {
-                if self.raw.is_empty() {
-                    return Ok(false);
+            let rest = &self.text.as_bytes()[self.pos..];
+            let line_end = match find_lf(rest, scanned) {
+                Some(lf) => lf + 1,
+                None => {
+                    scanned = rest.len();
+                    if self.refill()? {
+                        continue;
+                    }
+                    if self.invalid {
+                        return Err(invalid_utf8().into());
+                    }
+                    if framed == scanned {
+                        self.pos += scanned;
+                        return Err(DatasetError::Csv {
+                            line: self.line,
+                            message: "unterminated quoted field at end of input".into(),
+                        });
+                    }
+                    // The last line, unterminated.
+                    scanned
                 }
-                return Err(DatasetError::Csv {
-                    line: self.line,
-                    message: "unterminated quoted field at end of input".into(),
-                });
-            }
+            };
             self.line += 1;
             // A line ending inside a quoted field continues on the next
             // one, its line terminator part of the field.
-            if !frame(
-                &self.raw,
+            let more = frame(
+                &self.text[self.pos..self.pos + line_end],
                 self.delimiter,
                 self.line,
                 &mut at,
                 &mut batch.fields,
                 &mut batch.ends,
-            )? {
+            );
+            if !matches!(more, Ok(true)) {
+                // The record's lines are read, framed or not.
+                self.pos += line_end;
+            }
+            if !more? {
                 batch
                     .records
                     .push(batch_offset(batch.ends.len(), self.line)?);
                 return Ok(true);
             }
+            (framed, scanned) = (line_end, line_end);
         }
     }
 }
@@ -360,7 +616,7 @@ impl<'a> CsvRow<'a> {
 /// (header naming, trimming, blank-line tolerance, type inference).
 pub fn read_csv<R: Read>(reader: R, opts: &CsvOptions) -> Result<Dataset, DatasetError> {
     // Unbounded interner: the dataset retains every value anyway.
-    let mut source = CsvTupleSource::from_bufread(BufReader::new(reader), opts, Interner::new())?;
+    let mut source = CsvTupleSource::from_read(reader, opts, Interner::new())?;
     let mut builder = DatasetBuilder::new(source.attr_names());
     while let Some(row) = source.next_tuple()? {
         builder.push_row(row)?;
@@ -397,7 +653,7 @@ const STREAM_INTERN_LIMIT: usize = 1 << 16;
 /// place; [`next_tuple`](TupleSource::next_tuple) is `next_row` plus the
 /// owned conversion ([`CsvRow::to_values`]). [`scan_rows`](Self::scan_rows)
 /// feeds every row to a closure with the framing on a helper thread.
-pub struct CsvTupleSource<R: BufRead = Box<dyn BufRead + Send>> {
+pub struct CsvTupleSource<R: Read = Box<dyn Read + Send>> {
     records: RecordReader<R>,
     rows: Rows,
     /// The records framed and not yet all yielded.
@@ -412,6 +668,21 @@ struct Rows {
     names: Vec<String>,
     interner: Interner,
     rows_read: usize,
+}
+
+/// The attribute names the first record of `batch` gives, and the index
+/// of the first data record: the record names the attributes, or is the
+/// first data row of a headerless source.
+fn header(batch: &Batch, opts: &CsvOptions) -> (Vec<String>, usize) {
+    let (start, ends) = batch.record(0);
+    if opts.has_header {
+        let names = split_fields(&batch.fields, start, ends)
+            .map(|f| if opts.trim { f.trim() } else { f }.to_string())
+            .collect();
+        (names, 1)
+    } else {
+        ((0..ends.len()).map(|i| format!("col{i}")).collect(), 0)
+    }
 }
 
 impl Rows {
@@ -479,12 +750,18 @@ impl CsvTupleSource {
     }
 
     /// Streams CSV from any reader.
+    ///
+    /// The source is read 8 KiB at a time, each read decoded as UTF-8
+    /// once, so `reader` needs no buffering of its own. A line that is
+    /// not UTF-8 fails with the error `BufRead::read_line` returns for
+    /// it, after every record before it, and ends the stream: every
+    /// later call returns that error again.
     pub fn from_reader<R: Read + Send + 'static>(
         reader: R,
         opts: &CsvOptions,
     ) -> Result<Self, DatasetError> {
-        Self::from_bufread(
-            Box::new(BufReader::new(reader)) as Box<dyn BufRead + Send>,
+        Self::from_read(
+            Box::new(reader) as Box<dyn Read + Send>,
             opts,
             Interner::with_limit(STREAM_INTERN_LIMIT),
         )
@@ -511,7 +788,7 @@ impl CsvTupleSource {
     ) -> Result<Self, DatasetError> {
         let mut file = File::open(path)?;
         file.seek(SeekFrom::Start(offset))?;
-        let reader = Box::new(BufReader::new(file.take(len))) as Box<dyn BufRead + Send>;
+        let reader = Box::new(file.take(len)) as Box<dyn Read + Send>;
         Ok(CsvTupleSource {
             records: RecordReader::new(reader, opts.delimiter),
             rows: Rows {
@@ -526,28 +803,14 @@ impl CsvTupleSource {
     }
 }
 
-impl<R: BufRead> CsvTupleSource<R> {
-    fn from_bufread(
-        reader: R,
-        opts: &CsvOptions,
-        interner: Interner,
-    ) -> Result<Self, DatasetError> {
+impl<R: Read> CsvTupleSource<R> {
+    fn from_read(reader: R, opts: &CsvOptions, interner: Interner) -> Result<Self, DatasetError> {
         let mut records = RecordReader::new(reader, opts.delimiter);
         let mut batch = Batch::default();
-        // The first record names the attributes, or is the first data
-        // row of a headerless source.
-        let (names, next) = if !records.advance(&mut batch)? {
-            (Vec::new(), 0)
+        let (names, next) = if records.advance(&mut batch)? {
+            header(&batch, opts)
         } else {
-            let (start, ends) = batch.record(0);
-            if opts.has_header {
-                let names = split_fields(&batch.fields, start, ends)
-                    .map(|f| if opts.trim { f.trim() } else { f }.to_string())
-                    .collect();
-                (names, 1)
-            } else {
-                ((0..ends.len()).map(|i| format!("col{i}")).collect(), 0)
-            }
+            (Vec::new(), 0)
         };
         Ok(CsvTupleSource {
             records,
@@ -571,6 +834,11 @@ impl<R: BufRead> CsvTupleSource<R> {
     /// `Ok(None)` at end of stream. Blank lines are skipped and ragged
     /// rows are errors, exactly as for
     /// [`next_tuple`](TupleSource::next_tuple).
+    ///
+    /// After a record that fails to frame, the next call goes on from
+    /// the line after it. A line that is not UTF-8 instead ends the
+    /// stream: that call and every later one return std's
+    /// `InvalidData` error.
     pub fn next_row(&mut self) -> Result<Option<CsvRow<'_>>, DatasetError> {
         loop {
             while self.next < self.batch.records.len() {
@@ -590,7 +858,7 @@ impl<R: BufRead> CsvTupleSource<R> {
     }
 }
 
-impl<R: BufRead + Send> CsvTupleSource<R> {
+impl<R: Read + Send> CsvTupleSource<R> {
     /// Feeds every remaining data row to `each`, in source order.
     ///
     /// The scan runs in two stages joined by a bounded channel. A
@@ -673,7 +941,7 @@ fn walk_batches(
     Ok(())
 }
 
-impl<R: BufRead> TupleSource for CsvTupleSource<R> {
+impl<R: Read> TupleSource for CsvTupleSource<R> {
     fn attr_names(&self) -> Vec<String> {
         self.rows.names.clone()
     }
@@ -958,5 +1226,292 @@ mod tests {
         let ds = read_csv_str("a\nnaïve\n\"héllo, wörld\"\n", &CsvOptions::default()).unwrap();
         assert_eq!(ds.value(0, 0.into()), &Value::text("naïve"));
         assert_eq!(ds.value(1, 0.into()), &Value::text("héllo, wörld"));
+    }
+}
+
+/// The buffered framer against the reader it replaced, which called
+/// `BufRead::read_line` once per physical line and framed each line with
+/// [`frame`]: the same records, fields and errors, whatever the reads'
+/// sizes and wherever they split a record or a UTF-8 sequence.
+#[cfg(test)]
+mod framer_tests {
+    use std::io::BufReader;
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The line-at-a-time framer, kept as the reference.
+    struct LineReader<R: BufRead> {
+        reader: R,
+        delimiter: u8,
+        line: usize,
+        raw: String,
+    }
+
+    impl<R: BufRead> LineReader<R> {
+        fn advance(&mut self, batch: &mut Batch) -> Result<bool, DatasetError> {
+            self.raw.clear();
+            let mut at = Framing {
+                field_start: batch.fields.len(),
+                ..Framing::default()
+            };
+            loop {
+                if self.reader.read_line(&mut self.raw)? == 0 {
+                    if self.raw.is_empty() {
+                        return Ok(false);
+                    }
+                    return Err(DatasetError::Csv {
+                        line: self.line,
+                        message: "unterminated quoted field at end of input".into(),
+                    });
+                }
+                self.line += 1;
+                if !frame(
+                    &self.raw,
+                    self.delimiter,
+                    self.line,
+                    &mut at,
+                    &mut batch.fields,
+                    &mut batch.ends,
+                )? {
+                    batch
+                        .records
+                        .push(batch_offset(batch.ends.len(), self.line)?);
+                    return Ok(true);
+                }
+            }
+        }
+    }
+
+    /// A source that hands out its bytes a few at a time, the read
+    /// sizes cycling through `sizes`.
+    struct Dribble {
+        bytes: Vec<u8>,
+        at: usize,
+        sizes: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Dribble {
+        fn new(bytes: &[u8], sizes: &[usize]) -> Self {
+            Dribble {
+                bytes: bytes.to_vec(),
+                at: 0,
+                sizes: sizes.to_vec(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.reads % self.sizes.len()];
+            self.reads += 1;
+            let n = size.min(buf.len()).min(self.bytes.len() - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// What one `advance` after another frames: each record's fields
+    /// and each error (`Debug`-formatted, so the variant and every field
+    /// of it compare). A record that fails to frame is passed over; a
+    /// read error ends the list, since the line framer skips a line
+    /// that is not UTF-8 where the buffered one stops. Each entry reads
+    /// at least one byte of the `len`, except one last error at the end
+    /// of the input.
+    fn records(
+        len: usize,
+        mut advance: impl FnMut(&mut Batch) -> Result<bool, DatasetError>,
+    ) -> Vec<Result<Vec<String>, String>> {
+        let mut batch = Batch::default();
+        let mut out = Vec::new();
+        loop {
+            assert!(out.len() <= len + 1, "no progress: {out:?}");
+            batch.clear();
+            match advance(&mut batch) {
+                Ok(true) => {
+                    let (start, ends) = batch.record(0);
+                    let fields = split_fields(&batch.fields, start, ends);
+                    out.push(Ok(fields.map(str::to_string).collect()));
+                }
+                Ok(false) => return out,
+                Err(e) => {
+                    out.push(Err(format!("{e:?}")));
+                    if matches!(e, DatasetError::Io(_)) {
+                        return out;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The attribute names, each data row's raw fields and the first
+    /// error, or the constructor's error.
+    type Scan = Result<(Vec<String>, Vec<Vec<String>>, Option<String>), String>;
+
+    fn raw_fields(row: CsvRow<'_>) -> Vec<String> {
+        row.raw_fields().map(str::to_string).collect()
+    }
+
+    /// Every record framed by the line reader into one batch, then
+    /// walked by the row stage.
+    fn line_scan(source: Dribble, opts: &CsvOptions) -> Scan {
+        let mut lines = LineReader {
+            reader: BufReader::new(source),
+            delimiter: opts.delimiter,
+            line: 0,
+            raw: String::new(),
+        };
+        let mut batch = Batch::default();
+        batch.stop = loop {
+            match lines.advance(&mut batch) {
+                Ok(true) => {}
+                Ok(false) => break Stop::End,
+                Err(e) => break Stop::Failed(e),
+            }
+        };
+        if batch.records.is_empty() {
+            return match std::mem::take(&mut batch.stop) {
+                Stop::Failed(e) => Err(format!("{e:?}")),
+                _ => Ok((Vec::new(), Vec::new(), None)),
+            };
+        }
+        let (names, next) = header(&batch, opts);
+        let mut rows = Rows {
+            opts: opts.clone(),
+            names: names.clone(),
+            interner: Interner::new(),
+            rows_read: 0,
+        };
+        let mut out = Vec::new();
+        let walked = rows.walk(&mut batch, next, &mut |row| out.push(raw_fields(row)));
+        Ok((names, out, walked.err().map(|e| format!("{e:?}"))))
+    }
+
+    fn buffered_scan(source: Dribble, opts: &CsvOptions, batch_bytes: usize) -> Scan {
+        let src = CsvTupleSource::from_reader(source, opts).map_err(|e| format!("{e:?}"))?;
+        let names = src.attr_names();
+        let mut out = Vec::new();
+        let scanned = src.scan_rows(batch_bytes, |row| out.push(raw_fields(row)));
+        Ok((names, out, scanned.err().map(|e| format!("{e:?}"))))
+    }
+
+    /// Input pieces that frame cleanly: field text (a run of eight fills
+    /// a word with no hit), a delimiter, line ends, a lone CR and a
+    /// whole 3-byte character.
+    const CLEAN: &[&[u8]] = &[
+        b"a",
+        b"1",
+        b" ",
+        b"?",
+        b"abcdefgh",
+        b"\xe6\x97\xa5",
+        b",",
+        b"\n",
+        b"\r\n",
+        b"\n\n",
+        b"\r",
+    ];
+
+    /// Pieces that take the quoted path or fail: quotes, a byte that is
+    /// never UTF-8 and a 3-byte character cut short.
+    const HAZARDS: &[&[u8]] = &[b"\"", b"\"\"", b"\xff", b"\xe6\x97"];
+
+    /// A CSV of up to ~200 KB (one case in eight; the rest up to 200
+    /// pieces), with hazards at one of four rates, none to one piece
+    /// in seven.
+    fn csv_bytes() -> impl Strategy<Value = Vec<u8>> {
+        (0u8..8, 0usize..4).prop_flat_map(|(size, rate)| {
+            let pieces = if size == 0 { 100_000 } else { 200 };
+            let piece = (0u16..1000, 0..CLEAN.len(), 0..HAZARDS.len());
+            proptest::collection::vec(piece, 0..pieces).prop_map(move |picks| {
+                let per_mille = [0, 2, 20, 150][rate];
+                let mut bytes = Vec::new();
+                for (roll, clean, hazard) in picks {
+                    let piece = if roll < per_mille {
+                        HAZARDS[hazard]
+                    } else {
+                        CLEAN[clean]
+                    };
+                    bytes.extend_from_slice(piece);
+                }
+                bytes
+            })
+        })
+    }
+
+    /// Mostly `,`; `;` never occurs in the pieces, so every record is
+    /// one field and the row stage runs to the end; CR, LF and `"`
+    /// delimiters are edge cases of [`frame`] the fast path must keep.
+    const DELIMITERS: &[u8] = b",,,;\r\n\"";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn buffered_framer_matches_the_line_framer(
+            bytes in csv_bytes(),
+            sizes in proptest::collection::vec(1usize..12, 1..8),
+            delimiter in 0..DELIMITERS.len(),
+            headerless in 0u8..2,
+            trim in 0u8..2,
+            batch_bytes in prop_oneof![Just(0usize), 1usize..64, Just(SCAN_BATCH_BYTES)],
+        ) {
+            let opts = CsvOptions {
+                delimiter: DELIMITERS[delimiter],
+                has_header: headerless == 0,
+                trim: trim == 1,
+                ..CsvOptions::default()
+            };
+            let source = || Dribble::new(&bytes, &sizes);
+            let mut lines = LineReader {
+                reader: BufReader::new(source()),
+                delimiter: opts.delimiter,
+                line: 0,
+                raw: String::new(),
+            };
+            let mut buffered = RecordReader::new(source(), opts.delimiter);
+            let want = records(bytes.len(), |batch| lines.advance(batch));
+            let got = records(bytes.len(), |batch| buffered.advance(batch));
+            prop_assert_eq!(&want, &got, "csv {:?}", String::from_utf8_lossy(&bytes));
+            let want = line_scan(source(), &opts);
+            let got = buffered_scan(source(), &opts, batch_bytes);
+            prop_assert_eq!(
+                &want,
+                &got,
+                "batch {} csv {:?}",
+                batch_bytes,
+                String::from_utf8_lossy(&bytes)
+            );
+        }
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_std_s_error_after_every_record_before_it() {
+        // The invalid line's valid prefix would fail to frame, and the
+        // read before it splits a 3-byte character.
+        let bytes = b"a,b\n\xe6\x97\xa5,x\nx\"y,\xff\n1,2\n";
+        let mut reader = RecordReader::new(Dribble::new(bytes, &[5]), b',');
+        let got = records(bytes.len(), |batch| reader.advance(batch));
+        let want_err = format!("{:?}", DatasetError::Io(invalid_utf8()));
+        assert!(
+            want_err.contains("stream did not contain valid UTF-8"),
+            "{want_err}"
+        );
+        assert_eq!(
+            got,
+            vec![
+                Ok(vec!["a".to_string(), "b".to_string()]),
+                Ok(vec!["日".to_string(), "x".to_string()]),
+                Err(want_err.clone()),
+            ]
+        );
+        // The error stays: later calls read nothing more.
+        let mut batch = Batch::default();
+        let again = reader.advance(&mut batch).map_err(|e| format!("{e:?}"));
+        assert_eq!(again, Err(want_err));
     }
 }

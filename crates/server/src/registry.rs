@@ -2650,8 +2650,9 @@ mod tests {
             let ds = dsref(&path);
             let (entry, _) = reg.get_or_load(&ds, mode);
             // Build the pair sketch in-process — by a scan, or from the
-            // rows of a memory-mode entry — so its paused reservoirs are
-            // parked on the entry, ready to resume over the suffix.
+            // rows of a memory-mode entry — so the absorb can replay its
+            // pair reservoirs from the sketch's pair table and push the
+            // suffix.
             reg.sketch_for(&ds, &entry.unwrap()).unwrap();
             let misses = reg.misses();
 
@@ -2660,7 +2661,7 @@ mod tests {
             let absorbed = absorbed.unwrap();
             let sketch = absorbed
                 .sketch()
-                .unwrap_or_else(|| panic!("{mode:?}: absorb advances the parked pair build"));
+                .unwrap_or_else(|| panic!("{mode:?}: absorb advances the replayed pair build"));
             reg.sketch_for(&ds, &absorbed).unwrap();
             assert_eq!(reg.misses(), misses, "{mode:?}: no scan after the append");
 
