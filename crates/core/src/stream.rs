@@ -2,22 +2,24 @@
 //!
 //! The paper: "sampling pairs of tuples can easily be implemented in
 //! the streaming model and the space would be proportional to the
-//! number of samples." These builders realise that:
+//! number of samples." These builders realise that with one mechanism,
+//! Li's Algorithm L over `s` slots of `k` rows sharing one skip heap
+//! ([`qid_sampling::MultiReservoir`]):
 //!
-//! * the tuple filter keeps a single size-`r` reservoir (Algorithm L) —
-//!   a uniform without-replacement sample, exactly what Algorithm 1
+//! * the tuple filter keeps one slot of `r` rows ([`TupleIngest`]) — a
+//!   uniform without-replacement sample, exactly what Algorithm 1
 //!   requires;
-//! * the pair filter and the non-separation sketch keep `s` independent
-//!   size-2 reservoirs sharing one skip heap
-//!   ([`qid_sampling::MultiReservoir`]) — each slot ends as an
-//!   independent uniform pair, matching the i.i.d.-pairs analysis.
+//! * the pair filter and the non-separation sketch keep `s` slots of 2
+//!   rows ([`PairIngest`]) — each slot ends as an independent uniform
+//!   pair, matching the i.i.d.-pairs analysis.
 //!
 //! Space: `O(r·m)` / `O(s·m)` values; update cost is dominated by the
 //! reservoirs' `O(capacity · log(n/capacity))` accepted items.
 //!
 //! Which items a reservoir accepts depends only on its seed and the
 //! number of items offered. So a paused build is never stored: it is
-//! replayed from the seed, the row count and the rows it retained
+//! replayed from the seed, the row count and the table of rows it
+//! retained — the filter's sample or the sketch's pair table
 //! ([`TupleIngest::resume`], [`PairIngest::resume`]). And a pair build
 //! over a stream of known length is planned before the stream is read
 //! ([`PairIngest::plan`]), so only the rows its pairs end on are kept.
@@ -30,19 +32,126 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qid_dataset::{Dataset, DatasetBuilder, DatasetError, TupleSource, Value};
-use qid_sampling::reservoir::{MultiReservoir, SkipReservoir};
+use qid_sampling::reservoir::MultiReservoir;
 
 use crate::filter::{FilterParams, PairSampleFilter, TupleSampleFilter};
 use crate::sketch::{NonSeparationSketch, SketchParams};
 
-/// The live state of a one-pass tuple-sample build (Algorithm 1's
-/// size-`r` reservoir plus its RNG), factored out of
+/// The live state of a one-pass build, shared by [`TupleIngest`] and
+/// [`PairIngest`]: `s` slots of `k` rows, their RNG, and the table a
+/// resumed build took its rows from.
+///
+/// A slot keeps a shared reference to a row: a row is built once however
+/// many slots accept it, and an accept copies no tuple.
+#[derive(Clone, Debug)]
+struct Ingest {
+    rng: StdRng,
+    mr: MultiReservoir<Held>,
+    /// The table a resumed build took its slots from, which
+    /// [`Held::Table`] indexes; no rows for a new build.
+    table: Dataset,
+}
+
+/// A row a slot holds.
+#[derive(Clone, Debug)]
+enum Held {
+    /// Row `r` of the resumed table.
+    Table(usize),
+    /// A row pushed since, shared by every slot that accepted it.
+    Pushed(Arc<[Value]>),
+}
+
+impl Ingest {
+    /// Starts a build of `s` slots of `k` rows over a stream with the
+    /// given attribute names.
+    fn new(names: Vec<String>, s: usize, k: usize, seed: u64) -> Self {
+        Ingest {
+            rng: StdRng::seed_from_u64(seed),
+            mr: MultiReservoir::new(s, k),
+            table: DatasetBuilder::new(names).finish(),
+        }
+    }
+
+    /// Resumes the build that pushing `rows` tuples into
+    /// `new(_, s, k, seed)` leaves, from `table`: its slots laid out as
+    /// [`gather`](Self::gather) lays them out, whose attribute names it
+    /// takes. The table is shared, not copied. Returns `None` unless the
+    /// table holds `s` slots of `min(rows, k)` rows — see
+    /// [`MultiReservoir::replay`].
+    fn resume(table: &Dataset, s: usize, k: usize, seed: u64, rows: usize) -> Option<Self> {
+        if s == 0 || !table.n_rows().is_multiple_of(s) {
+            return None;
+        }
+        let held = table.n_rows() / s;
+        let slots = (0..s)
+            .map(|i| (0..held).map(|j| Held::Table(j * s + i)).collect())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mr = MultiReservoir::replay(s, k, rows, slots, &mut rng)?;
+        Some(Ingest {
+            rng,
+            mr,
+            table: table.clone(),
+        })
+    }
+
+    /// Offers one tuple to all slots, building it only if some slot
+    /// retains it — then once, the retaining slots sharing what `make`
+    /// built. Returns `true` if one did.
+    fn push_with(&mut self, make: impl FnOnce() -> Arc<[Value]>) -> bool {
+        let made = LazyCell::new(make);
+        self.mr
+            .push_with(|| Held::Pushed(Arc::clone(&made)), &mut self.rng)
+    }
+
+    /// Tuples offered so far (the stream length `n`).
+    fn rows(&self) -> usize {
+        self.mr.seen()
+    }
+
+    /// Lays the slots out as one data set — row `j` of slot `i` at row
+    /// `j·s + i`, so with one slot its rows in order and with slots of
+    /// two pair `i` at rows `(i, s+i)` — gathered out of the resumed
+    /// table and the rows pushed since, so only pushed rows are
+    /// interned. The data set that pushing those rows through a
+    /// [`DatasetBuilder`] in turn builds.
+    fn gather(&self) -> Result<Dataset, DatasetError> {
+        // Each pushed row once, in order of first reference: a row shared
+        // by several slots is one allocation, and its address names it.
+        let mut pushed = DatasetBuilder::new(self.table.schema().names());
+        let mut at = HashMap::new();
+        let slots = self.mr.slots();
+        let held = slots[0].len();
+        let mut layout = Vec::with_capacity(held * slots.len());
+        for j in 0..held {
+            for slot in slots {
+                layout.push(match &slot[j] {
+                    Held::Table(row) => (0, *row),
+                    Held::Pushed(row) => {
+                        let next = at.len();
+                        let key = Arc::as_ptr(row).cast::<Value>() as usize;
+                        let row_at = *at.entry(key).or_insert(next);
+                        if row_at == next {
+                            pushed.push_row_ref(row)?;
+                        }
+                        (1, row_at)
+                    }
+                });
+            }
+        }
+        let parts = [&self.table, &pushed.finish()];
+        Ok(Dataset::gather_first_seen(&parts, &layout))
+    }
+}
+
+/// A one-pass tuple-sample build: Algorithm 1's size-`r` reservoir —
+/// one slot of `r` rows — plus its RNG, factored out of
 /// [`tuple_filter_from_stream`] so a build can *pause and resume*.
 ///
 /// A cold build is `new` → `push` every tuple → [`to_filter`]. An
 /// append-aware consumer keeps only the filter's sample and the row
 /// count: [`resume`] replays the reservoir's schedule from the seed and
-/// takes the sample back as its items, then the consumer pushes only
+/// takes the sample back as its rows, then the consumer pushes only
 /// the new suffix and finishes — by construction the exact computation
 /// a cold rebuild over the whole stream would run, so the resulting
 /// filter is bit-identical.
@@ -50,43 +159,24 @@ use crate::sketch::{NonSeparationSketch, SketchParams};
 /// [`to_filter`]: TupleIngest::to_filter
 /// [`resume`]: TupleIngest::resume
 #[derive(Clone, Debug)]
-pub struct TupleIngest {
-    names: Vec<String>,
-    rng: StdRng,
-    reservoir: SkipReservoir<Vec<Value>>,
-}
+pub struct TupleIngest(Ingest);
 
 impl TupleIngest {
     /// Starts a tuple-sample build over a stream with the given
     /// attribute names; `params` sizes the reservoir (Θ(m/√ε)).
     pub fn new(names: Vec<String>, params: FilterParams, seed: u64) -> Self {
-        TupleIngest {
-            rng: StdRng::seed_from_u64(seed),
-            reservoir: SkipReservoir::new(Self::capacity(params, names.len())),
-            names,
-        }
+        let k = Self::capacity(params, names.len());
+        TupleIngest(Ingest::new(names, 1, k, seed))
     }
 
     /// Resumes the build that pushing `rows` tuples into
-    /// `new(names, params, seed)` leaves, from the tuples it retained
-    /// (its filter's sample rows, in order). Returns `None` unless there
-    /// are exactly `min(rows, capacity)` of them — see
-    /// [`SkipReservoir::replay`].
-    pub fn resume(
-        names: Vec<String>,
-        params: FilterParams,
-        seed: u64,
-        rows: usize,
-        items: Vec<Vec<Value>>,
-    ) -> Option<Self> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let capacity = Self::capacity(params, names.len());
-        let reservoir = SkipReservoir::replay(capacity, rows, items, &mut rng)?;
-        Some(TupleIngest {
-            names,
-            rng,
-            reservoir,
-        })
+    /// `new(names, params, seed)` leaves, from the `sample` of the
+    /// filter it built, whose attribute names it takes. The sample is
+    /// shared, not copied. Returns `None` unless it holds exactly
+    /// `min(rows, capacity)` rows — see [`MultiReservoir::replay`].
+    pub fn resume(sample: &Dataset, params: FilterParams, seed: u64, rows: usize) -> Option<Self> {
+        let k = Self::capacity(params, sample.n_attrs());
+        Ingest::resume(sample, 1, k, seed, rows).map(TupleIngest)
     }
 
     /// The reservoir size `r = ⌈m/√ε⌉` (at least 1) of a build over
@@ -98,46 +188,34 @@ impl TupleIngest {
 
     /// Offers one tuple; returns `true` if the reservoir retained it.
     pub fn push(&mut self, tuple: Vec<Value>) -> bool {
-        self.push_with(|| tuple)
+        self.push_with(|| tuple.into())
     }
 
-    /// Offers one tuple, building it only if the reservoir retains it
-    /// (see [`SkipReservoir::push_with`]): the same trajectory as
-    /// [`push`](Self::push), with `make` called once per retained row.
-    pub fn push_with(&mut self, make: impl FnOnce() -> Vec<Value>) -> bool {
-        self.reservoir.push_with(make, &mut self.rng)
+    /// Offers one tuple, building it only if the reservoir retains it:
+    /// the same trajectory as [`push`](Self::push), with `make` called
+    /// once per retained row.
+    pub fn push_with(&mut self, make: impl FnOnce() -> Arc<[Value]>) -> bool {
+        self.0.push_with(make)
     }
 
     /// Tuples offered so far (the stream length `n`).
     pub fn rows(&self) -> usize {
-        self.reservoir.seen()
-    }
-
-    /// Attribute names the build was started with.
-    pub fn names(&self) -> &[String] {
-        &self.names
+        self.0.rows()
     }
 
     /// Builds the Algorithm 1 filter over the sample retained so far.
     /// Non-consuming: the ingest remains valid for further pushes.
     pub fn to_filter(&self, params: FilterParams) -> Result<TupleSampleFilter, DatasetError> {
-        let mut b = DatasetBuilder::new(self.names.clone());
-        for tuple in self.reservoir.items() {
-            b.push_row(tuple.clone())?;
-        }
-        Ok(TupleSampleFilter::from_sample(b.finish(), params))
+        Ok(TupleSampleFilter::from_sample(self.0.gather()?, params))
     }
 }
 
-/// The live state of a one-pass pair-sample build: `s` independent
-/// size-2 reservoirs sharing one skip heap, plus the RNG. The pair
+/// A one-pass pair-sample build: `s` independent size-2 reservoirs
+/// sharing one skip heap — `s` slots of 2 rows — plus the RNG. The pair
 /// analogue of [`TupleIngest`], paused and resumed the same way: an
 /// append-aware consumer keeps only the sketch it built and the row
 /// count, and [`resume`] replays the reservoirs' schedule from the seed
-/// and takes the sketch's pair table back as their items.
-///
-/// A slot keeps a shared reference to a row: a row is built once however
-/// many slots accept it, and an accept copies no tuple.
+/// and takes the sketch's pair table back as their rows.
 ///
 /// A first build over a stream of known length need not push every row:
 /// [`plan`] names the rows the pairs end on before the stream is read,
@@ -146,32 +224,13 @@ impl TupleIngest {
 /// [`resume`]: PairIngest::resume
 /// [`plan`]: PairIngest::plan
 #[derive(Clone, Debug)]
-pub struct PairIngest {
-    rng: StdRng,
-    mr: MultiReservoir<Held>,
-    /// The pair table a resumed build took its slots from, which
-    /// [`Held::Table`] indexes; no rows for a new build.
-    table: Dataset,
-}
-
-/// A row a pair slot holds.
-#[derive(Clone, Debug)]
-enum Held {
-    /// Row `r` of the resumed pair table.
-    Table(usize),
-    /// A row pushed since, shared by every slot that accepted it.
-    Pushed(Arc<[Value]>),
-}
+pub struct PairIngest(Ingest);
 
 impl PairIngest {
     /// Starts a pair-sample build with `s` slots over a stream with
     /// the given attribute names.
     pub fn new(names: Vec<String>, s: usize, seed: u64) -> Self {
-        PairIngest {
-            rng: StdRng::seed_from_u64(seed),
-            mr: MultiReservoir::new(s.max(1), 2),
-            table: DatasetBuilder::new(names).finish(),
-        }
+        PairIngest(Ingest::new(names, s.max(1), 2, seed))
     }
 
     /// Resumes the build that pushing `rows` tuples into
@@ -181,20 +240,7 @@ impl PairIngest {
     /// copied. Returns `None` unless the table holds whole pairs and
     /// `rows` is at least 2 — see [`MultiReservoir::replay`].
     pub fn resume(pairs: &Dataset, seed: u64, rows: usize) -> Option<Self> {
-        if !pairs.n_rows().is_multiple_of(2) {
-            return None;
-        }
-        let s = pairs.n_rows() / 2;
-        let slots = (0..s)
-            .map(|i| vec![Held::Table(i), Held::Table(s + i)])
-            .collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mr = MultiReservoir::replay(s, 2, rows, slots, &mut rng)?;
-        Some(PairIngest {
-            rng,
-            mr,
-            table: pairs.clone(),
-        })
+        Ingest::resume(pairs, pairs.n_rows() / 2, 2, seed, rows).map(PairIngest)
     }
 
     /// Plans the build that pushing `rows` tuples into `new(_, s, seed)`
@@ -218,53 +264,28 @@ impl PairIngest {
     /// Offers one tuple to all slots. The tuple is copied only when a
     /// slot retains it.
     pub fn push(&mut self, tuple: &[Value]) {
-        self.push_with(|| tuple.to_vec());
+        self.push_with(|| tuple.into());
     }
 
     /// Offers one tuple to all slots, building it only if some slot
     /// retains it: the same trajectory as [`push`](Self::push), with
     /// `make` called at most once per row and the retaining slots
     /// sharing what it built.
-    pub fn push_with(&mut self, make: impl FnOnce() -> Vec<Value>) {
-        let made = LazyCell::new(|| Arc::<[Value]>::from(make()));
-        self.mr
-            .push_with(|| Held::Pushed(Arc::clone(&made)), &mut self.rng);
+    pub fn push_with(&mut self, make: impl FnOnce() -> Arc<[Value]>) {
+        self.0.push_with(make);
     }
 
     /// Tuples offered so far (the stream length `n`).
     pub fn rows(&self) -> usize {
-        self.mr.seen()
+        self.0.rows()
     }
 
-    /// Lays the slots out as the `2s`-row pair data set the filters
-    /// expect (pair `i` at rows `(i, s+i)`), gathered out of the resumed
-    /// table and the rows pushed since, so only pushed rows are interned.
-    /// Errors on streams shorter than 2 tuples — no pairs exist.
+    /// The `2s`-row pair data set the filters expect (pair `i` at rows
+    /// `(i, s+i)`). Errors on streams shorter than 2 tuples — no pairs
+    /// exist.
     fn to_pair_rows(&self) -> Result<Dataset, DatasetError> {
-        pairs_exist(self.mr.seen())?;
-        // Each pushed row once, in order of first reference: a row shared
-        // by several slots is one allocation, and its address names it.
-        let mut pushed = DatasetBuilder::new(self.table.schema().names());
-        let mut at = HashMap::new();
-        let mut layout = Vec::with_capacity(2 * self.mr.slots().len());
-        for side in 0..2 {
-            for slot in self.mr.slots() {
-                layout.push(match &slot[side] {
-                    Held::Table(row) => (0, *row),
-                    Held::Pushed(row) => {
-                        let next = at.len();
-                        let key = Arc::as_ptr(row).cast::<Value>() as usize;
-                        let row_at = *at.entry(key).or_insert(next);
-                        if row_at == next {
-                            pushed.push_row_ref(row)?;
-                        }
-                        (1, row_at)
-                    }
-                });
-            }
-        }
-        let parts = [&self.table, &pushed.finish()];
-        Ok(Dataset::gather_first_seen(&parts, &layout))
+        pairs_exist(self.rows())?;
+        self.0.gather()
     }
 
     /// Builds the Motwani–Xu pair filter over the pairs retained so
@@ -281,7 +302,7 @@ impl PairIngest {
     pub fn to_sketch(&self, params: SketchParams) -> Result<NonSeparationSketch, DatasetError> {
         Ok(NonSeparationSketch::from_pair_rows(
             self.to_pair_rows()?,
-            self.mr.seen(),
+            self.rows(),
             params,
         ))
     }
@@ -465,6 +486,16 @@ mod tests {
         vec![Value::Int(i as i64), Value::text(format!("t{}", i % 7))]
     }
 
+    /// Each slot's rows, by value.
+    fn held(ingest: &Ingest) -> Vec<Vec<Vec<Value>>> {
+        let row = |h: &Held| match h {
+            Held::Table(r) => ingest.table.row(*r).to_vec(),
+            Held::Pushed(row) => row.to_vec(),
+        };
+        let slots = ingest.mr.slots().iter();
+        slots.map(|slot| slot.iter().map(row).collect()).collect()
+    }
+
     #[test]
     fn tuple_ingest_push_with_matches_push() {
         let names = vec!["id".to_string(), "t".to_string()];
@@ -476,42 +507,37 @@ mod tests {
             let mut calls = 0;
             let kept_lazy = lazy.push_with(|| {
                 calls += 1;
-                row(i)
+                row(i).into()
             });
             assert_eq!(kept, kept_lazy, "row {i}");
             assert_eq!(calls, usize::from(kept), "row {i}");
         }
-        assert_eq!(owned.reservoir, lazy.reservoir);
-        assert_eq!(owned.rng, lazy.rng);
+        assert_eq!(held(&owned.0), held(&lazy.0));
+        assert_eq!(owned.0.rng, lazy.0.rng);
     }
 
     #[test]
     fn tuple_ingest_resume_continues_the_pushed_build() {
         let names = vec!["id".to_string(), "t".to_string()];
         let params = FilterParams::new(0.05);
-        let mut pushed = TupleIngest::new(names.clone(), params, 3);
+        let mut pushed = TupleIngest::new(names, params, 3);
         for i in 0..2_000 {
             pushed.push(row(i));
         }
-        let items = pushed.reservoir.items().to_vec();
-        let short = items[1..].to_vec();
-        assert!(TupleIngest::resume(names.clone(), params, 3, 2_000, short).is_none());
-        let mut resumed = TupleIngest::resume(names, params, 3, 2_000, items).unwrap();
+        let filter = pushed.to_filter(params).unwrap();
+        let sample = filter.sample();
+        let short = sample.gather(&(1..sample.n_rows()).collect::<Vec<_>>());
+        assert!(TupleIngest::resume(&short, params, 3, 2_000).is_none());
+        let mut resumed = TupleIngest::resume(sample, params, 3, 2_000).unwrap();
+        assert_eq!(held(&resumed.0), held(&pushed.0));
+        assert_eq!(resumed.0.rng, pushed.0.rng);
         for i in 2_000..3_000 {
             assert_eq!(resumed.push(row(i)), pushed.push(row(i)), "row {i}");
         }
-        assert_eq!(resumed.reservoir, pushed.reservoir);
-        assert_eq!(resumed.rng, pushed.rng);
-    }
-
-    /// Each slot's rows, by value.
-    fn held(ingest: &PairIngest) -> Vec<Vec<Vec<Value>>> {
-        let row = |h: &Held| match h {
-            Held::Table(r) => ingest.table.row(*r).to_vec(),
-            Held::Pushed(row) => row.to_vec(),
-        };
-        let slots = ingest.mr.slots().iter();
-        slots.map(|slot| slot.iter().map(row).collect()).collect()
+        assert_eq!(held(&resumed.0), held(&pushed.0));
+        assert_eq!(resumed.0.rng, pushed.0.rng);
+        let (a, b) = (resumed.to_filter(params), pushed.to_filter(params));
+        assert_eq!(table(a.unwrap().sample()), table(b.unwrap().sample()));
     }
 
     #[test]
@@ -524,13 +550,13 @@ mod tests {
             let mut calls = 0;
             lazy.push_with(|| {
                 calls += 1;
-                row(i)
+                row(i).into()
             });
             let id = Value::Int(i as i64);
-            let retained = held(&lazy).iter().flatten().any(|t| t[0] == id);
+            let retained = held(&lazy.0).iter().flatten().any(|t| t[0] == id);
             assert_eq!(calls, usize::from(retained), "row {i}");
         }
-        assert_eq!(held(&owned), held(&lazy));
+        assert_eq!(held(&owned.0), held(&lazy.0));
         assert_eq!(owned.rows(), lazy.rows());
     }
 
@@ -611,7 +637,7 @@ mod tests {
         }
         let mut b = DatasetBuilder::new(names());
         for side in 0..2 {
-            for slot in held(&ingest) {
+            for slot in held(&ingest.0) {
                 b.push_row(slot[side].clone()).unwrap();
             }
         }
@@ -629,17 +655,17 @@ mod tests {
             }
             let sketch = pushed.to_sketch(params).unwrap();
             let mut resumed = PairIngest::resume(sketch.pairs(), 8, cut).unwrap();
-            assert_eq!(held(&resumed), held(&pushed), "cut {cut}");
-            assert_eq!(resumed.rng, pushed.rng, "cut {cut}");
+            assert_eq!(held(&resumed.0), held(&pushed.0), "cut {cut}");
+            assert_eq!(resumed.0.rng, pushed.0.rng, "cut {cut}");
             for i in cut..cut + 2_000 {
                 resumed.push(&mixed_row(i));
                 pushed.push(&mixed_row(i));
             }
-            assert_eq!(held(&resumed), held(&pushed), "cut {cut}");
-            assert_eq!(resumed.rng, pushed.rng, "cut {cut}");
+            assert_eq!(held(&resumed.0), held(&pushed.0), "cut {cut}");
+            assert_eq!(resumed.0.rng, pushed.0.rng, "cut {cut}");
             let (a, b) = (resumed.to_sketch(params), pushed.to_sketch(params));
             assert_eq!(table(a.unwrap().pairs()), table(b.unwrap().pairs()));
-            let resumed_names: Vec<&str> = resumed.table.schema().names().collect();
+            let resumed_names: Vec<&str> = resumed.0.table.schema().names().collect();
             assert_eq!(resumed_names, names());
             assert!(
                 PairIngest::resume(sketch.pairs(), 8, 1).is_none(),

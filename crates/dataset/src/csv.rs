@@ -8,7 +8,7 @@
 use std::fs::File;
 use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use crate::builder::DatasetBuilder;
 use crate::dataset::Dataset;
@@ -600,12 +600,23 @@ impl<'a> CsvRow<'a> {
     /// The row as owned values, text shared through the source's intern
     /// cache — what [`TupleSource::next_tuple`] yields for it.
     pub fn to_values(&mut self) -> Vec<Value> {
-        self.values()
-            .map(|v| match v {
-                ValueRef::Text(s) => Value::Text(self.interner.intern(s)),
-                v => v.to_value(),
-            })
-            .collect()
+        self.owned_values().collect()
+    }
+
+    /// [`to_values`](Self::to_values) as one shared allocation: the
+    /// values are written straight into the `Arc`, with no `Vec`
+    /// between.
+    pub fn to_shared_values(&mut self) -> Arc<[Value]> {
+        self.owned_values().collect()
+    }
+
+    fn owned_values(&mut self) -> impl Iterator<Item = Value> + '_ {
+        let values = self.values();
+        let interner = &mut *self.interner;
+        values.map(move |v| match v {
+            ValueRef::Text(s) => Value::Text(interner.intern(s)),
+            v => v.to_value(),
+        })
     }
 }
 

@@ -8,10 +8,12 @@
 //! * [`swor`] — sampling `k` distinct indices from `0..n` (Floyd's
 //!   algorithm for `k ≪ n`, partial Fisher–Yates otherwise) — the
 //!   "sample without replacement Θ(m/√ε) tuples" step of Algorithm 1.
-//! * [`reservoir`] — one-pass reservoirs: Algorithm R and the skip-based
-//!   Algorithm L, plus [`reservoir::MultiReservoir`] (many independent
-//!   reservoirs sharing one skip heap) which yields one-pass uniform
-//!   *pair* sampling for the Motwani–Xu filter in the streaming model.
+//! * [`reservoir`] — one-pass reservoirs: Algorithm R, the reference,
+//!   and [`reservoir::MultiReservoir`], `s` independent skip-based
+//!   Algorithm L reservoirs sharing one skip heap. One slot is
+//!   Algorithm 1's tuple sample in the streaming model; slots of two
+//!   are one-pass uniform *pair* sampling for the Motwani–Xu filter and
+//!   the Theorem 2 sketch.
 //! * [`pairs`] — unordered-pair (un)ranking and uniform pair samplers
 //!   with and without replacement.
 //! * [`alias`] — Walker's alias method for multinomial draws, used by the
@@ -31,5 +33,5 @@ pub mod swor;
 pub use alias::AliasTable;
 pub use birthday::{collision_prob_lower_bound, non_collision_prob_uniform, q_for_collision};
 pub use pairs::{pair_count, rank_pair, sample_pair, unrank_pair, PairSampler};
-pub use reservoir::{MultiReservoir, Reservoir, SkipReservoir};
+pub use reservoir::{MultiReservoir, Reservoir};
 pub use swor::{sample_indices, sample_indices_fisher_yates, sample_indices_floyd};

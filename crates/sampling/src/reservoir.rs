@@ -101,149 +101,43 @@ fn draw_next_accept<R: Rng + ?Sized>(w: &mut f64, k: usize, base: usize, rng: &m
     base.saturating_add(skip)
 }
 
-/// Li's **Algorithm L**: skip-based reservoir with O(k log(n/k)) total
-/// RNG draws instead of O(n).
+/// `s` independent reservoirs of capacity `k` over one stream, each
+/// run by Li's **Algorithm L** and all sharing one skip heap.
 ///
-/// After the reservoir fills, the algorithm computes geometric skip
-/// lengths; items inside a skip are rejected with *zero* per-item RNG
-/// work. For sketches over multi-hundred-thousand-row streams this is
-/// the difference between 581k draws and a few hundred.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SkipReservoir<T> {
-    capacity: usize,
-    items: Vec<T>,
-    seen: usize,
-    /// Index (0-based among offered items) of the next item to accept.
-    next_accept: usize,
-    /// Algorithm L's running weight `W`.
-    w: f64,
-}
-
-impl<T> SkipReservoir<T> {
-    /// Creates a reservoir holding up to `capacity` items.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "reservoir capacity must be positive");
-        SkipReservoir {
-            capacity,
-            items: Vec::with_capacity(capacity),
-            seen: 0,
-            next_accept: 0,
-            w: 1.0,
-        }
-    }
-
-    /// Draws the next accept index. Called when `self.seen` equals the
-    /// index of the next incoming item; a skip of zero accepts it.
-    fn schedule_next<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.next_accept = draw_next_accept(&mut self.w, self.capacity, self.seen, rng);
-    }
-
-    /// Offers one item; returns `true` if it was retained.
-    pub fn push<R: Rng + ?Sized>(&mut self, item: T, rng: &mut R) -> bool {
-        self.push_with(|| item, rng)
-    }
-
-    /// Offers one item, materialising it only if the reservoir retains
-    /// it: `make` is called exactly once for a retained item and not at
-    /// all for a skipped one — the common case after warm-up — so a
-    /// caller holding a borrowed form of the item pays for the owned
-    /// one only on accepts. The [`MultiReservoir::push_with`] twin.
-    /// Accepts depend only on the RNG and the item count, so the
-    /// trajectory is exactly [`push`](Self::push)'s.
-    pub fn push_with<R: Rng + ?Sized, F: FnOnce() -> T>(&mut self, make: F, rng: &mut R) -> bool {
-        if self.items.len() < self.capacity {
-            self.items.push(make());
-            self.seen += 1;
-            if self.items.len() == self.capacity {
-                self.schedule_next(rng);
-            }
-            return true;
-        }
-        let accept = self.seen == self.next_accept;
-        self.seen += 1;
-        if accept {
-            let slot = rng.random_range(0..self.capacity);
-            self.items[slot] = make();
-            self.schedule_next(rng);
-        }
-        accept
-    }
-
-    /// The current sample (uniform over all items seen).
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Consumes the reservoir, returning the sample.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
-
-    /// Number of items offered so far.
-    pub fn seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Rebuilds the reservoir that pushing `seen` items leaves, from the
-    /// `items` it retained (in slot order), with `rng` fresh from the
-    /// seed the pushes drew from; `rng` ends where they left it.
-    ///
-    /// Algorithm L's skips, slot choices and weight depend only on the
-    /// RNG and the item count, never on the items, so stepping from
-    /// accept to accept through the schedule re-derives everything but
-    /// the items in `O(k log(n/k))` draws. Returns `None` unless
-    /// `items.len() == min(seen, capacity)` — a sample that does not fit
-    /// its row count, not a programming error, so no panic.
-    pub fn replay<R: Rng + ?Sized>(
-        capacity: usize,
-        seen: usize,
-        items: Vec<T>,
-        rng: &mut R,
-    ) -> Option<Self> {
-        if capacity == 0 || items.len() != seen.min(capacity) {
-            return None;
-        }
-        let mut reservoir = SkipReservoir {
-            capacity,
-            items,
-            seen: seen.min(capacity),
-            next_accept: 0,
-            w: 1.0,
-        };
-        if seen < capacity {
-            return Some(reservoir);
-        }
-        reservoir.schedule_next(rng);
-        while reservoir.next_accept < seen {
-            reservoir.seen = reservoir.next_accept + 1;
-            // The accept's slot: `items` already hold what it chose, but
-            // the draw moves the RNG as the push did.
-            rng.random_range(0..capacity);
-            reservoir.schedule_next(rng);
-        }
-        reservoir.seen = seen;
-        Some(reservoir)
-    }
-}
-
-/// `s` independent reservoirs of capacity `k` over one stream, sharing a
-/// skip heap so the per-item cost is O(#reservoirs that fire), not O(s).
+/// Once a slot holds the first `k` items, Algorithm L draws a geometric
+/// skip to the slot's next accept: the items inside a skip are rejected
+/// with *zero* per-item RNG work, and an accept draws the victim it
+/// replaces and the next skip. A slot thus makes `O(k log(n/k))` draws
+/// over `n` items instead of Algorithm R's `n`, and the heap makes the
+/// per-item cost O(#slots that fire), not O(s). Total update work for
+/// `n` items is `O(n + s·k·log(n/k))`.
 ///
-/// With `k = 2` this implements the paper's streaming Motwani–Xu
-/// sketch: each slot independently holds a uniform unordered *pair* of
-/// stream items, so the `s` slots form `s` i.i.d. uniform pairs (pair
-/// sampling "with replacement" across slots, as the MX analysis
-/// assumes). Total update work for `n` items is `O(n + s·k·log(n/k))`.
+/// With `s = 1` this is Algorithm 1's tuple sample: a uniform
+/// without-replacement `k`-subset of the stream. With `k = 2` it is the
+/// paper's streaming Motwani–Xu sketch: each slot independently holds a
+/// uniform unordered *pair* of stream items, so the `s` slots form `s`
+/// i.i.d. uniform pairs (pair sampling "with replacement" across slots,
+/// as the MX analysis assumes).
 ///
-/// As for [`SkipReservoir`], which slot accepts which item and which
-/// victim it drops depend only on the RNG and the item count, never on
-/// the items. So one walk of the schedule drives a push, a
-/// [`plan`](MultiReservoir::plan) that names every slot's items before
-/// any item is read, and a [`replay`](MultiReservoir::replay) that
-/// rebuilds a reservoir from the items it retained.
+/// Which slot accepts which item and which victim it drops depend only
+/// on the RNG and the item count, never on the items. So one walk of
+/// the schedule drives a push, a [`plan`](MultiReservoir::plan) that
+/// names every slot's items before any item is read, and a
+/// [`replay`](MultiReservoir::replay) that rebuilds a reservoir from
+/// the items it retained.
+///
+/// ```
+/// use qid_sampling::MultiReservoir;
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let mut rng = StdRng::seed_from_u64(1);
+/// let mut res = MultiReservoir::new(1, 3);
+/// for x in 0..100 {
+///     res.push(&x, &mut rng);
+/// }
+/// assert_eq!(res.slots()[0].len(), 3);
+/// assert_eq!(res.seen(), 100);
+/// ```
 #[derive(Clone, Debug)]
 pub struct MultiReservoir<T> {
     slots: Vec<Vec<T>>,
@@ -320,11 +214,15 @@ impl<T> MultiReservoir<T> {
     }
 
     /// Offers one item to all slots, materialising a copy only when a
-    /// slot actually retains it. `make` is called once per retaining
-    /// slot and not at all for skipped items — the common case after
-    /// warm-up — so callers holding a borrowed form of the item avoid
-    /// an up-front conversion on the hot path.
-    pub fn push_with<R: Rng + ?Sized, F: FnMut() -> T>(&mut self, mut make: F, rng: &mut R) {
+    /// slot actually retains it; returns `true` if one did. `make` is
+    /// called once per retaining slot and not at all for skipped items
+    /// — the common case after warm-up — so callers holding a borrowed
+    /// form of the item avoid an up-front conversion on the hot path.
+    pub fn push_with<R: Rng + ?Sized, F: FnMut() -> T>(
+        &mut self,
+        mut make: F,
+        rng: &mut R,
+    ) -> bool {
         let schedule = &mut self.schedule;
         if schedule.seen < schedule.k {
             // Warm-up: every slot takes the first k items.
@@ -335,18 +233,22 @@ impl<T> MultiReservoir<T> {
             if schedule.seen == schedule.k {
                 schedule.start(rng);
             }
-            return;
+            return true;
         }
         let slots = &mut self.slots;
+        let mut kept = false;
         schedule.advance(schedule.seen + 1, rng, |slot, victim, _| {
             slots[slot][victim] = make();
+            kept = true;
         });
+        kept
     }
 
     /// Rebuilds the reservoir that pushing `seen` items into `new(s, k)`
     /// leaves, from the `slots` it retained (each in victim order), with
     /// `rng` fresh from the seed the pushes drew from; `rng` ends where
-    /// they left it. The shared-heap twin of [`SkipReservoir::replay`]:
+    /// they left it: stepping from accept to accept through the
+    /// schedule re-derives everything but the items, in
     /// `O(s·k·log(n/k))` draws and heap steps, no item read. Returns
     /// `None` unless there are `s` slots of `min(seen, k)` items each —
     /// a sample that does not fit its row count, not a programming
@@ -391,9 +293,9 @@ impl<T> MultiReservoir<T> {
 }
 
 impl<T: Clone> MultiReservoir<T> {
-    /// Offers one item to all slots.
-    pub fn push<R: Rng + ?Sized>(&mut self, item: &T, rng: &mut R) {
-        self.push_with(|| item.clone(), rng);
+    /// Offers one item to all slots; returns `true` if one retained it.
+    pub fn push<R: Rng + ?Sized>(&mut self, item: &T, rng: &mut R) -> bool {
+        self.push_with(|| item.clone(), rng)
     }
 }
 
@@ -430,6 +332,19 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Everything but the items: the item count, the heap's entries in
+    /// order, and the weights' bits.
+    type ScheduleState = (usize, Vec<(usize, usize)>, Vec<u64>);
+
+    impl<T> MultiReservoir<T> {
+        pub(super) fn schedule_state(&self) -> ScheduleState {
+            let mut heap: Vec<_> = self.schedule.heap.iter().map(|r| r.0).collect();
+            heap.sort_unstable();
+            let weights = self.schedule.weights.iter().map(|w| w.to_bits()).collect();
+            (self.schedule.seen, heap, weights)
+        }
+    }
+
     #[test]
     fn algorithm_r_holds_prefix_when_short() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -463,17 +378,17 @@ mod tests {
     }
 
     #[test]
-    fn skip_reservoir_matches_algorithm_r_distribution() {
+    fn one_slot_matches_algorithm_r_distribution() {
         // Same uniformity check for Algorithm L.
         let mut rng = StdRng::seed_from_u64(3);
         let trials = 40_000;
         let mut zero_kept = 0;
         for _ in 0..trials {
-            let mut r = SkipReservoir::new(1);
+            let mut r = MultiReservoir::new(1, 1);
             for x in 0..4 {
-                r.push(x, &mut rng);
+                r.push(&x, &mut rng);
             }
-            if r.items()[0] == 0 {
+            if r.slots()[0][0] == 0 {
                 zero_kept += 1;
             }
         }
@@ -482,17 +397,17 @@ mod tests {
     }
 
     #[test]
-    fn skip_reservoir_k_many() {
+    fn one_slot_k_many() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut r = SkipReservoir::new(50);
+        let mut r = MultiReservoir::new(1, 50);
         for x in 0..10_000 {
-            r.push(x, &mut rng);
+            r.push(&x, &mut rng);
         }
-        assert_eq!(r.items().len(), 50);
+        assert_eq!(r.slots()[0].len(), 50);
         assert_eq!(r.seen(), 10_000);
         // Sample should not be the initial prefix.
-        assert!(r.items().iter().any(|&x| x >= 50));
-        let mut sorted = r.into_items();
+        assert!(r.slots()[0].iter().any(|&x| x >= 50));
+        let mut sorted = r.into_slots().remove(0);
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 50, "reservoir kept a duplicate index");
@@ -551,43 +466,45 @@ mod tests {
     }
 
     #[test]
-    fn skip_reservoir_resume_continues_exact_trajectory() {
+    fn one_slot_replay_continues_exact_trajectory() {
         // Run one reservoir straight through; push a second to the
         // midpoint, replay a third from its items and a fresh generator,
         // and finish. Same RNG sequence ⇒ bit-identical samples.
         let mut rng_a = StdRng::seed_from_u64(11);
-        let mut straight = SkipReservoir::new(20);
+        let mut straight = MultiReservoir::new(1, 20);
         for x in 0..5_000 {
-            straight.push(x, &mut rng_a);
+            straight.push(&x, &mut rng_a);
         }
 
         let mut rng_b = StdRng::seed_from_u64(11);
-        let mut first_half = SkipReservoir::new(20);
+        let mut first_half = MultiReservoir::new(1, 20);
         for x in 0..2_500 {
-            first_half.push(x, &mut rng_b);
+            first_half.push(&x, &mut rng_b);
         }
         let mut rng_c = StdRng::seed_from_u64(11);
-        let items = first_half.items().to_vec();
-        let mut resumed = SkipReservoir::replay(20, 2_500, items, &mut rng_c).expect("it fits");
-        assert_eq!(resumed, first_half);
+        let slots = first_half.slots().to_vec();
+        let mut resumed = MultiReservoir::replay(1, 20, 2_500, slots, &mut rng_c).expect("it fits");
+        assert_eq!(resumed.slots(), first_half.slots());
+        assert_eq!(resumed.schedule_state(), first_half.schedule_state());
         assert_eq!(rng_c, rng_b);
         for x in 2_500..5_000 {
-            resumed.push(x, &mut rng_c);
+            resumed.push(&x, &mut rng_c);
         }
 
-        assert_eq!(resumed, straight);
+        assert_eq!(resumed.slots(), straight.slots());
+        assert_eq!(resumed.schedule_state(), straight.schedule_state());
         assert_eq!(rng_c, rng_a);
     }
 
     #[test]
-    fn skip_reservoir_push_with_matches_push() {
+    fn one_slot_push_with_matches_push() {
         // Same RNG, same stream: the same accepts land in the same
-        // slots, and `make` runs exactly once per retained item.
+        // places, and `make` runs exactly once per retained item.
         let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(13), StdRng::seed_from_u64(13));
-        let (mut owned, mut lazy) = (SkipReservoir::new(16), SkipReservoir::new(16));
+        let (mut owned, mut lazy) = (MultiReservoir::new(1, 16), MultiReservoir::new(1, 16));
         let mut made = 0;
         for x in 0..5_000 {
-            let kept = owned.push(x, &mut rng_a);
+            let kept = owned.push(&x, &mut rng_a);
             let mut calls = 0;
             let kept_lazy = lazy.push_with(
                 || {
@@ -600,31 +517,113 @@ mod tests {
             assert_eq!(calls, usize::from(kept), "item {x}");
             made += calls;
         }
-        assert_eq!(owned, lazy);
+        assert_eq!(owned.slots(), lazy.slots());
+        assert_eq!(owned.schedule_state(), lazy.schedule_state());
         assert_eq!(rng_a, rng_b);
         assert!(made < 500, "skips should spare most items, made {made}");
     }
 
     #[test]
-    fn skip_reservoir_resume_rejects_inconsistent_checkpoints() {
+    fn one_slot_replay_rejects_samples_that_do_not_fit() {
         let mut rng = StdRng::seed_from_u64(12);
-        let mut r = SkipReservoir::new(3);
+        let mut r = MultiReservoir::new(1, 3);
         for x in 0..100 {
-            r.push(x, &mut rng);
+            r.push(&x, &mut rng);
         }
-        let items = r.into_items();
-        let replay = |capacity, seen, items| {
-            SkipReservoir::replay(capacity, seen, items, &mut StdRng::seed_from_u64(12))
+        let slots = r.into_slots();
+        let replay = |k, seen, slots| {
+            MultiReservoir::replay(1, k, seen, slots, &mut StdRng::seed_from_u64(12)).is_some()
         };
 
         // Item count disagrees with the phase implied by `seen`.
-        assert!(replay(3, 100, vec![1, 2]).is_none());
-        assert!(replay(3, 2, items.clone()).is_none());
-        assert!(replay(4, 100, items.clone()).is_none());
+        assert!(!replay(3, 100, vec![vec![1, 2]]));
+        assert!(!replay(3, 2, slots.clone()));
+        assert!(!replay(4, 100, slots.clone()));
         // Zero capacity.
-        assert!(replay(0, 0, Vec::new()).is_none());
+        assert!(!replay(0, 0, vec![Vec::new()]));
         // The fitting sample still replays.
-        assert!(replay(3, 100, items).is_some());
+        assert!(replay(3, 100, slots));
+    }
+
+    /// A digest of a slot's items, in order.
+    fn digest(items: &[usize]) -> u64 {
+        items.iter().fold(0xcbf2_9ce4_8422_2325, |h, &x| {
+            (h ^ x as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// `(k, n, seed, digest of the items, next u64 the RNG draws)` of a
+    /// capacity-`k` Algorithm L reservoir after pushing `0..n`, as the
+    /// single-reservoir implementation this one replaced left them.
+    const ONE_SLOT_GOLDEN: [(usize, usize, u64, u64, u64); 48] = [
+        (1, 0, 0, 0xcbf29ce484222325, 0x99ec5f36cb75f2b4),
+        (1, 0, 1, 0xcbf29ce484222325, 0xb3f2af6d0fc710c5),
+        (1, 0, 2, 0xcbf29ce484222325, 0x1a28690da8a8d057),
+        (1, 1, 0, 0xaf63bd4c8601b7df, 0x1a5f849d4933e6e0),
+        (1, 1, 1, 0xaf63bd4c8601b7df, 0x92f89756082a4514),
+        (1, 1, 2, 0xaf63bd4c8601b7df, 0x2f1829af001ef205),
+        (1, 2, 0, 0xaf63bc4c8601b62c, 0xffef8375d9ebcaca),
+        (1, 2, 1, 0xaf63bc4c8601b62c, 0x24c123126ffda722),
+        (1, 2, 2, 0xaf63bd4c8601b7df, 0x2f1829af001ef205),
+        (1, 50000, 0, 0xafab844c867baf04, 0x3cdebc44a5bc1936),
+        (1, 50000, 1, 0xaf9e424c866527de, 0x6d8eb8acb8d215d1),
+        (1, 50000, 2, 0xafb5bc4c868d0c2c, 0xe3df3c44a0db4a53),
+        (7, 6, 0, 0xa54ac5bf0ea60dde, 0x99ec5f36cb75f2b4),
+        (7, 6, 1, 0xa54ac5bf0ea60dde, 0xb3f2af6d0fc710c5),
+        (7, 6, 2, 0xa54ac5bf0ea60dde, 0x1a28690da8a8d057),
+        (7, 7, 0, 0x841bdba5e4298608, 0x1a5f849d4933e6e0),
+        (7, 7, 1, 0x841bdba5e4298608, 0x92f89756082a4514),
+        (7, 7, 2, 0x841bdba5e4298608, 0x2f1829af001ef205),
+        (7, 8, 0, 0xe03966061380b0b9, 0xffef8375d9ebcaca),
+        (7, 8, 1, 0x8ce756a5e92e6b19, 0x24c123126ffda722),
+        (7, 8, 2, 0xc635bafcc5bcc2b6, 0x3c69a1b6d15cf0d0),
+        (7, 50000, 0, 0x37172e46f994f563, 0xd81cc933854afa52),
+        (7, 50000, 1, 0xd1761514a66b128b, 0x74a8d0218d376b8d),
+        (7, 50000, 2, 0xca6f69ca16b2244d, 0xaf063903170f0089),
+        (120, 119, 0, 0x8b9c837512ce6fe8, 0x99ec5f36cb75f2b4),
+        (120, 119, 1, 0x8b9c837512ce6fe8, 0xb3f2af6d0fc710c5),
+        (120, 119, 2, 0x8b9c837512ce6fe8, 0x1a28690da8a8d057),
+        (120, 120, 0, 0x0962feeef4c7ab2d, 0x1a5f849d4933e6e0),
+        (120, 120, 1, 0x0962feeef4c7ab2d, 0x92f89756082a4514),
+        (120, 120, 2, 0x0962feeef4c7ab2d, 0x2f1829af001ef205),
+        (120, 121, 0, 0x04dae51fc4c55ac1, 0xffef8375d9ebcaca),
+        (120, 121, 1, 0xcfb1c2de7389f709, 0x24c123126ffda722),
+        (120, 121, 2, 0xadf61a7809c7d20f, 0x3c69a1b6d15cf0d0),
+        (120, 50000, 0, 0x4ce90a216a8c210f, 0x3b424c788d2f7490),
+        (120, 50000, 1, 0xc2e91dabace7a442, 0x93488060b496d45b),
+        (120, 50000, 2, 0xef7881421bf48d9f, 0x64a5f53f86507d9d),
+        (500, 499, 0, 0x425112bfe7de4508, 0x99ec5f36cb75f2b4),
+        (500, 499, 1, 0x425112bfe7de4508, 0xb3f2af6d0fc710c5),
+        (500, 499, 2, 0x425112bfe7de4508, 0x1a28690da8a8d057),
+        (500, 500, 0, 0x8e07d716feaf3681, 0x1a5f849d4933e6e0),
+        (500, 500, 1, 0x8e07d716feaf3681, 0x92f89756082a4514),
+        (500, 500, 2, 0x8e07d716feaf3681, 0x2f1829af001ef205),
+        (500, 501, 0, 0xa3a47c34cbbf4d34, 0xffef8375d9ebcaca),
+        (500, 501, 1, 0x1f4587ef29fb5464, 0x24c123126ffda722),
+        (500, 501, 2, 0x592ac76ef63745c4, 0x3c69a1b6d15cf0d0),
+        (500, 50000, 0, 0x98487089b31f4942, 0x43b653f51346cea9),
+        (500, 50000, 1, 0xfcd9929473e8e414, 0x35263610d971723e),
+        (500, 50000, 2, 0x1e4b2383c543cf10, 0x84486548558497f7),
+    ];
+
+    #[test]
+    fn one_slot_pushes_and_replays_match_the_golden() {
+        for (k, n, seed, items, next) in ONE_SLOT_GOLDEN {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut pushed = MultiReservoir::new(1, k);
+            for x in 0..n {
+                pushed.push(&x, &mut rng);
+            }
+            let case = format!("k {k}, n {n}, seed {seed}");
+            assert_eq!(pushed.slots()[0].len(), n.min(k), "{case}");
+            assert_eq!(digest(&pushed.slots()[0]), items, "{case}: pushed items");
+            assert_eq!(rng.next_u64(), next, "{case}: pushed rng");
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let replayed = MultiReservoir::replay(1, k, n, pushed.into_slots(), &mut rng);
+            assert_eq!(replayed.expect("it fits").seen(), n, "{case}");
+            assert_eq!(rng.next_u64(), next, "{case}: replayed rng");
+        }
     }
 
     #[test]
@@ -640,54 +639,6 @@ mod tests {
     }
 }
 
-/// [`SkipReservoir::replay`] against the pushes it stands in for.
-#[cfg(test)]
-mod replay_tests {
-    use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    use super::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// `n` is 0, the capacity, below it, or anything up to 10⁶.
-        #[test]
-        fn a_replayed_reservoir_equals_a_pushed_one_and_continues_it(
-            capacity in 1usize..=2048,
-            shape in 0u8..4,
-            raw in 0usize..=1_000_000,
-            seed in 0u64..=u64::MAX,
-        ) {
-            let n = match shape {
-                0 => 0,
-                1 => capacity,
-                2 => raw % capacity,
-                _ => raw,
-            };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut pushed = SkipReservoir::new(capacity);
-            for x in 0..n {
-                pushed.push(x, &mut rng);
-            }
-            let mut replayed_rng = StdRng::seed_from_u64(seed);
-            let items = pushed.items().to_vec();
-            let replayed = SkipReservoir::replay(capacity, n, items, &mut replayed_rng);
-            prop_assert!(replayed.is_some(), "n {} did not replay", n);
-            let mut replayed = replayed.unwrap();
-            prop_assert!(replayed == pushed, "n {}", n);
-            prop_assert!(replayed_rng == rng, "n {}", n);
-            for x in n..n + 5_000 {
-                let kept = pushed.push(x, &mut rng);
-                prop_assert_eq!(replayed.push(x, &mut replayed_rng), kept, "item {}", x);
-            }
-            prop_assert!(replayed == pushed, "n {} + 5000", n);
-            prop_assert!(replayed_rng == rng, "n {} + 5000", n);
-        }
-    }
-}
-
 /// [`MultiReservoir::plan`] and [`MultiReservoir::replay`] against the
 /// pushes they stand in for.
 #[cfg(test)]
@@ -698,63 +649,119 @@ mod multi_replay_tests {
 
     use super::*;
 
-    /// Everything but the items: the item count, the heap's entries in
-    /// order, and the weights' bits.
-    type ScheduleState = (usize, Vec<(usize, usize)>, Vec<u64>);
-
-    impl<T> MultiReservoir<T> {
-        fn schedule_state(&self) -> ScheduleState {
-            let mut heap: Vec<_> = self.schedule.heap.iter().map(|r| r.0).collect();
-            heap.sort_unstable();
-            let weights = self.schedule.weights.iter().map(|w| w.to_bits()).collect();
-            (self.schedule.seen, heap, weights)
+    /// Plans, replays and pushes `n` items into `s` slots of `k` from
+    /// `seed`, and checks that the plan and the replay equal the pushed
+    /// reservoir (items, schedule and RNG), and that the replay goes on
+    /// to match it over 5,000 further pushes.
+    fn plan_and_replay_match_pushes(
+        s: usize,
+        k: usize,
+        n: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pushed = MultiReservoir::new(s, k);
+        for x in 0..n {
+            pushed.push(&(x as u32), &mut rng);
         }
+
+        let mut plan_rng = StdRng::seed_from_u64(seed);
+        let plan = MultiReservoir::plan(s, k, n, &mut plan_rng);
+        let planned: Vec<Vec<u32>> = plan
+            .slots()
+            .iter()
+            .map(|slot| slot.iter().map(|&i| i as u32).collect())
+            .collect();
+        prop_assert!(planned == pushed.slots(), "n {}: planned slots", n);
+        prop_assert!(plan.schedule_state() == pushed.schedule_state(), "n {}", n);
+        prop_assert!(plan_rng == rng, "n {}: planned rng", n);
+
+        let mut replayed_rng = StdRng::seed_from_u64(seed);
+        let slots = pushed.slots().to_vec();
+        let replayed = MultiReservoir::replay(s, k, n, slots, &mut replayed_rng);
+        prop_assert!(replayed.is_some(), "n {} did not replay", n);
+        let mut replayed = replayed.unwrap();
+        prop_assert!(replayed.slots() == pushed.slots(), "n {}", n);
+        prop_assert!(
+            replayed.schedule_state() == pushed.schedule_state(),
+            "n {}",
+            n
+        );
+        prop_assert!(replayed_rng == rng, "n {}: replayed rng", n);
+        for x in n..n + 5_000 {
+            let kept = pushed.push(&(x as u32), &mut rng);
+            prop_assert_eq!(
+                replayed.push(&(x as u32), &mut replayed_rng),
+                kept,
+                "item {}",
+                x
+            );
+        }
+        prop_assert!(replayed.slots() == pushed.slots(), "n {} + 5000", n);
+        prop_assert!(
+            replayed.schedule_state() == pushed.schedule_state(),
+            "n {} + 5000",
+            n
+        );
+        prop_assert!(replayed_rng == rng, "n {} + 5000: rng", n);
+        Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// `n` is 0, 1, 2, or anything up to 10⁶.
+        /// One slot of up to 2048 items: Algorithm 1's tuple sample.
+        /// `n` is 0, `k`, `k + 1`, below `k`, or anything up to 10⁶.
         #[test]
-        fn a_planned_or_replayed_multi_reservoir_equals_a_pushed_one(
+        fn one_slot_plans_and_replays_equal_pushes(
+            k in 1usize..=2048,
+            shape in 0u8..5,
+            raw in 0usize..=1_000_000,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let n = match shape {
+                0 => 0,
+                1 => k,
+                2 => k + 1,
+                3 => raw % k,
+                _ => raw,
+            };
+            plan_and_replay_match_pushes(1, k, n, seed)?;
+        }
+
+        /// Up to 512 slots of two items: Theorem 2's pair sketch, the
+        /// shape the first `sketch` plans. `n` is 0, 1, 2, or anything
+        /// up to 10⁶.
+        #[test]
+        fn pair_slots_plan_and_replay_equal_pushes(
             s in 1usize..=512,
             shape in 0u8..4,
             raw in 0usize..=1_000_000,
             seed in 0u64..=u64::MAX,
         ) {
             let n = if shape < 3 { usize::from(shape) } else { raw };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut pushed = MultiReservoir::new(s, 2);
-            for x in 0..n {
-                pushed.push(&(x as u32), &mut rng);
-            }
+            plan_and_replay_match_pushes(s, 2, n, seed)?;
+        }
 
-            let mut plan_rng = StdRng::seed_from_u64(seed);
-            let plan = MultiReservoir::plan(s, 2, n, &mut plan_rng);
-            let planned: Vec<Vec<u32>> = plan
-                .slots()
-                .iter()
-                .map(|slot| slot.iter().map(|&i| i as u32).collect())
-                .collect();
-            prop_assert!(planned == pushed.slots(), "n {}: planned slots", n);
-            prop_assert!(plan.schedule_state() == pushed.schedule_state(), "n {}", n);
-            prop_assert!(plan_rng == rng, "n {}: planned rng", n);
-
-            let mut replayed_rng = StdRng::seed_from_u64(seed);
-            let slots = pushed.slots().to_vec();
-            let replayed = MultiReservoir::replay(s, 2, n, slots, &mut replayed_rng);
-            prop_assert!(replayed.is_some(), "n {} did not replay", n);
-            let mut replayed = replayed.unwrap();
-            prop_assert!(replayed.slots() == pushed.slots(), "n {}", n);
-            prop_assert!(replayed.schedule_state() == pushed.schedule_state(), "n {}", n);
-            prop_assert!(replayed_rng == rng, "n {}: replayed rng", n);
-            for x in n..n + 5_000 {
-                pushed.push(&(x as u32), &mut rng);
-                replayed.push(&(x as u32), &mut replayed_rng);
-            }
-            prop_assert!(replayed.slots() == pushed.slots(), "n {} + 5000", n);
-            prop_assert!(replayed.schedule_state() == pushed.schedule_state(), "n {} + 5000", n);
-            prop_assert!(replayed_rng == rng, "n {} + 5000: rng", n);
+        /// Up to 512 slots of up to 2048 items, at most 2048 items in
+        /// all. `n` is 0, `k`, `k + 1`, below `k`, or anything up to 10⁶.
+        #[test]
+        fn many_slots_plan_and_replay_equal_pushes(
+            k in 1usize..=2048,
+            many in 1usize..=512,
+            shape in 0u8..5,
+            raw in 0usize..=1_000_000,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let s = many.min(2048 / k).max(1);
+            let n = match shape {
+                0 => 0,
+                1 => k,
+                2 => k + 1,
+                3 => raw % k,
+                _ => raw,
+            };
+            plan_and_replay_match_pushes(s, k, n, seed)?;
         }
     }
 

@@ -9,7 +9,7 @@ use qid_sampling::birthday::{
     collision_prob_lower_bound, non_collision_prob_uniform, q_for_collision,
 };
 use qid_sampling::pairs::{pair_count, rank_pair, sample_pair, unrank_pair};
-use qid_sampling::reservoir::{MultiReservoir, Reservoir, SkipReservoir};
+use qid_sampling::reservoir::{MultiReservoir, Reservoir};
 use qid_sampling::swor::{sample_indices, sample_indices_fisher_yates, sample_indices_floyd};
 
 proptest! {
@@ -58,21 +58,22 @@ proptest! {
     fn reservoir_postconditions(k in 1usize..20, n in 0usize..200, seed in 0u64..500) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut r = Reservoir::new(k);
-        let mut l = SkipReservoir::new(k);
+        let mut l = MultiReservoir::new(1, k);
         for x in 0..n {
             r.push(x, &mut rng);
-            l.push(x, &mut rng);
+            l.push(&x, &mut rng);
         }
+        let l = &l.slots()[0];
         prop_assert_eq!(r.items().len(), k.min(n));
-        prop_assert_eq!(l.items().len(), k.min(n));
+        prop_assert_eq!(l.len(), k.min(n));
         prop_assert!(r.items().iter().all(|&x| x < n));
-        prop_assert!(l.items().iter().all(|&x| x < n));
+        prop_assert!(l.iter().all(|&x| x < n));
         // Without-replacement: no duplicates.
         let mut seen = r.items().to_vec();
         seen.sort_unstable();
         seen.dedup();
         prop_assert_eq!(seen.len(), k.min(n));
-        let mut seen = l.items().to_vec();
+        let mut seen = l.clone();
         seen.sort_unstable();
         seen.dedup();
         prop_assert_eq!(seen.len(), k.min(n));

@@ -281,7 +281,7 @@ fn scan(
             }
         }
         if let Some(pairs) = &mut feed.pairs {
-            pairs.push_with(|| row.to_values());
+            pairs.push_with(|| row.to_shared_values());
         }
         if let Some(planned) = &mut feed.planned {
             if planned.plan.wanted().get(planned.kept.n_rows()) == Some(&planned.rows) {
@@ -292,7 +292,7 @@ fn scan(
             planned.rows += 1;
         }
         if let Some(tuples) = &mut feed.tuples {
-            tuples.push_with(|| values.clone().unwrap_or_else(|| row.to_values()));
+            tuples.push_with(|| row.to_shared_values());
         }
         if let (Some(rows), Some(values)) = (&mut feed.rows, values) {
             if let Err(e) = rows.push_row(values) {
@@ -389,9 +389,8 @@ pub(crate) fn absorb(
     let old_len = old.source.ok_or("entry has no source stamp")?.len;
     let sample = old.filter.sample();
     let names: Vec<String> = sample.schema().names().map(str::to_string).collect();
-    let items = sample.rows().map(|row| row.to_vec()).collect();
     let params = FilterParams::new(eps);
-    let tuples = TupleIngest::resume(names.clone(), params, seed, old.rows, items)
+    let tuples = TupleIngest::resume(sample, params, seed, old.rows)
         .ok_or("the sample does not fit its row count")?;
     let mut feed = scan(path, old_len..new.len, Some(names), |_| Feed {
         tuples: Some(tuples),
