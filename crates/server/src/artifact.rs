@@ -97,6 +97,13 @@ pub(crate) struct Artifact<'a> {
 }
 
 impl Artifact<'_> {
+    /// The sample section and the pair section's sketch parameters and
+    /// table, undecoded.
+    #[cfg(test)]
+    pub fn sections(&self) -> (&[u8], Option<(SketchParams, &[u8])>) {
+        (self.sample, self.pairs)
+    }
+
     /// Decodes the tuple sample, which must hold the `min(rows, r)` rows
     /// a reservoir of size `r = ⌈m/√ε⌉` keeps of `rows`: the items an
     /// append replays it from. Restore and `qid wal` both decode it here,

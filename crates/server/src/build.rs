@@ -506,6 +506,12 @@ mod tests {
     /// The same after [`APPEND`] is absorbed (and for a cold build of
     /// the grown file).
     const GOLDEN_GROWN: u64 = 0x19d9_4911_9f4f_b52c;
+    /// FNV-1a of the sample and pair sections alone of the artifacts
+    /// behind [`GOLDEN_BASE`] ([`sections_fnv`]): they pin the sampled
+    /// bytes through any change to the header or the KMV section.
+    const SECTIONS_BASE: u64 = 0x8bd6_c39c_e7bb_abe4;
+    /// The same for [`GOLDEN_GROWN`].
+    const SECTIONS_GROWN: u64 = 0xc753_319e_14a4_77e0;
 
     const EPS: f64 = 0.01;
     const SEED: u64 = 7;
@@ -533,6 +539,20 @@ mod tests {
     /// hashes are zeroed, and the magic, version and trailing checksum
     /// are not hashed.
     fn artifact_fnv(entry: &Entry) -> u64 {
+        let bytes = artifact_bytes(entry);
+        fnv(&bytes[6..bytes.len() - 8])
+    }
+
+    /// FNV-1a of `bytes`.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The artifact `entry` persists with its sketch's pairs, with the
+    /// run-dependent header fields fixed as [`artifact_fnv`] describes.
+    fn artifact_bytes(entry: &Entry) -> Vec<u8> {
         let mut source = entry.source.expect("a stamped entry");
         (source.mtime_s, source.mtime_ns, source.captured_ms) = (0, 0, 0);
         (source.prefix_hash, source.full_hash) = (0, 0);
@@ -548,12 +568,29 @@ mod tests {
         };
         let sketch = entry.sketch();
         let pairs = sketch.as_deref().map(|sk| (sk.params(), sk.pairs()));
-        let bytes = artifact::encode(&header, &entry.cols, entry.filter.sample(), pairs);
-        bytes[6..bytes.len() - 8]
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+        artifact::encode(&header, &entry.cols, entry.filter.sample(), pairs)
+    }
+
+    /// FNV-1a of the sample section and the pair section (its sketch
+    /// parameters and table) of the artifact `entry` persists: the
+    /// sampled bytes alone, whatever else the artifact holds.
+    fn sections_fnv(entry: &Entry) -> u64 {
+        let bytes = artifact_bytes(entry);
+        let art = artifact::parse(&bytes).expect("a fresh artifact parses");
+        let (sample, pairs) = art.sections();
+        let mut hashed = sample.to_vec();
+        if let Some((params, table)) = pairs {
+            for word in [
+                params.alpha.to_bits(),
+                params.eps.to_bits(),
+                params.k as u64,
+            ] {
+                hashed.extend_from_slice(&word.to_le_bytes());
+            }
+            hashed.extend_from_slice(&params.multiplier.to_bits().to_le_bytes());
+            hashed.extend_from_slice(table);
+        }
+        fnv(&hashed)
     }
 
     /// A cold build in `mode` with its first sketch in its cell: from
@@ -563,6 +600,21 @@ mod tests {
         let sketch = build_sketch(path, &entry, SEED).unwrap();
         let _ = entry.sketch_cell.set(Ok(Arc::new(sketch)));
         entry
+    }
+
+    #[test]
+    fn sample_and_pair_sections_match_their_golden_bytes() {
+        let path = write("sections.csv", BASE);
+        let base = cold(&path, LoadMode::Stream);
+        let memory = cold(&path, LoadMode::Memory);
+        std::fs::write(&path, format!("{BASE}{APPEND}")).unwrap();
+        let grown_stamp = SourceStamp::capture(&path).unwrap();
+        let absorbed = absorb(&path, &base, grown_stamp, EPS, SEED).unwrap();
+        let rebuilt = cold(&path, LoadMode::Stream);
+        assert_eq!(sections_fnv(&base), SECTIONS_BASE, "cold build");
+        assert_eq!(sections_fnv(&memory), SECTIONS_BASE, "memory-mode build");
+        assert_eq!(sections_fnv(&absorbed), SECTIONS_GROWN, "build + absorb");
+        assert_eq!(sections_fnv(&rebuilt), SECTIONS_GROWN, "cold build, grown");
     }
 
     #[test]
