@@ -3,9 +3,10 @@
 //!
 //! A key's whole persisted state lives in a single file named by the
 //! key's 16-hex FNV-64 stem ([`CacheKey::fnv64`]): the key identity,
-//! shape and source stamp, the per-column KMV minima, the tuple sample
-//! and — once `sketch` ran — the Theorem 2 pair sample with its sketch
-//! parameters. The reservoir behind the tuple sample is not stored: its
+//! shape and source stamp, the tuple sample, and two optional sections
+//! behind presence flags — the per-column KMV minima, once `stats`
+//! built them, and the Theorem 2 pair sample with its sketch
+//! parameters, once `sketch` ran. The reservoir behind the tuple sample is not stored: its
 //! state follows from the key's seed and the row count, so an append
 //! replays it (`TupleIngest::resume`). It is published with one temp
 //! write + rename, so a reader sees the old artifact or the new one,
@@ -22,7 +23,7 @@
 //! header   = path str · eps_bits u64 · seed u64 · rows var · attrs var
 //!            · len u64 · mtime_s u64 · mtime_ns u32 · prefix_hash u64
 //!            · full_hash u64 · captured_ms u64
-//! kmv      = attrs × (count var · count × u64)
+//! kmv      = 0u8 | 1u8 · attrs × (count var · count × u64)
 //! pairs    = 0u8 | 1u8 · alpha u64 · eps u64 · k var · multiplier u64 · table
 //! table    = byte_len var · rows var · attrs × column
 //! column   = name str · dtype u8 · dict_len var · dict_len × value
@@ -65,8 +66,9 @@ const MAGIC: &[u8; 4] = b"QIDA";
 /// rejected, not misread. Versions 1–3 were the text formats
 /// (`.sample.csv` + `.meta.json` + `.pairs.*`); 4 was this layout with
 /// FNV-1a stamp hashes and checksum; 5 also stored the paused
-/// reservoir's checkpoint; 6 is this artifact.
-pub(crate) const VERSION: u16 = 6;
+/// reservoir's checkpoint; 6 always held the KMV section; 7 is this
+/// artifact.
+pub(crate) const VERSION: u16 = 7;
 
 /// A decode result; the error says what was wrong.
 type Decoded<T> = Result<T, &'static str>;
@@ -90,20 +92,14 @@ pub(crate) struct Header {
 #[derive(Debug)]
 pub(crate) struct Artifact<'a> {
     pub header: Header,
-    /// Per-column KMV minima, one list per attribute.
-    pub cols: Vec<Vec<u64>>,
+    /// Per-column KMV minima, one list per attribute, if the artifact
+    /// has the section.
+    pub cols: Option<Vec<Vec<u64>>>,
     sample: &'a [u8],
     pairs: Option<(SketchParams, &'a [u8])>,
 }
 
 impl Artifact<'_> {
-    /// The sample section and the pair section's sketch parameters and
-    /// table, undecoded.
-    #[cfg(test)]
-    pub fn sections(&self) -> (&[u8], Option<(SketchParams, &[u8])>) {
-        (self.sample, self.pairs)
-    }
-
     /// Decodes the tuple sample, which must hold the `min(rows, r)` rows
     /// a reservoir of size `r = ⌈m/√ε⌉` keeps of `rows`: the items an
     /// append replays it from. Restore and `qid wal` both decode it here,
@@ -135,7 +131,7 @@ impl Artifact<'_> {
 /// Renders one key's artifact, checksum included.
 pub(crate) fn encode(
     header: &Header,
-    cols: &[DistinctSketch],
+    cols: Option<&[DistinctSketch]>,
     sample: &Dataset,
     pairs: Option<(SketchParams, &Dataset)>,
 ) -> Vec<u8> {
@@ -154,10 +150,16 @@ pub(crate) fn encode(
     put_u64(&mut out, s.prefix_hash);
     put_u64(&mut out, s.full_hash);
     put_u64(&mut out, s.captured_ms);
-    for sk in cols {
-        put_var(&mut out, sk.minima().count() as u64);
-        for h in sk.minima() {
-            put_u64(&mut out, h);
+    match cols {
+        None => out.push(0),
+        Some(cols) => {
+            out.push(1);
+            for sk in cols {
+                put_var(&mut out, sk.minima().count() as u64);
+                for h in sk.minima() {
+                    put_u64(&mut out, h);
+                }
+            }
         }
     }
     put_table(&mut out, sample);
@@ -201,8 +203,8 @@ pub(crate) fn parse(bytes: &[u8]) -> Decoded<Artifact<'_>> {
         return Err("eps outside (0, 1)");
     }
     let rows = r.usize()?;
-    // Every attribute owns at least its KMV count byte, which bounds
-    // `attrs` by the bytes that remain.
+    // Every attribute owns at least its name's length byte in the
+    // sample table, which bounds `attrs` by the bytes that remain.
     let attrs = r.count(1)?;
     let source = SourceStamp {
         len: r.u64()?,
@@ -212,12 +214,18 @@ pub(crate) fn parse(bytes: &[u8]) -> Decoded<Artifact<'_>> {
         full_hash: r.u64()?,
         captured_ms: r.u64()?,
     };
-    let cols = (0..attrs)
-        .map(|_| {
-            let n = r.count(8)?;
-            (0..n).map(|_| r.u64()).collect()
-        })
-        .collect::<Decoded<Vec<Vec<u64>>>>()?;
+    let cols = match r.u8()? {
+        0 => None,
+        1 => Some(
+            (0..attrs)
+                .map(|_| {
+                    let n = r.count(8)?;
+                    (0..n).map(|_| r.u64()).collect()
+                })
+                .collect::<Decoded<Vec<Vec<u64>>>>()?,
+        ),
+        _ => return Err("bad KMV-section flag"),
+    };
     let sample = r.section()?;
     let pairs = match r.u8()? {
         0 => None,
@@ -569,6 +577,14 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
+    impl Artifact<'_> {
+        /// The sample section and the pair section's sketch parameters
+        /// and table, undecoded.
+        pub(crate) fn sections(&self) -> (&[u8], Option<(SketchParams, &[u8])>) {
+            (self.sample, self.pairs)
+        }
+    }
+
     /// The values the codec must keep apart exactly, weighted towards
     /// the awkward ones.
     fn value() -> impl Strategy<Value = Value> {
@@ -677,18 +693,21 @@ mod tests {
             }),
             bits in 0u64..=u64::MAX,
             with_pairs in 0u8..2,
+            with_cols in 0u8..2,
+            bad_flag in 2u8..=u8::MAX,
         ) {
             // Fewer rows than the reservoir holds: the sample is all of them.
             let header = header(attrs, sample.n_rows(), bits);
             let cols = cols_of(attrs, bits);
+            let kmv_section = (with_cols == 1).then_some(cols.as_slice());
             let pair_section = (with_pairs == 1).then_some((sketch_params(), &pairs));
-            let bytes = encode(&header, &cols, &sample, pair_section);
+            let bytes = encode(&header, kmv_section, &sample, pair_section);
 
             let art = parse(&bytes).expect("a fresh artifact parses");
             prop_assert_eq!(&art.header, &header);
             prop_assert_eq!(art.header.source.captured_ms, header.source.captured_ms);
             let minima: Vec<Vec<u64>> = cols.iter().map(|sk| sk.minima().collect()).collect();
-            prop_assert_eq!(&art.cols, &minima);
+            prop_assert_eq!(&art.cols, &(with_cols == 1).then_some(minima));
             prop_assert!(same_table(&art.sample().unwrap(), &sample));
             match art.pairs().unwrap() {
                 None => prop_assert!(with_pairs == 0),
@@ -698,7 +717,35 @@ mod tests {
                     prop_assert!(same_table(&table, &pairs));
                 }
             }
+
+            // Any KMV-section flag but 0 and 1, sealed like a good one,
+            // is rejected as such.
+            let mut bad = bytes.clone();
+            bad[kmv_flag_at(&bytes)] = bad_flag;
+            prop_assert_eq!(parse(&reseal(bad)).err(), Some("bad KMV-section flag"));
         }
+    }
+
+    /// Where the KMV-section flag sits in `bytes`: right after the
+    /// header.
+    fn kmv_flag_at(bytes: &[u8]) -> usize {
+        let mut r = Reader(&bytes[MAGIC.len() + 2..]);
+        r.str().unwrap();
+        r.take(16).unwrap();
+        r.var().unwrap();
+        r.var().unwrap();
+        r.take(8 + 8 + 4 + 8 + 8 + 8).unwrap();
+        bytes.len() - r.0.len()
+    }
+
+    /// `bytes` with the checksum recomputed over its body.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        if bytes.len() >= 8 {
+            let body = bytes.len() - 8;
+            let sum = checksum(&bytes[..body]);
+            bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        }
+        bytes
     }
 
     #[test]
@@ -732,7 +779,7 @@ mod tests {
         let pairs = Dataset::new(schema(), vec![column(vec![0, 1, 1, 2])]);
         encode(
             &header(1, 3, 42),
-            &cols_of(1, 3),
+            Some(&cols_of(1, 3)),
             &sample,
             Some((sketch_params(), &pairs)),
         )
@@ -768,14 +815,6 @@ mod tests {
         // must turn it into an error — or a valid decode — but never a
         // panic in `Column::new`/`Dataset::new`.
         let good = small_artifact();
-        let reseal = |mut bytes: Vec<u8>| {
-            if bytes.len() >= 8 {
-                let body = bytes.len() - 8;
-                let sum = checksum(&bytes[..body]);
-                bytes[body..].copy_from_slice(&sum.to_le_bytes());
-            }
-            bytes
-        };
         for len in 0..good.len() {
             let _ = decode_all(&reseal(good[..len].to_vec()));
         }
@@ -804,7 +843,7 @@ mod tests {
         for (rows, kept) in [(3, 3), (1_000, 10)] {
             let header = header(1, rows, 42);
             for n in [kept - 1, kept, kept + 1] {
-                let bytes = encode(&header, &cols_of(1, 3), &sample(n as u32), None);
+                let bytes = encode(&header, None, &sample(n as u32), None);
                 publish(&dir, &header.key, &bytes).unwrap();
                 let listed = inspect(&dir);
                 assert_eq!(listed.len(), 1);

@@ -12,37 +12,78 @@ use std::time::UNIX_EPOCH;
 use qid_core::filter::{FilterParams, TupleSampleFilter};
 use qid_core::sketch::{DistinctSketch, NonSeparationSketch, SketchParams};
 
-use crate::artifact::{self, Header};
+use crate::artifact::{self, Artifact, Header};
 use crate::build::{Entry, COLUMN_SKETCH_K};
 use crate::freshness::SourceStamp;
 use crate::registry::CacheKey;
 
 /// Publishes `entry` as `key`'s artifact under `dir`, with `sketch`'s
-/// pair sample when there is one. An entry is persisted only when no
-/// usable artifact described its data (a scan that found none, an
-/// absorb) or with its new sketch, so the artifact this replaces never
-/// holds a pair sample that still describes `entry`. Best-effort: a failed
-/// persist only costs the next restart a re-scan. Entries built from an
-/// unstattable source cannot be validated on restore, so they are not
-/// persisted.
+/// pair sample and the column sketches `cols` when there are any.
+///
+/// An optional section this persist does not carry is kept from the
+/// artifact it replaces when that one describes exactly `entry` (see
+/// [`matching`]): a `stats` on a restored key keeps its pair sample on
+/// disk, and a `sketch` its column sketches, so neither is rebuilt by
+/// the next life. Best-effort: a failed persist only costs the next
+/// restart a re-scan. Entries built from an unstattable source cannot
+/// be validated on restore, so they are not persisted.
 pub(crate) fn persist(
     dir: &Path,
     key: &CacheKey,
     entry: &Entry,
     sketch: Option<&NonSeparationSketch>,
+    cols: Option<&[DistinctSketch]>,
 ) {
     let Some(source) = entry.source else {
         return;
     };
+    let on_disk = (sketch.is_none() || cols.is_none())
+        .then(|| std::fs::read(artifact::path(dir, key.fnv64())).ok())
+        .flatten();
+    let replaced = on_disk
+        .as_deref()
+        .and_then(|bytes| matching(bytes, key, entry));
+    let kept_pairs = (replaced.as_ref())
+        .filter(|_| sketch.is_none())
+        .and_then(|art| art.pairs().ok().flatten());
+    let kept_cols = (replaced.as_ref())
+        .filter(|_| cols.is_none())
+        .and_then(cols_of);
     let header = Header {
         key: key.clone(),
         rows: entry.rows,
         attrs: entry.attrs,
         source,
     };
-    let pairs = sketch.map(|sk| (sk.params(), sk.pairs()));
-    let bytes = artifact::encode(&header, &entry.cols, entry.filter.sample(), pairs);
+    let pairs = match sketch {
+        Some(sk) => Some((sk.params(), sk.pairs())),
+        None => kept_pairs.as_ref().map(|(params, table)| (*params, table)),
+    };
+    let cols = cols.or(kept_cols.as_deref());
+    let bytes = artifact::encode(&header, cols, entry.filter.sample(), pairs);
     let _ = artifact::publish(dir, key, &bytes);
+}
+
+/// `bytes` parsed, if they are an intact artifact that describes
+/// exactly `entry`: `key`, its shape and the source stamp the entry was
+/// built against. Any section of such an artifact describes the
+/// entry's data.
+fn matching<'a>(bytes: &'a [u8], key: &CacheKey, entry: &Entry) -> Option<Artifact<'a>> {
+    let art = artifact::parse(bytes).ok()?;
+    let h = &art.header;
+    let shape = (h.rows, h.attrs, Some(h.source));
+    (h.key == *key && shape == (entry.rows, entry.attrs, entry.source)).then_some(art)
+}
+
+/// The column sketches of an artifact's KMV section, if it has one.
+fn cols_of(art: &Artifact<'_>) -> Option<Vec<DistinctSketch>> {
+    let minima = art.cols.as_ref()?;
+    Some(
+        minima
+            .iter()
+            .map(|m| DistinctSketch::from_minima(COLUMN_SKETCH_K, m.iter().copied()))
+            .collect(),
+    )
 }
 
 /// Garbage-collects the artifacts under `dir` down to `budget` bytes,
@@ -112,13 +153,9 @@ pub(crate) fn restore_sketch(
     params: SketchParams,
 ) -> Option<NonSeparationSketch> {
     let bytes = std::fs::read(artifact::path(dir, key.fnv64())).ok()?;
-    let art = artifact::parse(&bytes).ok()?;
-    let h = &art.header;
-    let shape = (h.rows, h.attrs, Some(h.source));
-    if h.key != *key || shape != (entry.rows, entry.attrs, entry.source) {
-        return None; // a stem collision, or sketch and sample describe different data
-    }
-    let (stored, pairs) = art.pairs().ok()??;
+    // A stem collision, or sketch and sample describing different data,
+    // does not match.
+    let (stored, pairs) = matching(&bytes, key, entry)?.pairs().ok()??;
     let bits = |p: SketchParams| {
         (
             p.alpha.to_bits(),
@@ -140,7 +177,8 @@ pub(crate) fn restore_sketch(
 /// row count implies ([`artifact::Artifact::sample`]), and the source's
 /// current stamp matches the recorded one, so persistence never
 /// resurrects stale data and every restored entry absorbs appends. The
-/// pair section stays encoded: it is decoded on the first `sketch`.
+/// column sketches are set when the artifact holds them. The pair
+/// section stays encoded: it is decoded on the first `sketch`.
 pub(crate) fn restore(dir: &Path, key: &CacheKey) -> Option<Entry> {
     let bytes = std::fs::read(artifact::path(dir, key.fnv64())).ok()?;
     let art = artifact::parse(&bytes).ok()?;
@@ -156,12 +194,11 @@ pub(crate) fn restore(dir: &Path, key: &CacheKey) -> Option<Entry> {
         art.sample().ok()?,
         FilterParams::new(f64::from_bits(key.eps_bits)),
     );
-    let cols = art
-        .cols
-        .iter()
-        .map(|minima| DistinctSketch::from_minima(COLUMN_SKETCH_K, minima.iter().copied()))
-        .collect();
-    Some(Entry::new(filter, cols, h.rows, Some(now)))
+    let entry = Entry::new(filter, h.rows, Some(now));
+    if let Some(cols) = cols_of(&art) {
+        let _ = entry.cols_cell.set(Ok(cols));
+    }
+    Some(entry)
 }
 
 /// How old a `*.tmp` file must be before the startup sweep removes it.

@@ -10,8 +10,8 @@
 //! * [`registry`] — the **registry lifecycle subsystem** mapping
 //!   `(path, eps, seed) → cached artifacts`: the resident
 //!   [`qid_core::filter::TupleSampleFilter`] (Theorem 1), per-column
-//!   KMV distinct-count sketches (so `stats` answers without
-//!   materialising), a lazily built
+//!   KMV distinct-count sketches built by the first `stats` (so `stats`
+//!   answers without materialising), a lazily built
 //!   [`qid_core::sketch::NonSeparationSketch`] (Theorem 2, behind the
 //!   `sketch` command), and — for memory-mode loads — the full
 //!   dataset. The cache is sharded by key hash (read hits take one

@@ -65,7 +65,7 @@ pub enum LoadMode {
     /// Read the whole CSV into memory (exact `stats`, full-data `mask`).
     Memory,
     /// One-pass reservoir build: keep only the `Θ(m/√ε)` sample (plus
-    /// per-column distinct-count sketches for `stats`).
+    /// per-column distinct-count sketches once `stats` has built them).
     Stream,
 }
 

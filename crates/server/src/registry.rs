@@ -19,11 +19,11 @@
 //!   clients racing on a cold dataset still cause exactly one CSV scan.
 //! * **LRU eviction.** With [`RegistryConfig::cache_bytes`] set, every
 //!   fill that pushes the resident total over budget — a slot's entry,
-//!   or an entry's sketch or rows cell — evicts least-recently-used
-//!   entries until the total fits again. The total is summed from the
-//!   resident entries themselves (each one's [`Entry::stored_bytes`]
-//!   plus its set cells) wherever it is read, so no ledger can drift
-//!   from what the slots hold. The entry
+//!   or an entry's sketch, column-sketch or rows cell — evicts
+//!   least-recently-used entries until the total fits again. The total
+//!   is summed from the resident entries themselves (each one's
+//!   [`Entry::stored_bytes`] plus its set cells) wherever it is read,
+//!   so no ledger can drift from what the slots hold. The entry
 //!   being returned is never evicted, so a single over-budget dataset
 //!   still works.
 //! * **Disk persistence.** With [`RegistryConfig::cache_dir`] set,
@@ -74,7 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
-use qid_core::sketch::NonSeparationSketch;
+use qid_core::sketch::{DistinctSketch, NonSeparationSketch};
 
 use crate::artifact;
 use crate::build;
@@ -231,7 +231,8 @@ impl Default for RegistryConfig {
 /// artifacts and trace spans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RegistryEvent {
-    /// A scan of the source produced a new entry or set an entry's rows.
+    /// A scan of the source produced a new entry, or set an entry's
+    /// rows or column sketches.
     Built {
         /// FNV-1a hash of the entry's cache key.
         key: u64,
@@ -304,9 +305,9 @@ pub struct RegistrySnapshot {
     /// concurrent build — the scan was still shared).
     pub hits: u64,
     /// Scans of the whole source (cold builds, stale rebuilds, rows
-    /// scans, sketch builds, failed builds), paid by a lookup, the
-    /// sweeper or a `sketch`. Each lookup counts exactly once, as a
-    /// hit, a miss or a disk hit.
+    /// scans, sketch builds, column-sketch builds, failed builds), paid
+    /// by a lookup, the sweeper, a `sketch` or the first `stats`. Each
+    /// lookup counts exactly once, as a hit, a miss or a disk hit.
     pub misses: u64,
     /// Artifacts restored from [`RegistryConfig::cache_dir`] instead of
     /// a scan, by a lookup, the sweeper, startup re-admission or a
@@ -328,8 +329,8 @@ pub struct RegistrySnapshot {
     /// counted).
     pub sweep_refreshes: u64,
     /// Current resident total: every entry's [`Entry::stored_bytes`]
-    /// plus its built non-separation sketch and materialised rows, if
-    /// any.
+    /// plus its built non-separation sketch, column sketches and
+    /// materialised rows, if any.
     pub resident_bytes: u64,
     /// Entries currently resident.
     pub datasets: usize,
@@ -670,7 +671,7 @@ impl Registry {
                     self.count(Paid::Scanned, false);
                 }
                 let built = build::build_sketch(&key.path, entry, ds.seed)?;
-                self.persist(&key, entry, Some(&built));
+                self.persist(&key, entry, Some(&built), entry.cols());
                 built
             };
             self.sketch_built(&key, &sketch);
@@ -683,6 +684,43 @@ impl Registry {
             self.enforce_budget(&key);
         }
         result
+    }
+
+    /// Returns the entry's per-column distinct-count sketches, building
+    /// them on first use by one scan of the entry's stamped bytes
+    /// (`cache_misses`), checked to still describe the entry. `stats`
+    /// asks for them only on an entry without rows; one with rows
+    /// answers exactly from its dictionaries.
+    ///
+    /// Concurrent callers collapse onto one scan via the entry's
+    /// `OnceLock`, as in [`Registry::sketch_for`]. A built set is
+    /// persisted beside the sample (and any pair sample on disk for the
+    /// same data), so a restart restores it. A failed scan is cached on
+    /// the entry; the next lookup finds the source changed and rebuilds
+    /// the entry with an empty cell.
+    pub fn cols_for<'e>(
+        &self,
+        ds: &DatasetRef,
+        entry: &'e Entry,
+    ) -> Result<&'e [DistinctSketch], String> {
+        // Keyed only when this caller scans: a set cell answers with no
+        // path canonicalisation.
+        let mut scanned = None;
+        let result = entry.cols_cell.get_or_init(|| {
+            let key = scanned.insert(CacheKey::of(ds));
+            self.count(Paid::Scanned, false);
+            let cols = build::column_sketches(&key.path, entry)?;
+            self.persist(key, entry, entry.sketch().as_deref(), Some(&cols));
+            Ok(cols)
+        });
+        if let (Some(key), Ok(_)) = (&scanned, result) {
+            self.emit(RegistryEvent::Built {
+                key: key.fnv64(),
+                bytes: entry.footprint(),
+            });
+            self.enforce_budget(key);
+        }
+        result.as_deref().map_err(Clone::clone)
     }
 
     /// Reports a sketch set in `key`'s entry's cell — built, restored
@@ -1104,7 +1142,7 @@ impl Registry {
         let entry = Arc::new(entry);
         self.emit(event);
         if !matches!(event, RegistryEvent::Restored { .. }) {
-            self.persist(key, &entry, entry.sketch().as_deref());
+            self.persist(key, &entry, entry.sketch().as_deref(), entry.cols());
         }
         entry
     }
@@ -1153,15 +1191,22 @@ impl Registry {
         }
     }
 
-    /// Publishes `entry` as `key`'s artifact, then garbage-collects the
-    /// disk tier down to [`RegistryConfig::cache_disk_bytes`] with
-    /// `key` protected (see [`disk::persist`] and
-    /// [`disk::collect_garbage`]). Best-effort, like persistence itself.
-    fn persist(&self, key: &CacheKey, entry: &Entry, sketch: Option<&NonSeparationSketch>) {
+    /// Publishes `entry` as `key`'s artifact with `sketch` and `cols`,
+    /// then garbage-collects the disk tier down to
+    /// [`RegistryConfig::cache_disk_bytes`] with `key` protected (see
+    /// [`disk::persist`] and [`disk::collect_garbage`]). Best-effort,
+    /// like persistence itself.
+    fn persist(
+        &self,
+        key: &CacheKey,
+        entry: &Entry,
+        sketch: Option<&NonSeparationSketch>,
+        cols: Option<&[DistinctSketch]>,
+    ) {
         let Some(dir) = &self.config.cache_dir else {
             return;
         };
-        disk::persist(dir, key, entry, sketch);
+        disk::persist(dir, key, entry, sketch, cols);
         let Some(budget) = self.config.cache_disk_bytes else {
             return;
         };
@@ -1230,6 +1275,13 @@ mod tests {
             eps: 0.01,
             seed: 7,
         }
+    }
+
+    /// Sets `entry`'s column sketches by the scan the first `stats`
+    /// runs, without counting it in any registry.
+    fn force_cols<'e>(path: &str, entry: &'e Entry) -> &'e [DistinctSketch] {
+        let _ = entry.cols_cell.set(build::column_sketches(path, entry));
+        entry.cols().expect("the column sketches")
     }
 
     #[test]
@@ -1857,7 +1909,7 @@ mod tests {
         let reg = Registry::new();
         let (entry, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
         let entry = entry.unwrap();
-        let cols = &entry.cols;
+        let cols = force_cols(&path, &entry);
         assert_eq!(cols.len(), 2);
         // id: 300 distinct (over k=256, an estimate); parity: exactly 2.
         assert!(!cols[0].is_exact());
@@ -1880,7 +1932,235 @@ mod tests {
         let (mem, _) = reg.get_or_load(&dsref(&path), LoadMode::Memory);
         let other = Registry::new();
         let (stream, _) = other.get_or_load(&dsref(&path), LoadMode::Stream);
-        assert_eq!(mem.unwrap().cols, stream.unwrap().cols);
+        let (mem, stream) = (mem.unwrap(), stream.unwrap());
+        assert_eq!(force_cols(&path, &mem), force_cols(&path, &stream));
+    }
+
+    /// A stream key over the build tests' field-shapes fixture: every
+    /// field shape the typing rules treat specially.
+    fn field_shapes_csv(name: &str) -> String {
+        let path = unique_dir("shapes").join(name);
+        std::fs::write(&path, include_str!("../testdata/field_shapes.csv")).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    /// The column sketches of observing every typed field of `path`.
+    fn observed_every_field(path: &str) -> Vec<DistinctSketch> {
+        use qid_dataset::csv::{CsvOptions, CsvTupleSource};
+        use qid_dataset::TupleSource as _;
+        let mut src = CsvTupleSource::open(path, &CsvOptions::default()).unwrap();
+        let mut cols: Vec<_> = (0..src.n_attrs())
+            .map(|_| DistinctSketch::new(COLUMN_SKETCH_K))
+            .collect();
+        while let Some(row) = src.next_row().unwrap() {
+            for (sk, v) in cols.iter_mut().zip(row.values()) {
+                sk.observe_ref(v);
+            }
+        }
+        cols
+    }
+
+    #[test]
+    fn the_first_stats_on_a_stream_entry_scans_once_for_the_column_sketches() {
+        let path = field_shapes_csv("first-stats.csv");
+        let ds = dsref(&path);
+        let reg = Registry::new();
+        let entry = reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        assert!(entry.cols().is_none(), "a build feeds no column sketches");
+        assert_eq!(reg.snapshot().resident_bytes, entry.stored_bytes as u64);
+
+        let cols = reg.cols_for(&ds, &entry).unwrap();
+        assert_eq!(reg.misses(), 2, "the build and one stats scan");
+        assert_eq!(cols, observed_every_field(&path).as_slice());
+        let kmv: usize = cols.iter().map(DistinctSketch::stored_bytes).sum();
+        assert_eq!(
+            reg.snapshot().resident_bytes,
+            (entry.stored_bytes + kmv) as u64,
+            "the column sketches are charged once set"
+        );
+
+        reg.cols_for(&ds, &entry).unwrap();
+        assert_eq!(reg.misses(), 2, "a second stats scans nothing");
+        assert_eq!(reg.snapshot().upgrades, 0, "and never materialises");
+    }
+
+    #[test]
+    fn stats_on_a_memory_entry_is_exact_and_never_sets_the_cell() {
+        let path = fixture_csv("memory-stats.csv", 300);
+        let ds = dsref(&path);
+        let reg = Registry::new();
+        let entry = reg.get_or_load(&ds, LoadMode::Memory).0.unwrap();
+        match crate::server::stats_response(&reg, &ds, &entry) {
+            crate::proto::Response::Stats {
+                rows,
+                exact,
+                columns,
+            } => {
+                assert_eq!(rows, 300);
+                assert!(exact);
+                assert_eq!(
+                    columns,
+                    [("id".to_string(), 300), ("parity".to_string(), 2)]
+                );
+            }
+            other => panic!("expected stats, got {other:?}"),
+        }
+        assert!(
+            entry.cols().is_none(),
+            "exact stats need no column sketches"
+        );
+        assert_eq!(reg.misses(), 1, "only the build scanned");
+    }
+
+    #[test]
+    fn absorb_extends_a_set_cell_and_leaves_an_unset_one_unset() {
+        let path = fixture_csv("absorb-cols.csv", 400);
+        let (with, without) = (
+            dsref(&path),
+            DatasetRef {
+                seed: 8,
+                ..dsref(&path)
+            },
+        );
+        let reg = Registry::new();
+        for ds in [&with, &without] {
+            reg.get_or_load(ds, LoadMode::Stream).0.unwrap();
+        }
+        let entry = reg.get_or_load(&with, LoadMode::Stream).0.unwrap();
+        reg.cols_for(&with, &entry).unwrap();
+        let misses = reg.misses();
+
+        append_rows(&path, 400, 300, 0);
+        let grown = reg.get_or_load(&with, LoadMode::Stream).0.unwrap();
+        let bare = reg.get_or_load(&without, LoadMode::Stream).0.unwrap();
+        assert_eq!(reg.append_updates(), 2);
+        assert_eq!(reg.misses(), misses, "absorbs are not scans");
+        let cold = Registry::new()
+            .get_or_load(&with, LoadMode::Stream)
+            .0
+            .unwrap();
+        assert_eq!(grown.cols(), Some(force_cols(&path, &cold)));
+        assert!(bare.cols().is_none(), "an unset cell stays unset");
+    }
+
+    #[test]
+    fn stats_then_sketch_then_restart_restores_both_sections_without_a_scan() {
+        let dir = unique_dir("stats-sketch-restart");
+        let path = fixture_csv("stats-sketch.csv", 400);
+        let ds = dsref(&path);
+        let config = RegistryConfig {
+            cache_dir: Some(dir),
+            ..RegistryConfig::default()
+        };
+        let first = Registry::with_config(config.clone());
+        let entry = first.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        let cols = first.cols_for(&ds, &entry).unwrap().to_vec();
+        let sketch = first.sketch_for(&ds, &entry).unwrap();
+        drop(first);
+
+        let second = Registry::with_config(config);
+        let (misses, disk_hits) = (second.misses(), second.disk_hits());
+        let entry = second.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        assert_eq!(
+            entry.cols(),
+            Some(cols.as_slice()),
+            "restored with the entry"
+        );
+        let restored = second.sketch_for(&ds, &entry).unwrap();
+        assert_eq!(sample_rows(restored.pairs()), sample_rows(sketch.pairs()));
+        assert_eq!(second.misses(), misses, "no scan after the restart");
+        assert_eq!(second.disk_hits(), disk_hits + 1, "the pair-sample restore");
+    }
+
+    #[test]
+    fn a_stats_on_a_restored_key_keeps_its_pair_sample_on_disk() {
+        let dir = unique_dir("restart-stats-restart");
+        let path = fixture_csv("restart-stats.csv", 400);
+        let ds = dsref(&path);
+        let config = RegistryConfig {
+            cache_dir: Some(dir),
+            wal_max_bytes: 0,
+            ..RegistryConfig::default()
+        };
+        let first = Registry::with_config(config.clone());
+        let entry = first.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        first.sketch_for(&ds, &entry).unwrap();
+        drop(first);
+
+        let second = Registry::with_config(config.clone());
+        let entry = second.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        second.cols_for(&ds, &entry).unwrap();
+        assert_eq!(second.misses(), 1, "the stats scan");
+        drop(second);
+
+        let third = Registry::with_config(config);
+        let entry = third.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        assert!(
+            entry.cols().is_some(),
+            "the stats persist kept its sketches"
+        );
+        third.sketch_for(&ds, &entry).unwrap();
+        assert_eq!(third.disk_hits(), 2, "sample and pair sample restored");
+        assert_eq!(third.misses(), 0, "the sketch is a disk hit, not a scan");
+    }
+
+    #[test]
+    fn a_persist_keeps_the_other_section_only_of_the_same_data() {
+        let dir = unique_dir("keep-section");
+        let path = fixture_csv("keep-section.csv", 400);
+        let ds = dsref(&path);
+        let key = CacheKey::of(&ds);
+        let reg = Registry::with_config(RegistryConfig {
+            cache_dir: Some(dir.clone()),
+            wal_max_bytes: 0,
+            ..RegistryConfig::default()
+        });
+        let entry = reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        let cols = reg.cols_for(&ds, &entry).unwrap();
+        let minima: Vec<Vec<u64>> = cols.iter().map(|sk| sk.minima().collect()).collect();
+        let persisted = || std::fs::read(artifact::path(&dir, key.fnv64())).unwrap();
+
+        // A sketch persisted from an entry of the same data whose column
+        // sketches are unset keeps the KMV section on disk.
+        let bare = build::build_entry(&ds, LoadMode::Stream, entry.source).unwrap();
+        let sketch = build::build_sketch(&path, &bare, ds.seed).unwrap();
+        disk::persist(&dir, &key, &bare, Some(&sketch), None);
+        let bytes = persisted();
+        let art = artifact::parse(&bytes).unwrap();
+        assert!(art.pairs().unwrap().is_some());
+        assert_eq!(art.cols, Some(minima), "the KMV section is kept");
+
+        // An entry of other data keeps neither section.
+        append_rows(&path, 400, 10, 0);
+        let grown = build::build_entry(&ds, LoadMode::Stream, SourceStamp::capture(&path)).unwrap();
+        disk::persist(&dir, &key, &grown, None, None);
+        let bytes = persisted();
+        let art = artifact::parse(&bytes).unwrap();
+        assert_eq!(art.header.rows, 410);
+        assert!(art.cols.is_none() && art.pairs().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_rewrite_before_the_first_stats_fails_it_and_the_next_lookup_rebuilds() {
+        let dir = unique_dir("stats-rewrite");
+        let path = dir.join("rewrite.csv");
+        write_fixture(&path, 300, 0);
+        let path = path.to_str().unwrap().to_string();
+        let ds = dsref(&path);
+        let reg = Registry::new();
+        let entry = reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        write_fixture(Path::new(&path), 300, 9);
+        assert!(reg.cols_for(&ds, &entry).is_err());
+        assert!(
+            reg.cols_for(&ds, &entry).is_err(),
+            "the cell is written once"
+        );
+
+        let rebuilt = reg.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+        assert!(!Arc::ptr_eq(&entry, &rebuilt));
+        assert_eq!(reg.snapshot().stale_rebuilds, 1);
+        let cols = reg.cols_for(&ds, &rebuilt).unwrap();
+        assert_eq!(cols, observed_every_field(&path).as_slice());
     }
 
     #[test]
@@ -1969,8 +2249,8 @@ mod tests {
             assert_eq!(restored.raw_count(&a), built.raw_count(&a));
             assert_eq!(restored.query(&a), built.query(&a));
         }
-        // The restored entry still answers stats (cols survived too).
-        assert_eq!(entry.cols.len(), 2);
+        // The restored entry still answers stats.
+        assert_eq!(force_cols(&path, &entry).len(), 2);
     }
 
     #[test]
@@ -2216,6 +2496,7 @@ mod tests {
             let reg = Registry::new();
             let loaded = reg.get_or_load(&ds, LoadMode::Memory).0.unwrap();
             assert!(loaded.dataset().is_some());
+            force_cols(&path, &loaded);
             let misses = reg.misses();
 
             append_rows(&path, 400, 300, 0);
@@ -2242,7 +2523,11 @@ mod tests {
                 sample_rows(cold.filter.sample()),
                 "sweep {sweep}"
             );
-            assert_eq!(absorbed.cols, cold.cols, "sweep {sweep}");
+            assert_eq!(
+                absorbed.cols(),
+                Some(force_cols(&path, &cold)),
+                "sweep {sweep}"
+            );
 
             // The next memory load scans the rows of the absorbed entry.
             let upgrades = reg.snapshot().upgrades;
@@ -2250,7 +2535,7 @@ mod tests {
             assert!(Arc::ptr_eq(&again, &absorbed), "the rows join the entry");
             assert_eq!(reg.snapshot().upgrades, upgrades + 1, "sweep {sweep}");
             assert_eq!(reg.misses(), misses + 1, "sweep {sweep}");
-            match crate::server::stats_response(&again) {
+            match crate::server::stats_response(&reg, &ds, &again) {
                 crate::proto::Response::Stats { rows, exact, .. } => {
                     assert_eq!(rows, 700);
                     assert!(exact, "sweep {sweep}: stats is exact again");
@@ -2575,7 +2860,9 @@ mod tests {
         let path = fixture_csv("append.csv", 400);
         let reg = Registry::new();
         let (entry, _) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
-        assert_eq!(entry.unwrap().rows, 400);
+        let entry = entry.unwrap();
+        assert_eq!(entry.rows, 400);
+        force_cols(&path, &entry);
 
         append_rows(&path, 400, 300, 0);
         let (absorbed, hit) = reg.get_or_load(&dsref(&path), LoadMode::Stream);
@@ -2599,7 +2886,7 @@ mod tests {
             sample_rows(absorbed.filter.sample()),
             sample_rows(cold.filter.sample())
         );
-        assert_eq!(absorbed.cols, cold.cols);
+        assert_eq!(absorbed.cols(), Some(force_cols(&path, &cold)));
         assert_eq!(absorbed.rows, cold.rows);
         assert_eq!(absorbed.attrs, cold.attrs);
     }
@@ -2639,7 +2926,7 @@ mod tests {
             sample_rows(looked.filter.sample()),
             sample_rows(cold.filter.sample())
         );
-        assert_eq!(looked.cols, cold.cols);
+        assert_eq!(force_cols(&path, &looked), force_cols(&path, &cold));
     }
 
     #[test]
@@ -2847,7 +3134,11 @@ mod tests {
             entry.dataset().is_none(),
             "stats on a stream entry must not silently materialise"
         );
-        assert_eq!(entry.cols.len(), 2, "stats answers from column sketches");
+        assert_eq!(
+            reg.cols_for(&ds, &entry).unwrap().len(),
+            2,
+            "stats answers from column sketches"
+        );
     }
 
     #[test]
@@ -3083,12 +3374,8 @@ mod tests {
         for row in sample.rows().skip(1) {
             short.push_row(row.to_vec()).unwrap();
         }
-        let cols: Vec<DistinctSketch> = art
-            .cols
-            .iter()
-            .map(|minima| DistinctSketch::from_minima(COLUMN_SKETCH_K, minima.iter().copied()))
-            .collect();
-        let bad = artifact::encode(&art.header, &cols, &short.finish(), None);
+        assert!(art.cols.is_none(), "a build persists no column sketches");
+        let bad = artifact::encode(&art.header, None, &short.finish(), None);
         artifact::publish(&dir, &key, &bad).unwrap();
         let listed = artifact::inspect(&dir);
         assert_eq!(listed.len(), 1);

@@ -898,7 +898,7 @@ fn dispatch(request: &Request, state: &ServerState, cache: &mut EntryCache) -> R
             })
         }
         Request::Stats { ds } => match cache.sample_entry(state, ds) {
-            Ok(entry) => stats_response(&entry),
+            Ok(entry) => stats_response(&state.registry, ds, &entry),
             Err(message) => Response::Error { message },
         },
         Request::Unload { ds } => {
@@ -935,12 +935,13 @@ fn dispatch(request: &Request, state: &ServerState, cache: &mut EntryCache) -> R
 
 /// Answers `stats` from the resident artifact: exact dictionary sizes
 /// when the dataset is materialised, KMV estimates from the per-column
-/// sketches otherwise. Every entry carries its column sketches (the
-/// registry's persistence format guarantees it since version 2), so a
-/// `stats` on a stream entry can never silently materialise the whole
-/// dataset — `cache_upgrades` stays at 0 unless `load --mode memory`
-/// asks for it.
-pub(crate) fn stats_response(entry: &Entry) -> Response {
+/// sketches otherwise. No build feeds the column sketches: the first
+/// `stats` on an entry without rows builds them by one scan
+/// ([`Registry::cols_for`], a cache miss), and later ones, or a restart
+/// over an artifact that holds them, answer without one. Either way a
+/// `stats` on a stream entry never materialises the whole dataset —
+/// `cache_upgrades` stays at 0 unless `load --mode memory` asks for it.
+pub(crate) fn stats_response(registry: &Registry, ds: &DatasetRef, entry: &Entry) -> Response {
     fn exact_stats(dataset: &qid_dataset::Dataset) -> Response {
         Response::Stats {
             rows: dataset.n_rows(),
@@ -959,7 +960,10 @@ pub(crate) fn stats_response(entry: &Entry) -> Response {
     if let Some(dataset) = entry.dataset() {
         return exact_stats(dataset);
     }
-    let cols = &entry.cols;
+    let cols = match registry.cols_for(ds, entry) {
+        Ok(cols) => cols,
+        Err(message) => return Response::Error { message },
+    };
     let schema = entry.filter.sample().schema();
     Response::Stats {
         rows: entry.rows,

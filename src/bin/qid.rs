@@ -116,8 +116,8 @@ use quasi_id::core::minkey::{
     enumerate_minimal_keys, exact_min_key_sampled, GreedyRefineMinKey, LatticeConfig,
 };
 use quasi_id::core::separation::group_sizes;
-use quasi_id::core::stream::tuple_filter_from_stream;
-use quasi_id::dataset::csv::{read_csv_path, CsvOptions, CsvTupleSource};
+use quasi_id::core::stream::TupleIngest;
+use quasi_id::dataset::csv::{read_csv_path, CsvOptions, CsvTupleSource, SCAN_BATCH_BYTES};
 use quasi_id::prelude::*;
 use quasi_id::server::proto::{DatasetRef, LoadMode, Request, Response, DEFAULT_TRACE_LAST};
 use quasi_id::server::{resolve_attr_names, split_attr_spec, Client, Server, ServerConfig};
@@ -1216,22 +1216,24 @@ fn cmd_oneshot(opts: Opts) -> ExitCode {
 /// The streaming one-shot path for `audit`, `key` and `check`: one pass
 /// over the CSV feeds a size-`r` reservoir, the same draw a served
 /// entry holds; everything afterwards runs on the retained sample.
+/// The pass is the served build's: it frames every row and types only
+/// the rows the reservoir keeps.
 fn cmd_streamed(opts: &Opts, params: FilterParams) -> ExitCode {
-    let mut source = match CsvTupleSource::open(&opts.path, &CsvOptions::default()) {
-        Ok(s) => s,
+    let streamed = CsvTupleSource::open(&opts.path, &CsvOptions::default()).and_then(|source| {
+        let mut ingest = TupleIngest::new(source.attr_names(), params, opts.seed);
+        source.scan_rows(SCAN_BATCH_BYTES, |mut row| {
+            ingest.push_with(|| row.to_shared_values());
+        })?;
+        Ok((ingest.to_filter(params)?, ingest.rows()))
+    });
+    let (filter, n) = match streamed {
+        Ok(built) => built,
         Err(e) => {
             eprintln!("error reading {}: {e}", opts.path);
             return ExitCode::FAILURE;
         }
     };
-    let filter = match tuple_filter_from_stream(&mut source, params, opts.seed) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error reading {}: {e}", opts.path);
-            return ExitCode::FAILURE;
-        }
-    };
-    let (n, m) = (source.rows_read(), source.n_attrs());
+    let m = filter.sample().n_attrs();
     if n < 2 || m == 0 {
         eprintln!("data set too small to analyse ({n} rows x {m} attributes)");
         return ExitCode::FAILURE;

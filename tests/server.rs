@@ -301,7 +301,8 @@ fn stream_entries_answer_stats_check_and_mask_without_upgrading() {
     // The Θ(m/√ε) memory pin (the tentpole regression test): on a
     // stream-loaded entry, `stats` answers from the per-column KMV
     // sketches, `check` from the sample, and `mask` plans on the
-    // sample — ZERO materialisation upgrades and zero extra scans.
+    // sample — ZERO materialisation upgrades, and one extra scan: the
+    // first `stats` builds the column sketches.
     let csv = fixture_csv("upgrade.csv");
     let server = ServerUnderTest::spawn(2);
     let mut client = server.client();
@@ -377,7 +378,10 @@ fn stream_entries_answer_stats_check_and_mask_without_upgrading() {
         report.cache_upgrades, 0,
         "stats/check/mask on a stream entry must not materialise: {report:?}"
     );
-    assert_eq!(report.cache_misses, 1, "only the load scanned: {report:?}");
+    assert_eq!(
+        report.cache_misses, 2,
+        "the load and the first stats scanned: {report:?}"
+    );
 
     // An explicit memory-mode load is how an operator opts into exact
     // stats — it upgrades (one more scan, counted as such).
@@ -400,7 +404,7 @@ fn stream_entries_answer_stats_check_and_mask_without_upgrading() {
     }
     let report = metrics(&mut client);
     assert_eq!(report.cache_upgrades, 1, "{report:?}");
-    assert_eq!(report.cache_misses, 2, "{report:?}");
+    assert_eq!(report.cache_misses, 3, "{report:?}");
 
     server.shutdown();
 }
@@ -599,7 +603,11 @@ fn a_batch_resolves_each_dataset_key_exactly_once() {
         before.cache_hits + 1,
         "five sub-commands, one registry resolution: {after:?}"
     );
-    assert_eq!(after.cache_misses, before.cache_misses, "{after:?}");
+    assert_eq!(
+        after.cache_misses,
+        before.cache_misses + 1,
+        "the batch's stats scans once for the column sketches: {after:?}"
+    );
     // Sub-commands are metered individually, plus the batch line.
     let count_of = |report: &quasi_id::server::MetricsReport, name: &str| {
         report
