@@ -31,6 +31,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use qid_dataset::csv::{CsvTupleSource, SCAN_BATCH_BYTES};
 use qid_dataset::{Dataset, DatasetBuilder, DatasetError, TupleSource, Value};
 use qid_sampling::reservoir::MultiReservoir;
 
@@ -381,6 +382,23 @@ pub fn tuple_filter_from_stream(
     ingest.to_filter(params)
 }
 
+/// [`tuple_filter_from_stream`] over a CSV source, typing only the rows
+/// the reservoir accepts: every other row is framed and counted, never
+/// typed or copied. Which rows are accepted depends only on the seed and
+/// the count, so the filter is the one `tuple_filter_from_stream` builds
+/// from the same source and seed. Returns it with the row count.
+pub fn tuple_filter_from_csv(
+    source: CsvTupleSource,
+    params: FilterParams,
+    seed: u64,
+) -> Result<(TupleSampleFilter, usize), DatasetError> {
+    let mut ingest = TupleIngest::new(source.attr_names(), params, seed);
+    source.scan_rows(SCAN_BATCH_BYTES, |mut row| {
+        ingest.push_with(|| row.to_shared_values());
+    })?;
+    Ok((ingest.to_filter(params)?, ingest.rows()))
+}
+
 /// Builds the Motwani–Xu pair filter in one pass.
 ///
 /// Each of the `s` slots is an independent 2-reservoir, so the stored
@@ -678,6 +696,31 @@ mod tests {
             PairIngest::resume(&odd.finish(), 8, 10).is_none(),
             "half a pair"
         );
+    }
+
+    #[test]
+    fn the_csv_route_draws_the_generic_routes_sample() {
+        use qid_dataset::csv::CsvOptions;
+        use std::io::Cursor;
+        let mut csv = String::from("id,zip,score,note\n");
+        for i in 0..3_000 {
+            csv += &format!("{i},9{:04},{}.5,\"n, {}\"\n", i % 37, i % 11, i % 5);
+        }
+        let opts = CsvOptions::default();
+        let rows = |f: &TupleSampleFilter| {
+            let ds = f.sample();
+            (0..ds.n_rows())
+                .map(|r| ds.row(r).to_vec())
+                .collect::<Vec<_>>()
+        };
+        for seed in 0..4 {
+            let params = FilterParams::new(0.01);
+            let open = || CsvTupleSource::from_reader(Cursor::new(csv.clone()), &opts).unwrap();
+            let (csv_route, n) = tuple_filter_from_csv(open(), params, seed).unwrap();
+            let generic = tuple_filter_from_stream(&mut open(), params, seed).unwrap();
+            assert_eq!(n, 3_000);
+            assert_eq!(rows(&csv_route), rows(&generic), "seed {seed}");
+        }
     }
 
     #[test]

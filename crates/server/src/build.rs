@@ -20,7 +20,7 @@
 use std::fs::File;
 use std::io::Read as _;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use qid_core::filter::{FilterParams, SeparationFilter, TupleSampleFilter};
 use qid_core::sketch::{DistinctSketch, NonSeparationSketch};
@@ -71,7 +71,8 @@ pub struct Entry {
     /// in schema order) that `stats` answers from when the rows are not
     /// set: written once, by the first such `stats` (one scan of the
     /// stamped bytes, [`column_sketches`]), by a restore whose artifact
-    /// holds them, or by the absorb that extended the old entry's.
+    /// holds them, or by the absorb that extended the old entry's
+    /// sketches or its rows' dictionaries.
     pub(crate) cols_cell: OnceLock<Result<Vec<DistinctSketch>, String>>,
     /// The materialised rows and their code bytes, weighed once when
     /// the cell is set: by the memory-mode scan that built the entry,
@@ -79,6 +80,10 @@ pub struct Entry {
     /// collapse onto one scan). Written once, a failed scan too, and
     /// dropped with the entry; an absorb starts an entry without them.
     pub(crate) dataset_cell: OnceLock<Result<(Dataset, usize), String>>,
+    /// Held across each persist of this entry's artifact. A cell is set
+    /// before its persist takes the lock, and a persist reads the cells
+    /// under it, so whichever persist runs last carries every set cell.
+    pub(crate) persisting: Mutex<()>,
 }
 
 impl Entry {
@@ -96,6 +101,7 @@ impl Entry {
             sketch_cell: OnceLock::new(),
             cols_cell: OnceLock::new(),
             dataset_cell: OnceLock::new(),
+            persisting: Mutex::new(()),
         }
     }
 
@@ -394,10 +400,12 @@ fn big_enough(rows: usize, attrs: usize) -> Result<(), String> {
 /// through `old`'s reservoir and, if it has them, its column sketches
 /// and its sketch's pair reservoirs. The reservoirs are replayed from
 /// `seed`, `old.rows` and what they retained: `old`'s sample and its
-/// sketch's pair table, built or restored. Returns an entry equal to a
-/// cold rebuild over the grown file, with the advanced sketch and
-/// column sketches already in their cells; a cell `old` had not set
-/// stays unset.
+/// sketch's pair table, built or restored. An `old` with rows but no
+/// column sketches starts them from its dictionaries
+/// ([`dictionary_sketches`]), since the absorbed entry drops the rows.
+/// Returns an entry equal to a cold rebuild over the grown file, with
+/// the advanced sketch and column sketches already in their cells; a
+/// cell `old` could not fill stays unset.
 pub(crate) fn absorb(
     path: &str,
     old: &Entry,
@@ -413,7 +421,10 @@ pub(crate) fn absorb(
         .ok_or("the sample does not fit its row count")?;
     let mut feed = scan(path, old_len..new.len, Some(names), |_| Feed {
         tuples: Some(tuples),
-        cols: old.cols().map(<[DistinctSketch]>::to_vec),
+        cols: old
+            .cols()
+            .map(<[DistinctSketch]>::to_vec)
+            .or_else(|| old.dataset().map(dictionary_sketches)),
         pairs: old
             .sketch()
             .and_then(|sk| PairIngest::resume(sk.pairs(), seed, old.rows)),
@@ -480,6 +491,23 @@ pub(crate) fn column_sketches(path: &str, entry: &Entry) -> Result<Vec<DistinctS
     })?;
     still_stamped(path, entry, feed.rows_seen, "column sketches")?;
     Ok(feed.cols.expect("a stats scan feeds the column sketches"))
+}
+
+/// The column sketches of `dataset`'s rows: each column's dictionary
+/// observed once. The dictionary of rows a scan built holds each
+/// distinct typed value exactly once, and a repeated value leaves a KMV
+/// sketch as it was, so these equal [`column_sketches`] of the same
+/// bytes at O(distinct values), not O(rows).
+fn dictionary_sketches(dataset: &Dataset) -> Vec<DistinctSketch> {
+    dataset
+        .columns()
+        .iter()
+        .map(|column| {
+            let mut sk = DistinctSketch::new(COLUMN_SKETCH_K);
+            column.dict().iter().for_each(|v| sk.observe(v));
+            sk
+        })
+        .collect()
 }
 
 /// Materialises `entry`'s rows, weighed for its dataset cell, by one
@@ -680,6 +708,12 @@ mod tests {
         let memory = cold(&path, LoadMode::Memory);
         assert!(memory.dataset().is_some(), "a memory build keeps its rows");
         let memory = artifact_fnv(&memory);
+        // A memory build whose first `stats` never came: rows, no
+        // column sketches.
+        let rows_only =
+            build_entry(&dsref(&path), LoadMode::Memory, SourceStamp::capture(&path)).unwrap();
+        let sketch = build_sketch(&path, &rows_only, SEED).unwrap();
+        let _ = rows_only.sketch_cell.set(Ok(Arc::new(sketch)));
 
         std::fs::write(&path, format!("{BASE}{APPEND}")).unwrap();
         let grown_stamp = SourceStamp::capture(&path).unwrap();
@@ -690,6 +724,13 @@ mod tests {
             "the in-process sketch advances over the suffix"
         );
         let grown = artifact_fnv(&absorbed);
+        let from_rows = absorb(&path, &rows_only, grown_stamp, EPS, SEED).unwrap();
+        assert!(from_rows.dataset().is_none(), "an absorb drops the rows");
+        assert_eq!(
+            artifact_fnv(&from_rows),
+            grown,
+            "column sketches started from the rows' dictionaries"
+        );
 
         let cold_path = write("cold.csv", &format!("{BASE}{APPEND}"));
         let rebuilt = cold(&cold_path, LoadMode::Stream);

@@ -17,27 +17,25 @@ use crate::build::{Entry, COLUMN_SKETCH_K};
 use crate::freshness::SourceStamp;
 use crate::registry::CacheKey;
 
-/// Publishes `entry` as `key`'s artifact under `dir`, with `sketch`'s
-/// pair sample and the column sketches `cols` when there are any.
+/// Publishes `entry` as `key`'s artifact under `dir`, with whichever of
+/// its pair sample and column sketches are set.
 ///
-/// An optional section this persist does not carry is kept from the
-/// artifact it replaces when that one describes exactly `entry` (see
+/// With `keep`, a section whose cell is unset is kept from the artifact
+/// this one replaces when that one describes exactly `entry` (see
 /// [`matching`]): a `stats` on a restored key keeps its pair sample on
 /// disk, and a `sketch` its column sketches, so neither is rebuilt by
-/// the next life. Best-effort: a failed persist only costs the next
-/// restart a re-scan. Entries built from an unstattable source cannot
-/// be validated on restore, so they are not persisted.
-pub(crate) fn persist(
-    dir: &Path,
-    key: &CacheKey,
-    entry: &Entry,
-    sketch: Option<&NonSeparationSketch>,
-    cols: Option<&[DistinctSketch]>,
-) {
+/// the next life. Without it the old artifact is not read: a build or
+/// an absorb persists an entry that the artifact it replaces cannot
+/// describe, since that one was absent, unusable or of other data.
+/// Best-effort: a failed persist only costs the next restart a
+/// re-scan. Entries built from an unstattable source cannot be
+/// validated on restore, so they are not persisted.
+pub(crate) fn persist(dir: &Path, key: &CacheKey, entry: &Entry, keep: bool) {
     let Some(source) = entry.source else {
         return;
     };
-    let on_disk = (sketch.is_none() || cols.is_none())
+    let (sketch, cols) = (entry.sketch(), entry.cols());
+    let on_disk = (keep && (sketch.is_none() || cols.is_none()))
         .then(|| std::fs::read(artifact::path(dir, key.fnv64())).ok())
         .flatten();
     let replaced = on_disk
@@ -55,7 +53,7 @@ pub(crate) fn persist(
         attrs: entry.attrs,
         source,
     };
-    let pairs = match sketch {
+    let pairs = match &sketch {
         Some(sk) => Some((sk.params(), sk.pairs())),
         None => kept_pairs.as_ref().map(|(params, table)| (*params, table)),
     };

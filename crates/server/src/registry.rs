@@ -657,7 +657,7 @@ impl Registry {
         entry: &Arc<Entry>,
     ) -> Result<Arc<NonSeparationSketch>, String> {
         let key = CacheKey::of(ds);
-        let mut set = false;
+        let (mut set, mut built) = (false, false);
         let result = match entry.sketch_cell.get_or_init(|| {
             set = true;
             let dir = self.config.cache_dir.as_deref();
@@ -670,9 +670,8 @@ impl Registry {
                 if entry.dataset().is_none() {
                     self.count(Paid::Scanned, false);
                 }
-                let built = build::build_sketch(&key.path, entry, ds.seed)?;
-                self.persist(&key, entry, Some(&built), entry.cols());
-                built
+                built = true;
+                build::build_sketch(&key.path, entry, ds.seed)?
             };
             self.sketch_built(&key, &sketch);
             Ok(Arc::new(sketch))
@@ -681,6 +680,9 @@ impl Registry {
             Err(e) => Err(e.clone()),
         };
         if set && result.is_ok() {
+            if built {
+                self.persist(&key, entry, true);
+            }
             self.enforce_budget(&key);
         }
         result
@@ -694,10 +696,10 @@ impl Registry {
     ///
     /// Concurrent callers collapse onto one scan via the entry's
     /// `OnceLock`, as in [`Registry::sketch_for`]. A built set is
-    /// persisted beside the sample (and any pair sample on disk for the
-    /// same data), so a restart restores it. A failed scan is cached on
-    /// the entry; the next lookup finds the source changed and rebuilds
-    /// the entry with an empty cell.
+    /// persisted once it is in its cell, beside the sample (and any
+    /// pair sample on disk for the same data), so a restart restores
+    /// it. A failed scan is cached on the entry; the next lookup finds
+    /// the source changed and rebuilds the entry with an empty cell.
     pub fn cols_for<'e>(
         &self,
         ds: &DatasetRef,
@@ -709,11 +711,10 @@ impl Registry {
         let result = entry.cols_cell.get_or_init(|| {
             let key = scanned.insert(CacheKey::of(ds));
             self.count(Paid::Scanned, false);
-            let cols = build::column_sketches(&key.path, entry)?;
-            self.persist(key, entry, entry.sketch().as_deref(), Some(&cols));
-            Ok(cols)
+            build::column_sketches(&key.path, entry)
         });
         if let (Some(key), Ok(_)) = (&scanned, result) {
+            self.persist(key, entry, true);
             self.emit(RegistryEvent::Built {
                 key: key.fnv64(),
                 bytes: entry.footprint(),
@@ -1142,7 +1143,7 @@ impl Registry {
         let entry = Arc::new(entry);
         self.emit(event);
         if !matches!(event, RegistryEvent::Restored { .. }) {
-            self.persist(key, &entry, entry.sketch().as_deref(), entry.cols());
+            self.persist(key, &entry, false);
         }
         entry
     }
@@ -1191,22 +1192,22 @@ impl Registry {
         }
     }
 
-    /// Publishes `entry` as `key`'s artifact with `sketch` and `cols`,
-    /// then garbage-collects the disk tier down to
+    /// Publishes `entry` as `key`'s artifact with the cells it has set,
+    /// keeping the unset ones' sections from an artifact of the same
+    /// data with `keep`, then garbage-collects the disk tier down to
     /// [`RegistryConfig::cache_disk_bytes`] with `key` protected (see
-    /// [`disk::persist`] and [`disk::collect_garbage`]). Best-effort,
+    /// [`disk::persist`] and [`disk::collect_garbage`]). Persists of
+    /// one entry run one at a time ([`Entry::persisting`]), each after
+    /// its cell is set, so the last carries every cell. Best-effort,
     /// like persistence itself.
-    fn persist(
-        &self,
-        key: &CacheKey,
-        entry: &Entry,
-        sketch: Option<&NonSeparationSketch>,
-        cols: Option<&[DistinctSketch]>,
-    ) {
+    fn persist(&self, key: &CacheKey, entry: &Entry, keep: bool) {
         let Some(dir) = &self.config.cache_dir else {
             return;
         };
-        disk::persist(dir, key, entry, sketch, cols);
+        {
+            let _one_at_a_time = entry.persisting.lock().expect("persist lock");
+            disk::persist(dir, key, entry, keep);
+        }
         let Some(budget) = self.config.cache_disk_bytes else {
             return;
         };
@@ -2124,20 +2125,65 @@ mod tests {
         // sketches are unset keeps the KMV section on disk.
         let bare = build::build_entry(&ds, LoadMode::Stream, entry.source).unwrap();
         let sketch = build::build_sketch(&path, &bare, ds.seed).unwrap();
-        disk::persist(&dir, &key, &bare, Some(&sketch), None);
+        let _ = bare.sketch_cell.set(Ok(Arc::new(sketch)));
+        disk::persist(&dir, &key, &bare, true);
         let bytes = persisted();
         let art = artifact::parse(&bytes).unwrap();
         assert!(art.pairs().unwrap().is_some());
         assert_eq!(art.cols, Some(minima), "the KMV section is kept");
 
+        // A build's persist reads nothing back, even of the same data.
+        let rebuilt = build::build_entry(&ds, LoadMode::Stream, entry.source).unwrap();
+        disk::persist(&dir, &key, &rebuilt, false);
+        let bytes = persisted();
+        let art = artifact::parse(&bytes).unwrap();
+        assert!(art.cols.is_none() && art.pairs().unwrap().is_none());
+
         // An entry of other data keeps neither section.
+        disk::persist(&dir, &key, &bare, false);
         append_rows(&path, 400, 10, 0);
         let grown = build::build_entry(&ds, LoadMode::Stream, SourceStamp::capture(&path)).unwrap();
-        disk::persist(&dir, &key, &grown, None, None);
+        disk::persist(&dir, &key, &grown, true);
         let bytes = persisted();
         let art = artifact::parse(&bytes).unwrap();
         assert_eq!(art.header.rows, 410);
         assert!(art.cols.is_none() && art.pairs().unwrap().is_none());
+    }
+
+    /// Whichever of a racing first `stats` and first `sketch` persists
+    /// last reads both cells, each set before its persist, so the
+    /// artifact holds both sections.
+    #[test]
+    fn a_first_stats_racing_a_first_sketch_persists_both_sections() {
+        let path = fixture_csv("stats-sketch-race.csv", 400);
+        let ds = dsref(&path);
+        for round in 0..4 {
+            let config = RegistryConfig {
+                cache_dir: Some(unique_dir(&format!("stats-sketch-race-{round}"))),
+                wal_max_bytes: 0,
+                ..RegistryConfig::default()
+            };
+            let first = Registry::with_config(config.clone());
+            let entry = first.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+            let both = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    both.wait();
+                    first.cols_for(&ds, &entry).map(|_| ())
+                });
+                scope.spawn(|| {
+                    both.wait();
+                    first.sketch_for(&ds, &entry).map(|_| ())
+                });
+            });
+            drop(first);
+
+            let second = Registry::with_config(config);
+            let entry = second.get_or_load(&ds, LoadMode::Stream).0.unwrap();
+            assert!(entry.cols().is_some(), "round {round}: the KMV section");
+            second.sketch_for(&ds, &entry).unwrap();
+            assert_eq!(second.misses(), 0, "round {round}: the pair section");
+        }
     }
 
     #[test]
@@ -2496,7 +2542,6 @@ mod tests {
             let reg = Registry::new();
             let loaded = reg.get_or_load(&ds, LoadMode::Memory).0.unwrap();
             assert!(loaded.dataset().is_some());
-            force_cols(&path, &loaded);
             let misses = reg.misses();
 
             append_rows(&path, 400, 300, 0);
@@ -2526,8 +2571,13 @@ mod tests {
             assert_eq!(
                 absorbed.cols(),
                 Some(force_cols(&path, &cold)),
-                "sweep {sweep}"
+                "sweep {sweep}: started from the rows' dictionaries"
             );
+            match crate::server::stats_response(&reg, &ds, &absorbed) {
+                crate::proto::Response::Stats { rows, .. } => assert_eq!(rows, 700),
+                other => panic!("expected stats, got {other:?}"),
+            }
+            assert_eq!(reg.misses(), misses, "sweep {sweep}: stats scans nothing");
 
             // The next memory load scans the rows of the absorbed entry.
             let upgrades = reg.snapshot().upgrades;

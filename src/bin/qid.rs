@@ -116,8 +116,8 @@ use quasi_id::core::minkey::{
     enumerate_minimal_keys, exact_min_key_sampled, GreedyRefineMinKey, LatticeConfig,
 };
 use quasi_id::core::separation::group_sizes;
-use quasi_id::core::stream::TupleIngest;
-use quasi_id::dataset::csv::{read_csv_path, CsvOptions, CsvTupleSource, SCAN_BATCH_BYTES};
+use quasi_id::core::stream::tuple_filter_from_csv;
+use quasi_id::dataset::csv::{read_csv_path, CsvOptions, CsvTupleSource};
 use quasi_id::prelude::*;
 use quasi_id::server::proto::{DatasetRef, LoadMode, Request, Response, DEFAULT_TRACE_LAST};
 use quasi_id::server::{resolve_attr_names, split_attr_spec, Client, Server, ServerConfig};
@@ -1219,13 +1219,8 @@ fn cmd_oneshot(opts: Opts) -> ExitCode {
 /// The pass is the served build's: it frames every row and types only
 /// the rows the reservoir keeps.
 fn cmd_streamed(opts: &Opts, params: FilterParams) -> ExitCode {
-    let streamed = CsvTupleSource::open(&opts.path, &CsvOptions::default()).and_then(|source| {
-        let mut ingest = TupleIngest::new(source.attr_names(), params, opts.seed);
-        source.scan_rows(SCAN_BATCH_BYTES, |mut row| {
-            ingest.push_with(|| row.to_shared_values());
-        })?;
-        Ok((ingest.to_filter(params)?, ingest.rows()))
-    });
+    let streamed = CsvTupleSource::open(&opts.path, &CsvOptions::default())
+        .and_then(|source| tuple_filter_from_csv(source, params, opts.seed));
     let (filter, n) = match streamed {
         Ok(built) => built,
         Err(e) => {
